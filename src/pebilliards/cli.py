@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +75,26 @@ def _positive_int(doc: dict, key: str, where: str, minimum: int = 1) -> int:
     return val
 
 
+def _seed(doc: dict, seed_override) -> int:
+    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        _fail(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def _number(val, where: str) -> float:
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+        _fail(f"{where} must be a finite number, got {val!r}")
+    return float(val)
+
+
+def _numbers(val, where: str, count: int | None = None) -> list[float]:
+    if not isinstance(val, list) or (count is not None and len(val) != count):
+        size = "" if count is None else f"{count} "
+        _fail(f"{where} must be a list of {size}numbers, got {val!r}")
+    return [_number(v, where) for v in val]
+
+
 def _signature(doc: dict) -> Signature:
     sig = doc["signature"]
     if (
@@ -89,11 +110,8 @@ def _signature(doc: dict) -> Signature:
 
 
 def _ellipsoid(doc: dict, sig: Signature) -> Ellipsoid:
-    axes = doc["axes"]
-    if not isinstance(axes, list) or not all(isinstance(a, (int, float)) for a in axes):
-        _fail(f"axes must be a list of numbers, got {axes!r}")
     try:
-        ell = Ellipsoid(tuple(float(a) for a in axes))
+        ell = Ellipsoid(tuple(_numbers(doc["axes"], "axes")))
     except ValueError as exc:
         _fail(str(exc))
     if ell.dim != sig.dim:
@@ -184,15 +202,12 @@ class RunConfig:
         record_tangency = doc.get("record_tangency", True)
         if not isinstance(record_tangency, bool):
             _fail("record_tangency must be a boolean")
-        seed = seed_override if seed_override is not None else doc.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            _fail(f"seed must be a non-negative integer, got {seed!r}")
         return cls(
             signature=(sig.p, sig.q),
             axes=tuple(float(a) for a in doc["axes"]),
             initial=dict(init),
             bounces=_positive_int(doc, "bounces", "config"),
-            seed=seed,
+            seed=_seed(doc, seed_override),
             record_tangency=record_tangency,
             tolerances=_tolerances(doc, tol_overrides or {}),
             out=doc.get("out"),
@@ -267,6 +282,12 @@ def cmd_simulate(doc: dict, out_dir: Path, seed_override, tol_overrides: dict) -
         report = None
         quarantined = True
         mismatch_reason = str(exc)
+    if report is not None and report.lambda_mismatch:
+        quarantined = True
+        mismatch_reason = (
+            f"tangency parameters drift {report.lambda_drift:.3e} at bounce "
+            f"{report.lambda_worst_bounce}, above 10 x the drift tolerance {tols['drift']:.3e}"
+        )
 
     dim = ell.dim
     lam_count = record.tangency[0].count if record.tangency else 0
@@ -322,7 +343,7 @@ def cmd_commute(doc: dict, out_dir: Path, seed_override, tol_overrides: dict, wr
     ell = _ellipsoid(doc, sig)
     tols = _tolerances(doc, tol_overrides)
     samples = _positive_int(doc, "samples", "config")
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    seed = _seed(doc, seed_override)
 
     try:
         reports = verify.commutation_sweep(ell, sig, samples, seed, wrong_metric=wrong_metric)
@@ -346,30 +367,38 @@ def _oval_table(doc: dict) -> lorentz_oval.OvalCurve:
         "oval.table",
     )
     kind = doc["kind"]
-    center = doc.get("center", [0.0, 0.0])
-    if kind == "ellipse":
-        if "semi_axes" not in doc:
-            _fail("oval.table of kind 'ellipse' needs semi_axes")
-        a, b = (float(v) for v in doc["semi_axes"])
-        return lorentz_oval.EllipseOval.axis_aligned(a, b, center)
-    if kind == "ellipse_form":
-        if "form" not in doc:
-            _fail("oval.table of kind 'ellipse_form' needs form")
-        return lorentz_oval.EllipseOval(np.asarray(doc["form"], dtype=float), center)
-    if kind == "radial":
-        if "base" not in doc:
-            _fail("oval.table of kind 'radial' needs base")
-        base = _oval_table(doc["base"])
-        if not isinstance(base, lorentz_oval.EllipseOval):
-            _fail("radial base must be an ellipse table")
-        bumps = tuple(
-            lorentz_oval.RadialBump(float(b[0]), float(b[1]), float(b[2]), float(b[3]))
-            for b in doc.get("bumps", [])
-        )
-        try:
+    center = _numbers(doc.get("center", [0.0, 0.0]), "oval.table.center", 2)
+    try:
+        if kind == "ellipse":
+            if "semi_axes" not in doc:
+                _fail("oval.table of kind 'ellipse' needs semi_axes")
+            a, b = _numbers(doc["semi_axes"], "oval.table.semi_axes", 2)
+            return lorentz_oval.EllipseOval.axis_aligned(a, b, center)
+        if kind == "ellipse_form":
+            if "form" not in doc:
+                _fail("oval.table of kind 'ellipse_form' needs form")
+            rows = doc["form"]
+            if not isinstance(rows, list) or len(rows) != 2:
+                _fail(f"oval.table.form must be a 2x2 list of numbers, got {rows!r}")
+            form = [_numbers(row, "oval.table.form", 2) for row in rows]
+            return lorentz_oval.EllipseOval(np.array(form), center)
+        if kind == "radial":
+            if "base" not in doc:
+                _fail("oval.table of kind 'radial' needs base")
+            base = _oval_table(doc["base"])
+            if not isinstance(base, lorentz_oval.EllipseOval):
+                _fail("radial base must be an ellipse table")
+            bumps = doc.get("bumps", [])
+            if not isinstance(bumps, list):
+                _fail(f"oval.table.bumps must be a list, got {bumps!r}")
+            bumps = tuple(
+                lorentz_oval.RadialBump(*_numbers(b, "oval.table.bumps entry", 4)) for b in bumps
+            )
             return lorentz_oval.RadialOval(base, bumps)
-        except ConvexityViolation as exc:
-            _fail(f"ConvexityViolation: {exc}")
+    except ValueError as exc:
+        _fail(f"invalid oval.table: {exc}")
+    except ConvexityViolation as exc:
+        _fail(f"ConvexityViolation: {exc}")
     _fail(f"unknown oval.table kind {kind!r}")
 
 
@@ -429,7 +458,7 @@ def cmd_oval(doc: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
     if mode == "iterate":
         curve = _oval_table(spec["table"])
         steps = _positive_int(spec, "steps", "oval")
-        theta = float(spec["start"])
+        theta = _number(spec["start"], "oval.start")
         lines = ["step,param,x,y"]
         for step in range(steps + 1):
             pt = curve.point(theta)
@@ -448,7 +477,9 @@ def cmd_oval(doc: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
         curve = _oval_table(spec["table"])
         half_period = _positive_int(spec, "half_period", "oval", minimum=2)
         try:
-            poly = lorentz_oval.find_periodic_orbit(curve, half_period, float(spec["seed_param"]))
+            poly = lorentz_oval.find_periodic_orbit(
+                curve, half_period, _number(spec["seed_param"], "oval.seed_param")
+            )
             v_formula = lorentz_oval.acceleration_factor(poly)
             v_sim = lorentz_oval.simulate_speed(curve, poly)
             deriv = lorentz_oval.return_map_derivative(curve, poly)
@@ -522,12 +553,12 @@ def cmd_family_plot(doc: dict, out_dir: Path) -> int:
     fam = confocal.ConfocalFamily(ell, sig)
 
     if "lambdas" in spec:
-        lambdas = [float(v) for v in spec["lambdas"]]
+        lambdas = _numbers(spec["lambdas"], "family.lambdas")
     else:
         count = spec.get("count", 7)
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             _fail("family.count must be a positive integer")
-        span = float(spec.get("span", 1.5)) * float(np.max(ell.a2))
+        span = _number(spec.get("span", 1.5), "family.span") * float(np.max(ell.a2))
         lambdas = list(np.linspace(-span, span, count))
 
     lines = ["member,lambda,status,branch,x,y"]

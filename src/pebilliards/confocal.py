@@ -12,34 +12,47 @@ restricted quadratic vanishes:
 
     G(lam) = (x.Bv)^2 - (v.Bv) (x.Bx - 1),      B = diag(1 / c_i(lam)).
 
-Clearing denominators turns G into a polynomial of degree <= 2n+1 whose
-leading coefficient is the squared pseudo-norm of v, so the degree drops
-by one for light-like directions.  Root isolation works on G directly:
-bracketing on sign changes between consecutive poles, bisection-based
-refinement, a near-pole spurious filter, and a final |G| verification.
+By Lagrange's identity G = Q / prod_i c_i, where in dimension d
+
+    Q(lam) = sum_i v_i^2 prod_{j != i} c_j - sum_{i<j} (x_i v_j - x_j v_i)^2 prod_{k != i,j} c_k
+
+is a polynomial of degree <= d - 1 with top coefficient (prod_i e_i) <v,v>.
+The degree drops by one for light-like directions, which is the paper's
+one tangency parameter fewer.  The tangency parameters are the real roots
+of Q, each polished by one Newton step; roots within the pole tolerance of
+a pole are set aside, and every root is re-verified against |G|.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import PoleParameter, RootIsolationFailure
-from .pecore import Ellipsoid, Quadric, RayState, Signature
-
-#: Samples per inter-pole interval when scanning G for sign changes.
-DEFAULT_GRID = 2048
-
-#: Unbounded tails extend this many multiples of max(a_i^2) beyond the poles.
-TAIL_SPAN_FACTOR = 10.0
+from .pecore import LIGHTLIKE_TOL, Ellipsoid, Quadric, RayState, Signature
 
 #: Roots closer than this times max(a_i^2) to a pole are discarded as spurious.
 POLE_FILTER_FACTOR = 1e-7
 
 #: Normalized |G| threshold for accepting a polished root as a tangency.
 VERIFY_TOL = 1e-9
+
+#: A root of Q counts as real when |imag| <= REAL_TOL * max(1, |real|); real
+#: roots that close to each other are flagged as one multiple root.
+REAL_TOL = 1e-7
+
+_poly = np.polynomial.polynomial
+
+
+def _linear_product(factors) -> list[float]:
+    """Ascending coefficients of the product of the linear factors a + b lam, given as (a, b)."""
+    out = [1.0]
+    for a, b in factors:
+        out = [a * hi + b * lo for lo, hi in zip([0.0] + out, out + [0.0])]
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,9 +85,24 @@ class ConfocalFamily:
         """Sorted distinct pole parameters lam = -e_i a_i^2."""
         return np.unique(-self.sig.e * self.ellipsoid.a2)
 
-    @property
+    @cached_property
     def pole_tolerance(self) -> float:
         return POLE_FILTER_FACTOR * float(np.max(self.ellipsoid.a2))
+
+    @cached_property
+    def factors(self) -> list[tuple[float, float]]:
+        """The linear factors c_i(lam) = a_i^2 + e_i lam as pairs (a_i^2, e_i)."""
+        return list(zip(self.ellipsoid.a2.tolist(), self.sig.e.tolist()))
+
+    @cached_property
+    def _q_products(self) -> list[tuple[int, int, list[float]]]:
+        """(i, j, ascending coefficients of prod_{k not in {i, j}} c_k) for all i <= j."""
+        lin = self.factors
+        return [
+            (i, j, _linear_product([f for k, f in enumerate(lin) if k not in (i, j)]))
+            for i in range(self.dim)
+            for j in range(i, self.dim)
+        ]
 
 
 def member(fam: ConfocalFamily, lam: float) -> Quadric:
@@ -88,22 +116,15 @@ def member(fam: ConfocalFamily, lam: float) -> Quadric:
     return Quadric(fam.coefficients(lam))
 
 
-def _discriminant_values(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Vectorized G(lam) for an array of parameters (poles give non-finite entries)."""
-    b = 1.0 / fam.coefficients(lams)  # (m, dim)
-    xbv = b @ (x * v)
-    vbv = b @ (v * v)
-    xbx = b @ (x * x)
-    return xbv * xbv - vbv * (xbx - 1.0)
-
-
-def _discriminant_scale(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, lam: float) -> float:
-    """Magnitude scale of the two competing terms of G at lam, for normalization."""
-    b = 1.0 / fam.coefficients(lam)
-    xbv = float(b @ (x * v))
-    vbv = float(b @ (v * v))
-    xbx = float(b @ (x * x))
-    return max(1.0, xbv * xbv, abs(vbv * (xbx - 1.0)))
+def _discriminant_terms(lin: list, x: list, v: list, lam: float) -> tuple[float, float]:
+    """The two competing terms (x.Bv)^2 and (v.Bv)(x.Bx - 1) of G at lam; G is their difference."""
+    xbv = vbv = xbx = 0.0
+    for (a2k, ek), xk, vk in zip(lin, x, v):
+        c = a2k + ek * lam
+        xbv += xk * vk / c
+        vbv += vk * vk / c
+        xbx += xk * xk / c
+    return xbv * xbv, vbv * (xbx - 1.0)
 
 
 def tangency_discriminant(fam: ConfocalFamily, r: RayState, lam: float) -> float:
@@ -113,15 +134,16 @@ def tangency_discriminant(fam: ConfocalFamily, r: RayState, lam: float) -> float
         raise PoleParameter(f"lambda = {lam} is at (or within tolerance of) a family pole")
     if r.dim != fam.dim:
         raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
-    return float(_discriminant_values(fam, r.x, r.v, np.array([lam]))[0])
+    first, second = _discriminant_terms(fam.factors, r.x.tolist(), r.v.tolist(), lam)
+    return first - second
 
 
 def cleared_polynomial(fam: ConfocalFamily, r: RayState) -> np.ndarray:
-    """Coefficients (ascending, length 2n+2) of P(lam) = G(lam) * prod_i c_i(lam)^2.
+    """Coefficients (ascending, length 2d) of P(lam) = G(lam) * prod_i c_i(lam)^2.
 
-    P is polynomial of degree <= 2n+1 where n+1 is the ambient dimension.
-    Its top coefficient equals <v,v>, which is the degree-drop mechanism for
-    light-like directions.  Expansion uses
+    P is polynomial of degree <= 2d - 1 in dimension d, and P = Q * prod_i c_i
+    for the tangency polynomial Q.  Its top coefficient equals <v,v>, which
+    is the degree-drop mechanism for light-like directions.  Expansion uses
 
         P = S_xv^2 - S_vv * (S_xx - C),
 
@@ -130,47 +152,78 @@ def cleared_polynomial(fam: ConfocalFamily, r: RayState) -> np.ndarray:
     """
     if r.dim != fam.dim:
         raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
-    d = fam.dim
-    a2 = fam.ellipsoid.a2
-    e = fam.sig.e
-    poly = np.polynomial.polynomial
-
-    lin = [np.array([a2[i], e[i]]) for i in range(d)]  # c_i as ascending coefficients
-
-    full = np.array([1.0])
-    for li in lin:
-        full = poly.polymul(full, li)
-
-    partial = []  # prod_{j != i} c_j
-    for i in range(d):
-        pi = np.array([1.0])
-        for j in range(d):
-            if j != i:
-                pi = poly.polymul(pi, lin[j])
-        partial.append(pi)
-
-    def weighted_sum(weights: np.ndarray) -> np.ndarray:
-        acc = np.zeros(d)
-        for i in range(d):
-            acc = poly.polyadd(acc, weights[i] * partial[i])
-        return acc
-
-    s_xv = weighted_sum(r.x * r.v)
-    s_vv = weighted_sum(r.v * r.v)
-    s_xx = weighted_sum(r.x * r.x)
-
-    p = poly.polysub(poly.polymul(s_xv, s_xv), poly.polymul(s_vv, poly.polysub(s_xx, full)))
-    out = np.zeros(2 * d)
+    lin = fam.factors
+    partial = np.array([_linear_product(lin[:i] + lin[i + 1 :]) for i in range(len(lin))])
+    s_xv, s_vv, s_xx = (w @ partial for w in (r.x * r.v, r.v * r.v, r.x * r.x))
+    p = _poly.polysub(
+        _poly.polymul(s_xv, s_xv), _poly.polymul(s_vv, _poly.polysub(s_xx, _linear_product(lin)))
+    )
+    out = np.zeros(2 * len(lin))
     out[: p.shape[0]] = p
     return out
+
+
+def tangency_polynomial(fam: ConfocalFamily, r: RayState) -> np.ndarray:
+    """Coefficients (ascending, length d) of Q, whose real roots are the tangency parameters.
+
+    Q(lam) = sum_i v_i^2 prod_{j != i} c_j - sum_{i<j} (x_i v_j - x_j v_i)^2 prod_{k != i,j} c_k.
+    No factor divides by e_i a_k^2 - e_k a_i^2, so resonant axes need no
+    special case.
+    """
+    if r.dim != fam.dim:
+        raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
+    x, v = r.x.tolist(), r.v.tolist()
+    q = [0.0] * fam.dim
+    for i, j, prod in fam._q_products:
+        w = v[i] * v[i] if i == j else -((x[i] * v[j] - x[j] * v[i]) ** 2)
+        for k, c in enumerate(prod):
+            q[k] += w * c
+    return np.array(q)
+
+
+def _is_real(re: float, im: float) -> bool:
+    return abs(im) <= REAL_TOL * max(1.0, abs(re))
+
+
+def _real_roots(q: list[float]) -> list[float]:
+    """Real roots of the polynomial with ascending coefficients q, top one non-zero.
+
+    Closed form up to degree 2, companion-matrix eigenvalues above.
+    """
+    if len(q) == 2:
+        return [-q[0] / q[1]]
+    if len(q) == 3:
+        c, b, a = q
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            re = -b / (2.0 * a)
+            return [re, re] if _is_real(re, math.sqrt(-disc) / (2.0 * a)) else []
+        s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return [s / a, c / s] if s != 0.0 else [0.0, 0.0]
+    try:
+        roots = _poly.polyroots(q)
+    except np.linalg.LinAlgError as exc:
+        raise RootIsolationFailure(f"companion eigenvalues failed: {exc}") from exc
+    return [z.real for z in roots.tolist() if _is_real(z.real, z.imag)]
+
+
+def _horner(q: list[float], lam: float) -> tuple[float, float]:
+    """Value and derivative at lam of the polynomial with ascending coefficients q."""
+    val = der = 0.0
+    for c in reversed(q):
+        der = der * lam + val
+        val = val * lam + c
+    return val, der
 
 
 @dataclass(frozen=True)
 class TangencySet:
     """Sorted tangency parameters of a line, with multiplicity flags.
 
-    `near_pole` lists candidate roots discarded by the spurious-root filter,
-    kept for diagnostics only.
+    Every real root of Q is listed, a multiple root once per multiplicity,
+    so `count` is the number of real roots counted with multiplicity.  The
+    entries of a multiple root are flagged 2.  `near_pole` lists roots
+    discarded by the spurious-root filter, kept for diagnostics only.
     """
 
     lambdas: tuple[float, ...]
@@ -194,123 +247,63 @@ class TangencySet:
         return any(m > 1 for m in self.multiplicities)
 
 
-def _tail_extent(fam: ConfocalFamily, r: RayState) -> float:
-    """How far beyond the outermost poles real tangency roots can lie.
-
-    Uses the Cauchy root bound of the cleared polynomial (tiny leading
-    coefficients from the null degree drop are trimmed first), floored at
-    the fixed multiple of max(a_i^2).  The cleared polynomial, hence the
-    bound, is invariant under sliding the base point and scaling v.
-    """
-    floor = TAIL_SPAN_FACTOR * float(np.max(fam.ellipsoid.a2))
-    coeffs = cleared_polynomial(fam, r)
-    mags = np.abs(coeffs)
-    top = mags.max()
-    if top == 0.0:
-        return floor
-    keep = np.nonzero(mags > 1e-13 * top)[0]
-    if keep.size < 2:
-        return floor
-    lead = keep[-1]
-    cauchy = 1.0 + float(np.max(mags[:lead] / mags[lead]))
-    return max(floor, 2.0 * cauchy)
-
-
-def _scan_samples(fam: ConfocalFamily, r: RayState, grid: int) -> list[np.ndarray]:
-    """Parameter samples per interval: linear between poles, geometric tails."""
-    poles = fam.poles()
-    inset = fam.pole_tolerance
-    extent = _tail_extent(fam, r)
-    samples = [poles[0] - np.geomspace(extent, inset, grid)]
-    for lo, hi in zip(poles[:-1], poles[1:]):
-        if hi - inset > lo + inset:
-            samples.append(np.linspace(lo + inset, hi - inset, grid))
-    samples.append(poles[-1] + np.geomspace(inset, extent, grid))
-    return samples
-
-
 def tangency_parameters(
     fam: ConfocalFamily,
     r: RayState,
-    grid: int = DEFAULT_GRID,
     verify_tol: float = VERIFY_TOL,
 ) -> TangencySet:
-    """All real tangency parameters of the line of r, isolated and polished.
+    """All real tangency parameters of the line of r: the real roots of Q.
 
-    Sign changes of G on a `grid`-point scan of each inter-pole interval
-    (plus geometrically sampled tails out to the cleared polynomial's root
-    bound) are refined by bisection bracketing; grid points where |G| dips
-    below tolerance without a sign change are refined as candidate double
-    roots.  Roots within the pole tolerance of a pole are discarded as
-    clearing artifacts and reported separately.  Every surviving root is
-    re-verified against the normalized discriminant.
+    For a light-like direction (|<v,v>| <= LIGHTLIKE_TOL |v|^2) Q's top
+    coefficient is dropped.  The roots (closed form up to degree 2, Q's
+    companion matrix above) get one Newton step on Q, kept where it lowers
+    |Q|.  Roots within the pole tolerance of a pole are reported in
+    `near_pole` only, and a root is kept only where |G| <= verify_tol times
+    the size of G's two terms.
     """
     if r.dim != fam.dim:
         raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
-    if grid < 8:
-        raise ValueError("grid must allow at least 8 samples per interval")
-    x, v = r.x, r.v
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+    x, v = r.x.tolist(), r.v.tolist()
+    if not all(math.isfinite(c) for c in x + v):
         raise RootIsolationFailure("non-finite ray state")
 
-    def g_scalar(lam: float) -> float:
-        return float(_discriminant_values(fam, x, v, np.array([lam]))[0])
+    q = tangency_polynomial(fam, r).tolist()
+    if not all(math.isfinite(c) for c in q):
+        raise RootIsolationFailure(f"tangency polynomial not finite: {q}")
+    if abs(q[-1]) <= LIGHTLIKE_TOL * sum(c * c for c in v):  # |q[-1]| = |<v,v>|: light-like
+        q.pop()
+    while q and q[-1] == 0.0:
+        q.pop()
+    if len(q) < 2:
+        return TangencySet(lambdas=())
 
-    roots: list[tuple[float, int]] = []
-    for lams in _scan_samples(fam, r, grid):
-        gv = _discriminant_values(fam, x, v, lams)
-        if not np.all(np.isfinite(gv)):
-            raise RootIsolationFailure(
-                f"discriminant not finite on [{lams[0]}, {lams[-1]}]"
-            )
+    lams = []
+    for lam in _real_roots(q):
+        val, der = _horner(q, lam)
+        if der != 0.0:
+            step = lam - val / der
+            if abs(_horner(q, step)[0]) <= abs(val):
+                lam = step
+        lams.append(lam)
+    lams.sort()
 
-        for i in range(grid - 1):
-            gi, gj = gv[i], gv[i + 1]
-            if gi == 0.0:
-                roots.append((float(lams[i]), 1))
-            elif gi * gj < 0.0:
-                try:
-                    lam_star = brentq(g_scalar, lams[i], lams[i + 1], xtol=1e-15, rtol=1e-15)
-                except ValueError as exc:  # pragma: no cover - defensive
-                    raise RootIsolationFailure(str(exc)) from exc
-                roots.append((float(lam_star), 1))
-        if gv[-1] == 0.0:
-            roots.append((float(lams[-1]), 1))
-
-        # Double-root sweep: interior |G| minima below tolerance, no sign change.
-        absg = np.abs(gv)
-        for i in range(1, grid - 1):
-            if gv[i - 1] * gv[i] < 0.0 or gv[i] * gv[i + 1] < 0.0 or gv[i] == 0.0:
-                continue
-            if absg[i] <= absg[i - 1] and absg[i] <= absg[i + 1]:
-                scale = _discriminant_scale(fam, x, v, float(lams[i]))
-                if absg[i] <= verify_tol * scale:
-                    res = minimize_scalar(
-                        lambda t: abs(g_scalar(t)),
-                        bounds=(float(lams[i - 1]), float(lams[i + 1])),
-                        method="bounded",
-                        options={"xatol": 1e-14},
-                    )
-                    lam_star = float(res.x)
-                    if abs(g_scalar(lam_star)) <= verify_tol * scale:
-                        roots.append((lam_star, 2))
-
-    poles = fam.poles()
-    pole_tol = fam.pole_tolerance
-    kept: list[tuple[float, int]] = []
+    lin, pole_tol = fam.factors, fam.pole_tolerance
+    kept: list[float] = []
     near_pole: list[float] = []
-    for lam_star, mult in sorted(roots):
-        if np.min(np.abs(poles - lam_star)) <= pole_tol:
-            near_pole.append(lam_star)
+    for lam in lams:
+        if min(abs(a2k + ek * lam) for a2k, ek in lin) <= pole_tol:  # |lam - pole| = |c_k(lam)|
+            near_pole.append(lam)
             continue
-        if abs(g_scalar(lam_star)) > verify_tol * _discriminant_scale(fam, x, v, lam_star):
-            continue
-        if kept and abs(lam_star - kept[-1][0]) <= 1e-11 * max(1.0, abs(lam_star)):
-            continue
-        kept.append((lam_star, mult))
+        first, second = _discriminant_terms(lin, x, v, lam)
+        if abs(first - second) <= verify_tol * max(1.0, first, abs(second)):
+            kept.append(lam)
 
+    mult = [1] * len(kept)
+    for i in range(len(kept) - 1):
+        if kept[i + 1] - kept[i] <= REAL_TOL * max(1.0, abs(kept[i + 1])):
+            mult[i] = mult[i + 1] = 2
     return TangencySet(
-        lambdas=tuple(lam for lam, _ in kept),
-        multiplicities=tuple(m for _, m in kept),
+        lambdas=tuple(kept),
+        multiplicities=tuple(mult),
         near_pole=tuple(near_pole),
     )

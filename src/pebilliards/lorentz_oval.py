@@ -132,7 +132,20 @@ class OvalCurve:
                 if a == 0.0:
                     roots.append(lo)
                 elif a * b < 0.0:
-                    roots.append(brentq(f, lo, hi, xtol=1e-14))
+                    try:
+                        roots.append(brentq(f, lo, hi, xtol=1e-14))
+                    except RuntimeError as exc:
+                        raise NoConvergence(f"extremum of coordinate {axis}: {exc}") from exc
+                    except ValueError:
+                        # f's own values do not bracket: f differs from the
+                        # scan in the last ulp at an endpoint (hi = 2 pi is
+                        # scanned as 0), so the extremum lies at that endpoint.
+                        fa, fb = f(lo), f(hi)
+                        if not (np.isfinite(fa) and np.isfinite(fb)):
+                            raise NoConvergence(
+                                f"extremum of coordinate {axis}: derivative not finite at {lo} or {hi}"
+                            ) from None
+                        roots.append(lo if abs(fa) <= abs(fb) else hi)
             if len(roots) != 2:
                 raise ConvexityViolation(
                     f"expected exactly two extrema of coordinate {axis}, found {len(roots)}"

@@ -276,3 +276,69 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text("[1, 2, 3]", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "command,doc,where",
+    [
+        (["commute"], {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "samples": 10, "seed": "abc"},
+         "seed"),
+        (["oval", "iterate"],
+         {"oval": {"table": {"kind": "ellipse", "semi_axes": ["two", 1.0]}, "start": 0.3, "steps": 2}},
+         "semi_axes"),
+        (["oval", "iterate"],
+         {"oval": {"table": {"kind": "radial", "base": {"kind": "ellipse", "semi_axes": [2.0, 1.0]},
+                             "bumps": [[0.0, 0.01, 0.0, 3.5]]},
+                   "start": 0.3, "steps": 2}},
+         "halfwidth"),
+    ],
+    ids=["commute-seed", "ellipse-semi-axes", "bump-halfwidth"],
+)
+def test_bad_config_values_are_config_errors(tmp_path, capsys, command, doc, where):
+    path = write_config(tmp_path, doc)
+    assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and where in err
+
+
+def test_oval_synth_square_with_extremum_at_angle_zero(tmp_path):
+    # The synthesized near-circle has its x-extremum at angle 0 within
+    # rounding, where the scan and the root solver used to disagree on sign.
+    doc = {
+        "oval": {
+            "polygon": {
+                "points": [
+                    [1.453956538743632, 0.9700849369058069],
+                    [-1.598659098410163, 0.9700849369058069],
+                    [-1.598659098410163, -2.082530700247988],
+                    [1.453956538743632, -2.082530700247988],
+                ],
+                "slopes": [-1.0, 1.0, -1.0, 1.0],
+            }
+        }
+    }
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["oval", "synth", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "synth_report.json").read_text())
+    assert report["simulated_factor"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_simulate_exits_2_on_tangency_drift(tmp_path):
+    # A (1,1) start whose third bounce lands near the null-normal set: the
+    # speed jumps to ~1.7e4 and the tangency parameter drifts by ~1.8e-7.
+    doc = {
+        "signature": [1, 1],
+        "axes": [2.042286444944871, 0.9171322321587713],
+        "initial": {"x": [0.8965711546740063, 0.8240298195831287],
+                    "v": [1.865984443577984, -0.6179552347830143]},
+        "bounces": 3,
+        "record_tangency": True,
+    }
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] is None and summary["bounces_completed"] == 3
+    assert summary["drift"]["lambda_mismatch"]
+    assert "drift" in summary["tangency_mismatch"] and "bounce 3" in summary["tangency_mismatch"]

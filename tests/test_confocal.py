@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
+from pebilliards.billiard import run_orbit
 from pebilliards.confocal import (
     ConfocalFamily,
     TangencySet,
@@ -9,9 +10,36 @@ from pebilliards.confocal import (
     member,
     tangency_discriminant,
     tangency_parameters,
+    tangency_polynomial,
 )
 from pebilliards.errors import PoleParameter, RootIsolationFailure
-from pebilliards.pecore import Ellipsoid, RayState, Signature
+from pebilliards.pecore import Ellipsoid, RayState, Signature, VectorType, classify_vector
+
+poly = np.polynomial.polynomial
+
+#: Semi-axes for each of the five signatures the suite covers.
+SIGNATURE_AXES = {
+    (1, 1): (2.0, 1.0),
+    (2, 1): (3.0, 2.0, 1.0),
+    (3, 1): (4.0, 3.0, 2.0, 1.0),
+    (2, 2): (4.0, 3.0, 2.0, 1.0),
+    (3, 0): (3.0, 2.0, 1.0),
+}
+
+
+def _random_states(sig, rng, count=20):
+    """Random lines: generic directions, and (for q > 0) exactly and nearly light-like ones."""
+    states = []
+    for k in range(count):
+        x = rng.uniform(-2, 2, sig.dim)
+        v = rng.standard_normal(sig.dim)
+        if sig.q > 0 and k % 2:
+            a, b = v[: sig.p], v[sig.p :]
+            v = np.concatenate([a / np.linalg.norm(a), b / np.linalg.norm(b)])
+            if k % 4 == 3:
+                v = v + 1e-7 * rng.standard_normal(sig.dim)
+        states.append(RayState(x, v))
+    return states
 
 
 @pytest.fixture
@@ -235,3 +263,72 @@ def test_root_isolation_failure_on_bad_input():
     bad = RayState((np.inf, 1.0), (1.0, 0.0))
     with pytest.raises(RootIsolationFailure):
         tangency_parameters(fam, bad)
+
+
+@pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
+def test_cleared_polynomial_factors_through_q(p, q):
+    # P = G prod c^2 and Q = G prod c, so P = Q prod c coefficient by coefficient.
+    sig = Signature(p, q)
+    fam = ConfocalFamily(Ellipsoid(SIGNATURE_AXES[(p, q)]), sig)
+    prod_c = np.array([1.0])
+    for a2, e in zip(fam.ellipsoid.a2, sig.e):
+        prod_c = poly.polymul(prod_c, [a2, e])
+    for r in _random_states(sig, np.random.default_rng(31)):
+        q_coeffs = tangency_polynomial(fam, r)
+        assert q_coeffs.shape == (sig.dim,)
+        assert q_coeffs[-1] == pytest.approx(np.prod(sig.e) * float(sig.e @ (r.v * r.v)), abs=1e-15)
+        p_coeffs = cleared_polynomial(fam, r)
+        product = np.convolve(q_coeffs, prod_c)
+        assert np.max(np.abs(product - p_coeffs)) <= 1e-13 * np.max(np.abs(p_coeffs))
+
+
+def _oracle_roots(fam, r):
+    """Real roots of P = Q prod c that are not poles (P's top coefficient dropped for null lines)."""
+    p_coeffs = cleared_polynomial(fam, r)
+    if classify_vector(r.v, fam.sig) is VectorType.LIGHTLIKE:
+        p_coeffs = p_coeffs[:-1]
+    roots = poly.polyroots(p_coeffs)
+    real = roots.real[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots.real))]
+    off_pole = np.min(np.abs(real[:, None] - fam.poles()[None, :]), axis=1) > 1e-6
+    return np.sort(real[off_pole])
+
+
+@pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
+def test_tangency_parameters_are_the_roots_of_q(p, q):
+    sig = Signature(p, q)
+    fam = ConfocalFamily(Ellipsoid(SIGNATURE_AXES[(p, q)]), sig)
+    for r in _random_states(sig, np.random.default_rng(37)):
+        ts = tangency_parameters(fam, r)
+        want = _oracle_roots(fam, r)
+        assert ts.count == len(want)
+        assert np.allclose(ts.lambdas, want, rtol=1e-8, atol=1e-8)
+        assert ts.near_pole == ()
+
+
+#: Starts that reach the near-null-normal set by their third bounce (speed
+#: ~1e4, F_k drift 6e-9 and 3e-8); a scan of G once reported spurious
+#: roots clustered at a pole there.
+POLE_FAULT_STARTS = [
+    (
+        (2, 2),
+        (3.7981886487781193, 2.907018083036185, 2.027240396324434, 1.036652428465255),
+        (2.0935089737248367, -0.5716237372859501, 0.5508520114129984, -0.7920008930439514),
+        (-0.8560249513974907, 0.5169345051212229, 0.1972033853309011, 0.9803625986409478),
+    ),
+    (
+        (1, 1),
+        (2.042286444944871, 0.9171322321587713),
+        (0.8965711546740063, 0.8240298195831287),
+        (1.865984443577984, -0.6179552347830143),
+    ),
+]
+
+
+@pytest.mark.parametrize("sig,axes,x,v", POLE_FAULT_STARTS, ids=["2-2", "1-1"])
+def test_no_spurious_pole_roots_near_null_normals(sig, axes, x, v):
+    sig = Signature(*sig)
+    ell = Ellipsoid(axes)
+    orbit = run_orbit(RayState(x, v), 3, ell, sig, fam=ConfocalFamily(ell, sig))
+    assert orbit.abort_reason is None
+    assert len({ts.count for ts in orbit.tangency}) == 1
+    assert all(ts.near_pole == () for ts in orbit.tangency)

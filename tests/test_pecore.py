@@ -58,8 +58,12 @@ def test_inner_symmetric_bilinear(u, v, w, a, b):
     assert inner(u, v, sig) == pytest.approx(inner(v, u, sig), abs=1e-6, rel=1e-12)
     left = inner(a * u + b * v, w, sig)
     right = a * inner(u, w, sig) + b * inner(v, w, sig)
-    scale = max(1.0, abs(left), abs(right))
-    assert abs(left - right) <= 1e-9 * scale
+    # Each side rounds at most five times along every term, so they differ by
+    # at most ~10 eps times the size of the summed terms (not of the result,
+    # which can cancel to nearly zero), plus underflow in subnormal products.
+    terms = abs(a) * np.sum(np.abs(u * w)) + abs(b) * np.sum(np.abs(v * w))
+    eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    assert abs(left - right) <= 16 * eps * terms + 32 * eta
 
 
 def test_euclidean_signature_is_dot_product():
