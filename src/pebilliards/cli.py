@@ -11,6 +11,7 @@ failure in verification commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -597,6 +598,7 @@ def cmd_family_plot(doc: dict, out_dir: Path) -> int:
 # --------------------------------------------------------------------- main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pebilliards",

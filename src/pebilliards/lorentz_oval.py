@@ -405,115 +405,100 @@ def simulate_periods(curve: OvalCurve, poly: NullPolygon, periods: int) -> tuple
     return speed, abs(signed_angle_gap(theta, start))
 
 
+def _walk(curve: OvalCurve, s: float, n: int) -> list[float]:
+    """Parameters visited by the 2n chord steps of oval_map^n from s."""
+    params = [s]
+    for j in range(2 * n):
+        params.append(chord_step(curve, params[-1], VERTICAL if j % 2 == 0 else HORIZONTAL))
+    return params[1:]
+
+
+def _chain_derivative(curve: OvalCurve, params) -> float:
+    """d t_m / d t_0 along the chord steps t_0 -> ... -> t_m, vertical first.
+
+    A chord step keeps one coordinate X, X(t') = X(t), so dt'/dt = X'(t) / X'(t').
+    """
+    vel = curve.velocity(np.asarray(params, dtype=float))
+    steps = np.arange(len(params) - 1)
+    axes = steps % 2  # vertical chords keep coordinate 0
+    return float(np.prod(vel[steps, axes] / vel[steps + 1, axes]))
+
+
+def _null_polygon(curve: OvalCurve, params: list[float]) -> NullPolygon:
+    ts = np.array(params)
+    return NullPolygon(curve.point(ts), tuple(float(t) for t in curve.slope(ts)))
+
+
 def polygon_from_parameter(curve: OvalCurve, fixed_param: float, n: int) -> NullPolygon:
     """Expand a fixed point of the n-fold oval map into its 2n-vertex polygon."""
     if n < 2:
         raise ValueError("half-period must be >= 2")
-    params = [chord_step(curve, fixed_param, VERTICAL)]
-    for j in range(1, 2 * n):
-        direction = HORIZONTAL if j % 2 == 1 else VERTICAL
-        params.append(chord_step(curve, params[-1], direction))
-    points = curve.point(np.array(params))
-    slopes = tuple(float(s) for s in np.atleast_1d(curve.slope(np.array(params))))
-    return NullPolygon(points, slopes)
+    return _null_polygon(curve, _walk(curve, fixed_param, n))
 
 
-def find_periodic_orbit(
-    curve: OvalCurve,
-    n: int,
-    seed_param: float,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-) -> NullPolygon:
+#: Closure defect (radians) below which a parameter counts as periodic.
+CLOSURE_TOL = 1e-10
+
+#: Newton iterations of the periodic-orbit search.
+MAX_NEWTON_ITER = 60
+
+
+def find_periodic_orbit(curve: OvalCurve, n: int, seed_param: float) -> NullPolygon:
     """Damped Newton search for a parameter with oval_map^n equal to the identity.
 
-    The closure defect is differentiated numerically; on curves where the
+    The closure defect oval_map^n(s) - s has the exact derivative D(s) - 1,
+    D the chain-rule product along the same chord steps; on curves where the
     n-fold map is the identity (circle, axis-aligned ellipse) the seed itself
     already closes and is returned directly.
     """
     if n < 2:
         raise ValueError("half-period must be >= 2")
-
-    def iterate(t: float) -> float:
-        for _ in range(n):
-            t = oval_map(curve, t)
-        return t
-
-    def defect(t: float) -> float:
-        return signed_angle_gap(iterate(t), t)
-
     s = wrap_angle(seed_param)
-    g = defect(s)
-    for _ in range(max_iter):
-        if abs(g) <= tol:
-            return polygon_from_parameter(curve, s, n)
-        h = 1e-6
-        dg = (defect(s + h) - defect(s - h)) / (2.0 * h)
+    params = _walk(curve, s, n)
+    g = signed_angle_gap(params[-1], s)
+    for _ in range(MAX_NEWTON_ITER):
+        if abs(g) <= CLOSURE_TOL:
+            return _null_polygon(curve, params)
+        dg = _chain_derivative(curve, [s, *params]) - 1.0
         if abs(dg) < 1e-12:
             raise NoConvergence("closure defect is flat; cannot take a Newton step")
         step = g / dg
         lam = 1.0
         for _ in range(30):
             s_new = wrap_angle(s - lam * step)
-            g_new = defect(s_new)
+            params_new = _walk(curve, s_new, n)
+            g_new = signed_angle_gap(params_new[-1], s_new)
             if abs(g_new) < abs(g):
-                s, g = s_new, g_new
+                s, params, g = s_new, params_new, g_new
                 break
             lam *= 0.5
         else:
             raise NoConvergence(f"damping failed at defect {g:.3e}")
-    if abs(g) <= tol:
-        return polygon_from_parameter(curve, s, n)
-    raise NoConvergence(f"no closure after {max_iter} iterations (defect {g:.3e})")
+    if abs(g) <= CLOSURE_TOL:
+        return _null_polygon(curve, params)
+    raise NoConvergence(f"no closure after {MAX_NEWTON_ITER} iterations (defect {g:.3e})")
 
 
-def return_map_derivative(
-    curve: OvalCurve,
-    poly: NullPolygon,
-    h0: float = 2e-3,
-    rtol: float = 5e-8,
-    max_level: int = 8,
-) -> float:
+def return_map_derivative(curve: OvalCurve, poly: NullPolygon) -> float:
     """Derivative of the n-fold oval map at the polygon's fixed point.
 
-    Central differences with Richardson extrapolation; the absolute value
-    tracks the beam-width product, so |D| is v or 1/v and equals 1 exactly
-    when the orbit is linearly stable.
+    The chain-rule product over the polygon's chords; it telescopes to the
+    vertex slopes, so it equals 1 / acceleration_factor(poly): |D| is v or
+    1/v and equals 1 exactly when the orbit is linearly stable.
     """
-    n = poly.half_period
-    s_star = float(polygon_params(curve, poly)[-1])
-
-    def iterate(t: float) -> float:
-        for _ in range(n):
-            t = oval_map(curve, t)
-        return t
-
-    def central(h: float) -> float:
-        return signed_angle_gap(iterate(s_star + h), iterate(s_star - h)) / (2.0 * h)
-
-    prev_extrap = None
-    d_prev = central(h0)
-    for level in range(1, max_level + 1):
-        h = h0 / 2.0**level
-        d_cur = central(h)
-        extrap = (4.0 * d_cur - d_prev) / 3.0
-        if prev_extrap is not None and abs(extrap - prev_extrap) <= rtol * max(1.0, abs(extrap)):
-            return extrap
-        prev_extrap = extrap
-        d_prev = d_cur
-    raise NoConvergence("derivative extrapolation did not settle")
+    params = polygon_params(curve, poly)
+    return _chain_derivative(curve, [params[-1], *params])
 
 
 #: Candidate bump supports, as fractions of the angular gap to the nearest vertex.
 SUPPORT_FRACTIONS = (0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6, 0.55, 0.5, 0.45, 0.4)
 
 
-def build_accelerating_table(
-    points,
-    slopes,
-    support_fractions: tuple[float, ...] = SUPPORT_FRACTIONS,
-    max_halfwidth: float = 1.5,
-) -> RadialOval:
+#: Upper bound on a bump's halfwidth (radians).
+MAX_BUMP_HALFWIDTH = 1.5
+
+
+def build_accelerating_table(points, slopes) -> RadialOval:
     """Convex table through a null polygon with prescribed vertex slopes.
 
     A base axis-aligned ellipse is fitted through the vertices about their
@@ -581,9 +566,9 @@ def build_accelerating_table(
 
     best: RadialOval | None = None
     best_margin = 0.0
-    for fraction in support_fractions:
+    for fraction in SUPPORT_FRACTIONS:
         bumps = tuple(
-            RadialBump(theta_j, value, tilt, min(fraction * gap, max_halfwidth))
+            RadialBump(theta_j, value, tilt, min(fraction * gap, MAX_BUMP_HALFWIDTH))
             for theta_j, value, tilt, gap in anchors
         )
         try:

@@ -198,6 +198,36 @@ def test_oval_periodic_ellipse(tmp_path):
     assert poly["return_derivative_abs"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_main_after_rejected_command_line(tmp_path, capsys):
+    # The argument parser is built once per process, so a rejected command
+    # line must leave the next call's parsing and output unchanged.
+    doc = {
+        "oval": {
+            "table": {"kind": "ellipse", "semi_axes": [2.0, 1.0]},
+            "half_period": 2,
+            "seed_param": 0.9,
+        }
+    }
+    path = write_config(tmp_path, doc)
+    with pytest.raises(SystemExit) as exc:
+        main(["oval", "spin", "--config", path])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["oval", "periodic", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    poly = json.loads((out / "polygon.json").read_text())
+    assert set(poly) == {
+        "points",
+        "slopes",
+        "acceleration_factor",
+        "acceleration_factor_abs",
+        "simulated_factor",
+        "return_derivative_abs",
+    }
+    assert poly["return_derivative_abs"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_oval_synth_v4_and_determinism(tmp_path):
     polygon = {
         "points": [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]],

@@ -146,16 +146,40 @@ def test_find_periodic_orbit_perturbed_circle():
 
 def test_return_map_derivative_circle_and_ellipse():
     poly_c = lo.find_periodic_orbit(CIRCLE, 2, 0.93)
-    assert abs(lo.return_map_derivative(CIRCLE, poly_c)) == pytest.approx(1.0, abs=1e-8)
+    assert abs(lo.return_map_derivative(CIRCLE, poly_c)) == pytest.approx(1.0, abs=1e-12)
     poly_e = lo.find_periodic_orbit(ELLIPSE, 2, 0.93)
-    assert abs(lo.return_map_derivative(ELLIPSE, poly_e)) == pytest.approx(1.0, abs=1e-8)
+    assert abs(lo.return_map_derivative(ELLIPSE, poly_e)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_return_map_derivative_accelerating_table():
     curve = lo.build_accelerating_table(RECT, (-1.0, 2.0, -1.0, 2.0))
     poly = lo.polygon_from_parameter(curve, angle_of(curve, (1.0, -1.0)), 2)
     d = abs(lo.return_map_derivative(curve, poly))
-    assert min(abs(d - 4.0), abs(d - 0.25)) <= 1e-6
+    assert d == pytest.approx(1.0 / lo.acceleration_factor(poly), abs=1e-12)
+    assert d == pytest.approx(0.25, abs=1e-12)
+
+
+def central_difference(curve, n, s, h=1e-6):
+    def iterate(t):
+        for _ in range(n):
+            t = lo.oval_map(curve, t)
+        return t
+
+    return lo.signed_angle_gap(iterate(s + h), iterate(s - h)) / (2.0 * h)
+
+
+def test_chain_rule_derivative_matches_central_difference():
+    curve = lo.build_accelerating_table(RECT, (-1.0, 2.0, -1.0, 2.0))
+    # At the fixed point: the derivative the CLI reports.
+    poly = lo.find_periodic_orbit(curve, 2, angle_of(curve, (1.0, -1.0)))
+    fixed = float(lo.polygon_params(curve, poly)[-1])
+    d = lo.return_map_derivative(curve, poly)
+    assert d == pytest.approx(central_difference(curve, 2, fixed), rel=1e-6)
+    # Off the fixed point: the derivative Newton steps with.
+    seed = angle_of(curve, (1.0, -1.0)) + 0.03
+    chain = lo._chain_derivative(curve, [seed, *lo._walk(curve, seed, 2)])
+    assert abs(chain - 0.25) > 1e-3
+    assert chain == pytest.approx(central_difference(curve, 2, seed), rel=1e-6)
 
 
 def test_build_table_circle_case():
