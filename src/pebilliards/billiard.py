@@ -151,10 +151,16 @@ def integrals(x, v, ell: Ellipsoid, sig: Signature) -> np.ndarray:
 
 
 def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signature) -> np.ndarray:
-    """Vectorized integrals for arrays of phase points, shape (N, dim) -> (N, dim)."""
+    """Vectorized integrals for arrays of phase points, shape (N, dim) -> (N, dim).
+
+    Extended-precision (longdouble) input is evaluated and returned in
+    longdouble; every other input in float64.
+    """
     d = _integral_denominators(ell, sig)
-    xs = np.asarray(xs, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    xs, vs = np.asarray(xs), np.asarray(vs)
+    dtype = np.longdouble if np.longdouble in (xs.dtype, vs.dtype) else float
+    xs = xs.astype(dtype, copy=False)
+    vs = vs.astype(dtype, copy=False)
     if xs.ndim != 2 or xs.shape != vs.shape or xs.shape[1] != ell.dim:
         raise ValueError("phase arrays must both have shape (N, dim)")
     e = sig.e
@@ -175,13 +181,15 @@ def pseudo_norm_defect(vs: np.ndarray, fs: np.ndarray, sig: Signature) -> np.nda
 
 @dataclass
 class OrbitRecord:
-    """States and per-bounce invariant values of a billiard orbit.
+    """Phase points and per-bounce invariant values of a billiard orbit.
 
-    States are post-reflection; entry 0 is the initial state.  On an early
-    abort the record holds everything computed so far plus the reason.
+    Row k of `xs`, `vs`, `h` and `f` is the post-reflection state after
+    bounce k; row 0 is the initial state.  On an early abort the record
+    holds every row computed so far plus the reason.
     """
 
-    states: list[RayState]
+    xs: np.ndarray
+    vs: np.ndarray
     h: np.ndarray
     f: np.ndarray
     tangency: list["confocal.TangencySet"] | None
@@ -189,17 +197,17 @@ class OrbitRecord:
     abort_bounce: int | None = None
 
     @property
+    def states(self) -> list[RayState]:
+        """The rows as RayStates, built on each access."""
+        return [RayState(x, v) for x, v in zip(self.xs, self.vs)]
+
+    @property
     def bounce_count(self) -> int:
-        return len(self.states) - 1
+        return len(self.xs) - 1
 
     @property
     def aborted(self) -> bool:
         return self.abort_reason is not None
-
-
-def _integrals_extended(x: np.ndarray, v: np.ndarray, dsafe: np.ndarray, e: np.ndarray) -> np.ndarray:
-    w = np.outer(v, x) - np.outer(x, v)  # w[k, i] = x_i v_k - x_k v_i
-    return e * v * v + np.sum(w * w / dsafe, axis=1)
 
 
 def run_orbit(
@@ -218,8 +226,9 @@ def run_orbit(
     platform provides it (x86 long double): the scaled-line representative
     legitimately reaches Euclidean speeds of 1e3..1e4 on long null orbits,
     where evaluating the quadratic integrals in plain double precision would
-    drown the drift being measured in cancellation noise.  Recorded states
-    and invariant values are rounded back to double.
+    drown the drift being measured in cancellation noise.  States are stored
+    in place, one row per bounce; H and every F_k are evaluated once over the
+    completed rows, and rows and invariant values are rounded back to double.
 
     Tangency parameters are recorded per bounce when `fam` is given.  A
     NullNormal, NotInward, or RootIsolationFailure event aborts the run
@@ -228,80 +237,72 @@ def run_orbit(
     if n_bounces < 1:
         raise ValueError("bounce count must be >= 1")
     _require_on_boundary(r.x, ell, boundary_tol)
-    a2 = ell.a2
     ax_v = float(ell.conormal(r.x) @ r.v)
     if ax_v >= 0.0:
         raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
 
     ld = np.longdouble
-    A = (1.0 / a2).astype(ld)
+    A = (1.0 / ell.a2).astype(ld)
     e = sig.e.astype(ld)
-    try:
-        dsafe = _integral_denominators(ell, sig).astype(ld)
-        np.fill_diagonal(dsafe, np.inf)
-    except ResonantAxes:
-        # Degenerate axes (sphere-like blocks): the quadratic integrals are
-        # undefined; their columns are recorded as NaN and H is kept.
-        dsafe = None
+    xs = np.empty((n_bounces + 1, ell.dim), dtype=ld)
+    vs = np.empty_like(xs)
+    x, v = r.x.astype(ld), r.v.astype(ld)
+    xs[0], vs[0] = x, v
+    Ax = A * x
 
-    x = r.x.astype(ld)
-    v = r.v.astype(ld)
-
-    states: list[RayState] = []
-    hs: list[float] = []
-    fs: list[np.ndarray] = []
     tangs: list[confocal.TangencySet] | None = [] if fam is not None else None
     abort_reason = None
     abort_bounce = None
-
-    def snapshot(xc, vc):
-        states.append(RayState(xc.astype(float), vc.astype(float)))
-        hs.append(float((A * xc) @ vc))
-        if dsafe is None:
-            fs.append(np.full(ell.dim, np.nan))
-        else:
-            fs.append(_integrals_extended(xc, vc, dsafe, e).astype(float))
-
-    snapshot(x, v)
-
-    if tangs is not None:
-        try:
-            tangs.append(confocal.tangency_parameters(fam, states[0]))
-        except RootIsolationFailure as exc:
-            return OrbitRecord(states, np.array(hs), np.array(fs), tangs, str(exc), 0)
-
-    for k in range(1, n_bounces + 1):
-        try:
-            # Chord step, closed form, then one Newton re-projection along v.
-            axv = (A * x) @ v
-            scale = np.sqrt((x @ x) * (v @ v))
-            if axv >= 0.0 or abs(axv) < grazing_tol * scale:
-                raise NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
-            y = x + (-2.0 * axv / ((A * v) @ v)) * v
-            ayv = (A * y) @ v
-            y = y + ((1.0 - (A * y) @ y) / (2.0 * ayv)) * v
-
-            # Reflection: flip the metric-normal component.
-            n = e * (A * y)
-            nn = (e * n) @ n
-            if abs(nn) <= null_normal_tol * (n @ n):
-                raise NullNormal(f"<n,n> = {float(nn):.3e} is null within tolerance")
-            u = v - (2.0 * ((e * v) @ n) / nn) * n
-            x, v = y, u
-        except (NotInward, NullNormal) as exc:
-            abort_reason = f"{type(exc).__name__}: {exc}"
-            abort_bounce = k
-            break
-        snapshot(x, v)
-        if tangs is not None:
+    rows = 0
+    for k in range(n_bounces + 1):
+        if k:
             try:
-                tangs.append(confocal.tangency_parameters(fam, states[-1]))
+                # Chord step, closed form, then one Newton re-projection along v.
+                # (ndarray.dot sums in the same order as @, with less call
+                # overhead on these short longdouble vectors.)
+                axv = Ax.dot(v)
+                scale = np.sqrt(x.dot(x) * v.dot(v))
+                if axv >= 0.0 or abs(axv) < grazing_tol * scale:
+                    raise NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
+                y = x + (-2.0 * axv / (A * v).dot(v)) * v
+                Ay = A * y
+                y = y + ((1.0 - Ay.dot(y)) / (2.0 * Ay.dot(v))) * v
+
+                # Reflection: flip the metric-normal component n = e Ay.  As
+                # e = +-1, <n,n> = Ay.n and <v,n> = v.Ay exactly, and Ay is
+                # the next bounce's Ax.
+                Ax = A * y
+                n = e * Ax
+                nn = Ax.dot(n)
+                if abs(nn) <= null_normal_tol * n.dot(n):
+                    raise NullNormal(f"<n,n> = {float(nn):.3e} is null within tolerance")
+                x, v = y, v - (2.0 * v.dot(Ax) / nn) * n
+            except (NotInward, NullNormal) as exc:
+                abort_reason = f"{type(exc).__name__}: {exc}"
+                abort_bounce = k
+                break
+            xs[k], vs[k] = x, v
+        rows = k + 1
+        if tangs is not None:
+            state = RayState(xs[k].astype(float), vs[k].astype(float))
+            try:
+                tangs.append(confocal.tangency_parameters(fam, state))
             except RootIsolationFailure as exc:
                 abort_reason = f"RootIsolationFailure: {exc}"
                 abort_bounce = k
                 break
 
-    return OrbitRecord(states, np.array(hs), np.array(fs), tangs, abort_reason, abort_bounce)
+    xs, vs = xs[:rows], vs[:rows]
+    h = np.sum(A * xs * vs, axis=1)
+    try:
+        f = integrals_batch(xs, vs, ell, sig).astype(float)
+    except ResonantAxes:
+        # Degenerate axes (sphere-like blocks): the quadratic integrals are
+        # undefined; their columns are recorded as NaN and H is kept.
+        f = np.full(xs.shape, np.nan)
+    return OrbitRecord(
+        xs.astype(float), vs.astype(float), h.astype(float), f, tangs, abort_reason, abort_bounce
+    )
 
 
 def sample_null_ray(

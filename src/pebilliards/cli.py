@@ -276,7 +276,7 @@ def cmd_simulate(doc: dict, out_dir: Path, seed_override, tol_overrides: dict) -
     try:
         report = (
             verify.drift_report(record, lambda_tol=tols["drift"])
-            if len(record.states) >= 2
+            if record.bounce_count >= 1
             else None
         )
     except TangencyCountChanged as exc:
@@ -301,14 +301,10 @@ def cmd_simulate(doc: dict, out_dir: Path, seed_override, tol_overrides: dict) -
         + [f"lam{i + 1}" for i in range(lam_count)]
     )
     lines = [",".join(header)]
-    for idx, st in enumerate(record.states):
-        row = (
-            [str(idx)]
-            + [_fmt(c) for c in st.x]
-            + [_fmt(c) for c in st.v]
-            + [_fmt(record.h[idx])]
-            + [_fmt(c) for c in record.f[idx]]
-        )
+    # repr of the Python floats from tolist() is the text of _fmt on each cell.
+    table = np.column_stack([record.xs, record.vs, record.h, record.f]).tolist()
+    for idx, cells in enumerate(table):
+        row = [str(idx), *map(repr, cells)]
         if record.tangency:
             lams = list(record.tangency[idx].lambdas)[:lam_count]
             row += [_fmt(c) for c in lams] + [""] * (lam_count - len(lams))

@@ -270,7 +270,7 @@ def drift_report(
     value (greedy); a cardinality change raises TangencyCountChanged rather
     than being absorbed into the numbers.
     """
-    if len(orbit.states) < 2:
+    if orbit.bounce_count < 1:
         raise ValueError("drift needs an orbit with at least two recorded states")
     h_drift, h_worst = _series_drift(orbit.h, rel_floor)
     f_drifts = []

@@ -13,8 +13,15 @@ from pebilliards.billiard import (
     run_orbit,
     sample_null_ray,
 )
+from pebilliards import confocal, pecore
 from pebilliards.confocal import ConfocalFamily
-from pebilliards.errors import NotInward, NullNormal, OffBoundary, ResonantAxes
+from pebilliards.errors import (
+    NotInward,
+    NullNormal,
+    OffBoundary,
+    ResonantAxes,
+    RootIsolationFailure,
+)
 from pebilliards.pecore import (
     Ellipsoid,
     RayState,
@@ -329,3 +336,87 @@ def test_extended_recorder_matches_double_map():
     direct = billiard_map(r, ell, sig)
     assert np.allclose(rec.states[1].x, direct.x, rtol=1e-12, atol=1e-12)
     assert np.allclose(rec.states[1].v, direct.v, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "ell, start, reason",
+    [
+        (ELLIPSE, RayState((0.0, 1.0), (1.0, -1e-15)), "NotInward"),
+        (Ellipsoid((np.sqrt(2.0), np.sqrt(2.0))), RayState((1.0, 1.0), (-1.0, 0.0)), "NullNormal"),
+    ],
+)
+def test_run_orbit_partial_record_rows(ell, start, reason):
+    # An aborted record keeps one row per completed state in every array,
+    # and its states are those rows.
+    rec = run_orbit(start, 10, ell, LORENTZ)
+    assert rec.abort_reason.startswith(f"{reason}: ")
+    rows = rec.abort_bounce
+    assert rows == 1 and rec.bounce_count == rows - 1
+    assert rec.xs.shape == rec.vs.shape == rec.f.shape == (rows, 2)
+    assert rec.h.shape == (rows,)
+    states = rec.states
+    assert len(states) == rows
+    for state, x, v in zip(states, rec.xs, rec.vs):
+        assert np.array_equal(state.x, x) and np.array_equal(state.v, v)
+    assert np.array_equal(rec.xs[0], start.x) and np.array_equal(rec.vs[0], start.v)
+
+
+def test_run_orbit_rows_match_double_map():
+    sig = Signature(2, 1)
+    ell = Ellipsoid((3.0, 2.0, 1.0))
+    r = sample_null_ray(ell, sig, 5)
+    rec = run_orbit(r, 3, ell, sig)
+    direct = billiard_map(r, ell, sig)
+    assert rec.xs.dtype == rec.vs.dtype == rec.h.dtype == rec.f.dtype == np.float64
+    assert np.allclose(rec.xs[1], direct.x, rtol=1e-12, atol=1e-12)
+    assert np.allclose(rec.vs[1], direct.v, rtol=1e-12, atol=1e-12)
+    assert np.allclose(rec.f, integrals_batch(rec.xs, rec.vs, ell, sig), rtol=1e-12, atol=1e-12)
+    assert np.allclose(rec.h, np.sum(ell.shape_diag * rec.xs * rec.vs, axis=1), rtol=1e-12, atol=1e-12)
+
+
+def test_run_orbit_tangency_failure_at_bounce_zero(monkeypatch):
+    def fail(fam, r):
+        raise RootIsolationFailure("no roots here")
+
+    monkeypatch.setattr(confocal, "tangency_parameters", fail)
+    sig = Signature(2, 1)
+    ell = Ellipsoid((3.0, 2.0, 1.0))
+    rec = run_orbit(sample_null_ray(ell, sig, 8), 5, ell, sig, fam=ConfocalFamily(ell, sig))
+    assert rec.abort_reason == "RootIsolationFailure: no roots here"
+    assert rec.abort_bounce == 0
+    assert rec.bounce_count == 0
+    assert rec.xs.shape == (1, 3) and rec.h.shape == (1,) and rec.f.shape == (1, 3)
+    assert rec.tangency == []
+
+
+def test_run_orbit_builds_no_per_bounce_raystates(monkeypatch):
+    # The recorder keeps its states in arrays: without tangency a long run
+    # constructs no RayState per bounce.
+    sig = Signature(2, 1)
+    ell = Ellipsoid((3.0, 2.0, 1.0))
+    start = sample_null_ray(ell, sig, 3)
+    built = []
+    post_init = pecore.RayState.__post_init__
+
+    def counted(state):
+        built.append(1)
+        post_init(state)
+
+    monkeypatch.setattr(pecore.RayState, "__post_init__", counted)
+    rec = run_orbit(start, 1000, ell, sig)
+    assert rec.abort_reason is None and rec.bounce_count == 1000
+    assert len(built) <= 2
+
+
+def test_integrals_batch_keeps_longdouble():
+    sig = Signature(2, 1)
+    ell = Ellipsoid((3.0, 2.0, 1.0))
+    rng = np.random.default_rng(12)
+    xs, vs = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+    f64 = integrals_batch(xs, vs, ell, sig)
+    fld = integrals_batch(xs.astype(np.longdouble), vs.astype(np.longdouble), ell, sig)
+    assert f64.dtype == np.float64
+    assert fld.dtype == np.longdouble
+    assert integrals_batch(xs.tolist(), vs.astype(np.float32), ell, sig).dtype == np.float64
+    scale = np.maximum(1.0, np.abs(f64))
+    assert np.all(np.abs(fld.astype(float) - f64) <= 1e-14 * scale)

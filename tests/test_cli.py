@@ -372,3 +372,40 @@ def test_simulate_exits_2_on_tangency_drift(tmp_path):
     assert summary["aborted"] is None and summary["bounces_completed"] == 3
     assert summary["drift"]["lambda_mismatch"]
     assert "drift" in summary["tangency_mismatch"] and "bounce 3" in summary["tangency_mismatch"]
+
+
+def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
+    # orbit.csv is the record written cell by cell with repr(float(c)); tangency
+    # columns follow bounce 0's count, padded with empty cells where a bounce
+    # has fewer parameters and cut where it has more.
+    from pebilliards import billiard
+    from pebilliards.confocal import TangencySet
+
+    run_orbit = billiard.run_orbit
+    seen = []
+
+    def recorded(*args, **kwargs):
+        rec = run_orbit(*args, **kwargs)
+        lams = rec.tangency[0].lambdas
+        assert len(lams) == 2
+        rec.tangency[1] = TangencySet(lambdas=lams[:1])
+        rec.tangency[2] = TangencySet(lambdas=lams + (7.5,))
+        seen.append(rec)
+        return rec
+
+    monkeypatch.setattr(billiard, "run_orbit", recorded)
+    doc = simulate_doc(bounces=4, record_tangency=True,
+                       initial={"x": [0.0, 0.0, 1.0], "v": [0.6, 0.5, -0.3]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+
+    (rec,) = seen
+    lines = ["index,x1,x2,x3,v1,v2,v3,H,F1,F2,F3,lam1,lam2"]
+    for k in range(rec.bounce_count + 1):
+        cells = [*rec.xs[k], *rec.vs[k], rec.h[k], *rec.f[k]]
+        lams = list(rec.tangency[k].lambdas[:2])
+        row = [str(k)] + [repr(float(c)) for c in cells + lams] + [""] * (2 - len(lams))
+        lines.append(",".join(row))
+    expected = ("\n".join(lines) + "\n").encode()
+    assert (out / "orbit.csv").read_bytes() == expected
+    assert b",\n" in expected  # the short bounce is padded

@@ -113,9 +113,9 @@ def test_drift_report_long_null_orbit():
 
 
 def test_drift_report_flags_count_change():
-    states = [RayState((0, 1), (1, -1)), RayState((1.6, -0.6), (5, 5))]
     rec = OrbitRecord(
-        states=states,
+        xs=np.array([[0.0, 1.0], [1.6, -0.6]]),
+        vs=np.array([[1.0, -1.0], [5.0, 5.0]]),
         h=np.array([-1.0, -1.0]),
         f=np.array([[0.8, -0.8], [0.8, -0.8]]),
         tangency=[TangencySet(lambdas=(0.5,)), TangencySet(lambdas=(0.5, 2.0))],
