@@ -23,10 +23,22 @@ Conventions
 * The orthonormal chart of the ellipsoid billiard (metric diag(1, -1)) is
   reached by the fixed involution u = (x + y)/sqrt(2), w = (x - y)/sqrt(2),
   owned by this module.
+
+Evaluation
+----------
+* A curve's radius, points, tangents and slopes take one angle as a Python
+  float and then compute on floats with the math module, or an array of
+  angles (the scan and convexity grids) and then compute with numpy.  Each
+  formula is written once for both; only cos and sin are chosen by type.
+* An ellipse's chord partner is the other root of its quadratic in the free
+  coordinate, and its coordinate-k extrema lie along +-M^-1 e_k: both closed
+  form.  Other curves find their extrema by a grid scan refined by brentq,
+  bracket the partner on the arc between them, and polish it by Newton.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +62,8 @@ DEGENERATE_TOL = 1e-9
 #: Grid used for extrema search and construction-time convexity checks.
 SCAN_GRID = 4096
 
+TWO_PI = 2.0 * math.pi
+
 _R45 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
@@ -65,97 +79,161 @@ def from_null_chart(uw: np.ndarray) -> np.ndarray:
 
 def wrap_angle(t: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
-    return float(np.mod(t, 2.0 * np.pi))
+    t = float(t) % TWO_PI
+    # A tiny negative t rounds up to exactly 2*pi.
+    return 0.0 if t == TWO_PI else t
 
 
 def signed_angle_gap(a: float, b: float) -> float:
     """Signed circular difference a - b reduced to (-pi, pi]."""
-    d = np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi
-    return float(np.where(d == -np.pi, np.pi, d))
+    d = (float(a) - float(b) + math.pi) % TWO_PI - math.pi
+    return math.pi if d == -math.pi else d
+
+
+def _angle(theta):
+    """A scalar angle as a Python float, anything else as a float array."""
+    if isinstance(theta, (float, int)):
+        return float(theta)
+    return np.asarray(theta, dtype=float)
+
+
+def _cos_sin(theta):
+    """Cosine and sine of an angle from _angle: math on a float, numpy on an array."""
+    if isinstance(theta, float):
+        return math.cos(theta), math.sin(theta)
+    return np.cos(theta), np.sin(theta)
+
+
+def _pair(x, y):
+    """Two coordinates as a tuple of floats, or stacked on a last axis of size 2."""
+    if isinstance(x, float):
+        return x, y
+    return np.stack([x, y], axis=-1)
 
 
 class OvalCurve:
     """Closed strictly convex curve given as a polar graph about a center.
 
     Subclasses provide radius_derivs; everything else (points, slopes,
-    curvature, chord steps) lives here.
+    curvature, chord partners) lives here.  radius_derivs, point, velocity,
+    slope and curvature take one angle as a Python float (np.float64
+    included) and return floats (a point or velocity as an (x, y) tuple), or
+    an array of angles and return arrays.
     """
 
     center: np.ndarray
+    _center: tuple[float, float]
 
     def radius_derivs(self, theta):
-        """Radius and its first two angle derivatives; vectorized."""
+        """Radius and its first two angle derivatives."""
         raise NotImplementedError
 
     def point(self, theta):
-        theta = np.asarray(theta, dtype=float)
+        theta = _angle(theta)
+        c, s = _cos_sin(theta)
         r, _, _ = self.radius_derivs(theta)
-        return np.stack(
-            [self.center[0] + r * np.cos(theta), self.center[1] + r * np.sin(theta)], axis=-1
-        )
+        return _pair(self._center[0] + r * c, self._center[1] + r * s)
+
+    def _tangent(self, theta):
+        theta = _angle(theta)
+        c, s = _cos_sin(theta)
+        r, r1, _ = self.radius_derivs(theta)
+        return r1 * c - r * s, r1 * s + r * c
 
     def velocity(self, theta):
         """Tangent d/dtheta of the parameterization, components (x', y')."""
-        theta = np.asarray(theta, dtype=float)
-        r, r1, _ = self.radius_derivs(theta)
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1)
+        return _pair(*self._tangent(theta))
 
-    def slope(self, theta) -> float:
+    def slope(self, theta):
         """Signed dy/dx of the tangent line at the given parameter."""
-        vel = self.velocity(theta)
-        return float(vel[..., 1] / vel[..., 0]) if vel.ndim == 1 else vel[..., 1] / vel[..., 0]
+        dx, dy = self._tangent(theta)
+        if isinstance(dx, float) and dx == 0.0:
+            return math.copysign(math.inf, dy)
+        return dy / dx
 
     def curvature(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        r, r1, r2 = self.radius_derivs(theta)
+        r, r1, r2 = self.radius_derivs(_angle(theta))
         num = r * r + 2.0 * r1 * r1 - r * r2
-        return num / np.power(r * r + r1 * r1, 1.5)
+        return num / (r * r + r1 * r1) ** 1.5
 
     def coordinate_extrema(self, axis: int) -> tuple[float, float]:
-        """The two parameters where the given coordinate is extremal."""
-        cache = getattr(self, "_extrema_cache", None)
-        if cache is None:
-            cache = {}
-            self._extrema_cache = cache
+        """The two parameters where the given coordinate is extremal, ascending."""
+        cache = self.__dict__.setdefault("_extrema_cache", {})
         if axis not in cache:
-            ts = np.linspace(0.0, 2.0 * np.pi, SCAN_GRID, endpoint=False)
+            ts = np.linspace(0.0, TWO_PI, SCAN_GRID, endpoint=False)
             der = self.velocity(ts)[:, axis]
 
             def f(t: float) -> float:
-                return float(self.velocity(np.array(t))[axis])
+                return self.velocity(t)[axis]
 
             roots = []
-            for i in range(SCAN_GRID):
-                a, b = der[i], der[(i + 1) % SCAN_GRID]
-                lo, hi = ts[i], ts[i] + 2.0 * np.pi / SCAN_GRID
-                if a == 0.0:
+            for i in np.flatnonzero((der == 0.0) | (der * np.roll(der, -1) < 0.0)):
+                lo = float(ts[i])
+                hi = lo + TWO_PI / SCAN_GRID
+                if der[i] == 0.0:
                     roots.append(lo)
-                elif a * b < 0.0:
-                    try:
-                        roots.append(brentq(f, lo, hi, xtol=1e-14))
-                    except RuntimeError as exc:
-                        raise NoConvergence(f"extremum of coordinate {axis}: {exc}") from exc
-                    except ValueError:
-                        # f's own values do not bracket: f differs from the
-                        # scan in the last ulp at an endpoint (hi = 2 pi is
-                        # scanned as 0), so the extremum lies at that endpoint.
-                        fa, fb = f(lo), f(hi)
-                        if not (np.isfinite(fa) and np.isfinite(fb)):
-                            raise NoConvergence(
-                                f"extremum of coordinate {axis}: derivative not finite at {lo} or {hi}"
-                            ) from None
-                        roots.append(lo if abs(fa) <= abs(fb) else hi)
+                    continue
+                try:
+                    roots.append(brentq(f, lo, hi, xtol=1e-14))
+                except RuntimeError as exc:
+                    raise NoConvergence(f"extremum of coordinate {axis}: {exc}") from exc
+                except ValueError:
+                    # f's own values do not bracket: f differs from the
+                    # scan in the last ulp at an endpoint (hi = 2 pi is
+                    # scanned as 0), so the extremum lies at that endpoint.
+                    fa, fb = f(lo), f(hi)
+                    if not (math.isfinite(fa) and math.isfinite(fb)):
+                        raise NoConvergence(
+                            f"extremum of coordinate {axis}: derivative not finite at {lo} or {hi}"
+                        ) from None
+                    roots.append(lo if abs(fa) <= abs(fb) else hi)
             if len(roots) != 2:
                 raise ConvexityViolation(
                     f"expected exactly two extrema of coordinate {axis}, found {len(roots)}"
                 )
-            cache[axis] = (wrap_angle(roots[0]), wrap_angle(roots[1]))
+            cache[axis] = tuple(sorted(wrap_angle(t) for t in roots))
         return cache[axis]
+
+    def chord_partner(self, theta: float, axis: int) -> float:
+        """Parameter of the other point of the curve with the same coordinate `axis`.
+
+        Strict convexity splits the curve into two monotone arcs per
+        coordinate; the partner is bracketed on the arc not containing theta,
+        found by brentq and polished by two Newton steps on the analytic
+        tangent.  theta must lie in [0, 2*pi) and off the extrema, as
+        chord_step ensures; the result is not wrapped.
+        """
+        t_lo, t_hi = self.coordinate_extrema(axis)
+        target = self.point(theta)[axis]
+
+        def f(t: float) -> float:
+            return self.point(t)[axis] - target
+
+        if t_lo < theta < t_hi:
+            lo, hi = t_hi, t_lo + TWO_PI
+        else:
+            lo, hi = t_lo, t_hi
+        flo, fhi = f(lo), f(hi)
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        if flo * fhi > 0.0:
+            raise DegenerateChord("chord endpoint could not be bracketed; point is at an extremum")
+        root = brentq(f, lo, hi, xtol=1e-14)
+        for _ in range(2):
+            slope = self.velocity(root)[axis]
+            if slope == 0.0:
+                break
+            root -= f(root) / slope
+        return root
 
 
 class EllipseOval(OvalCurve):
-    """Centered ellipse (x - c)^T M (x - c) = 1 for a symmetric positive form M."""
+    """Centered ellipse (x - c)^T M (x - c) = 1 for a symmetric positive form M.
+
+    Chord partners and coordinate extrema are closed form.
+    """
 
     def __init__(self, form: np.ndarray, center=(0.0, 0.0)):
         form = np.asarray(form, dtype=float)
@@ -165,6 +243,8 @@ class EllipseOval(OvalCurve):
             raise ValueError("form must be positive definite")
         self.form = form
         self.center = np.asarray(center, dtype=float)
+        self._center = (float(self.center[0]), float(self.center[1]))
+        self._m = (float(form[0, 0]), float(form[0, 1]), float(form[1, 1]))
 
     @classmethod
     def axis_aligned(cls, a: float, b: float, center=(0.0, 0.0)) -> "EllipseOval":
@@ -173,9 +253,8 @@ class EllipseOval(OvalCurve):
         return cls(np.diag([1.0 / a**2, 1.0 / b**2]), center)
 
     def radius_derivs(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        c, s = np.cos(theta), np.sin(theta)
-        m00, m01, m11 = self.form[0, 0], self.form[0, 1], self.form[1, 1]
+        c, s = _cos_sin(_angle(theta))
+        m00, m01, m11 = self._m
         q = m00 * c * c + 2.0 * m01 * c * s + m11 * s * s
         q1 = 2.0 * ((m11 - m00) * c * s + m01 * (c * c - s * s))
         q2 = 2.0 * ((m11 - m00) * (c * c - s * s) - 4.0 * m01 * c * s)
@@ -183,6 +262,25 @@ class EllipseOval(OvalCurve):
         r1 = -0.5 * q**-1.5 * q1
         r2 = 0.75 * q**-2.5 * q1 * q1 - 0.5 * q**-1.5 * q2
         return r, r1, r2
+
+    def coordinate_extrema(self, axis: int) -> tuple[float, float]:
+        """Coordinate `axis` is extremal along +-M^-1 e_axis."""
+        m00, m01, m11 = self._m
+        t = math.atan2(-m01, m11) if axis == 0 else math.atan2(m00, -m01)
+        a, b = wrap_angle(t), wrap_angle(t + math.pi)
+        return (a, b) if a < b else (b, a)
+
+    def chord_partner(self, theta: float, axis: int) -> float:
+        """The other root of the ellipse's quadratic in the free coordinate."""
+        theta = float(theta)
+        r, _, _ = self.radius_derivs(theta)
+        dx, dy = r * math.cos(theta), r * math.sin(theta)
+        m00, m01, m11 = self._m
+        if axis == 0:
+            dy = -2.0 * m01 * dx / m11 - dy
+        else:
+            dx = -2.0 * m01 * dy / m00 - dx
+        return math.atan2(dy, dx)
 
 
 @dataclass(frozen=True)
@@ -204,11 +302,10 @@ class RadialBump:
             raise ValueError("bump halfwidth must lie in (0, pi)")
 
     def derivs(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        d = np.mod(theta - self.anchor + np.pi, 2.0 * np.pi) - np.pi
+        d = (_angle(theta) - self.anchor + math.pi) % TWO_PI - math.pi
         xi = d / self.halfwidth
-        inside = np.abs(xi) < 1.0
-        xi = np.where(inside, xi, 0.0)
+        inside = abs(xi) < 1.0
+        xi = xi * inside
         one = 1.0 - xi * xi
         psi = one**3
         psi1 = -6.0 * xi * one * one
@@ -217,39 +314,37 @@ class RadialBump:
         g = lin * psi
         g1 = self.tilt * psi + lin * psi1 / self.halfwidth
         g2 = 2.0 * self.tilt * psi1 / self.halfwidth + lin * psi2 / self.halfwidth**2
-        zero = np.zeros_like(g)
-        return (
-            np.where(inside, g, zero),
-            np.where(inside, g1, zero),
-            np.where(inside, g2, zero),
-        )
+        return g * inside, g1 * inside, g2 * inside
 
 
 class RadialOval(OvalCurve):
-    """Base ellipse plus localized radial bumps; verified strictly convex."""
+    """Base ellipse plus localized radial bumps; verified strictly convex.
+
+    convexity_margin is the least curvature numerator r^2 + 2 r'^2 - r r''
+    over the SCAN_GRID check grid.
+    """
 
     def __init__(self, base: EllipseOval, bumps: tuple[RadialBump, ...] = ()):
         self.base = base
         self.bumps = tuple(bumps)
         self.center = base.center
+        self._center = base._center
         ts = np.linspace(0.0, 2.0 * np.pi, SCAN_GRID, endpoint=False)
         r, r1, r2 = self.radius_derivs(ts)
         if np.any(r <= 0.0):
             raise ConvexityViolation("perturbed radius is not positive everywhere")
-        num = r * r + 2.0 * r1 * r1 - r * r2
-        if np.min(num) <= 0.0:
+        self.convexity_margin = float(np.min(r * r + 2.0 * r1 * r1 - r * r2))
+        if self.convexity_margin <= 0.0:
             raise ConvexityViolation(
-                f"curvature changes sign (min numerator {np.min(num):.3e})"
+                f"curvature changes sign (min numerator {self.convexity_margin:.3e})"
             )
 
     def radius_derivs(self, theta):
+        theta = _angle(theta)
         r, r1, r2 = self.base.radius_derivs(theta)
-        r, r1, r2 = np.array(r, dtype=float), np.array(r1, dtype=float), np.array(r2, dtype=float)
         for bump in self.bumps:
             g, g1, g2 = bump.derivs(theta)
-            r = r + g
-            r1 = r1 + g1
-            r2 = r2 + g2
+            r, r1, r2 = r + g, r1 + g1, r2 + g2
         return r, r1, r2
 
 
@@ -264,40 +359,16 @@ def _axis_index(direction: str) -> int:
 def chord_step(curve: OvalCurve, theta: float, direction: str) -> float:
     """Parameter of the second intersection of the coordinate line through theta.
 
-    Strict convexity splits the curve into two monotone arcs per coordinate;
-    the partner is bracketed on the arc not containing theta and refined by
-    bisection.  Raises DegenerateChord at coordinate extrema.
+    Raises DegenerateChord at coordinate extrema; otherwise the curve's
+    chord_partner solves for the other intersection (closed form on an
+    ellipse, a bracketed root solve polished by Newton on other curves).
     """
     axis = _axis_index(direction)
-    t_lo, t_hi = sorted(curve.coordinate_extrema(axis))
+    t_lo, t_hi = curve.coordinate_extrema(axis)
     theta = wrap_angle(theta)
     if min(abs(signed_angle_gap(theta, t_lo)), abs(signed_angle_gap(theta, t_hi))) < DEGENERATE_TOL:
         raise DegenerateChord(f"parameter {theta} is at a coordinate-{axis} extremum")
-
-    target = float(curve.point(theta)[axis])
-
-    def f(t: float) -> float:
-        return float(curve.point(np.array(t))[axis]) - target
-
-    if t_lo < theta < t_hi:
-        lo, hi = t_hi, t_lo + 2.0 * np.pi
-    else:
-        lo, hi = t_lo, t_hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return wrap_angle(lo)
-    if fhi == 0.0:
-        return wrap_angle(hi)
-    if flo * fhi > 0.0:
-        raise DegenerateChord("chord endpoint could not be bracketed; point is at an extremum")
-    root = brentq(f, lo, hi, xtol=1e-14)
-    # Newton polish with the analytic tangent recovers full precision.
-    for _ in range(2):
-        slope = float(curve.velocity(np.array(root))[axis])
-        if slope == 0.0:
-            break
-        root -= f(root) / slope
-    return wrap_angle(root)
+    return wrap_angle(curve.chord_partner(theta, axis))
 
 
 def oval_map(curve: OvalCurve, theta: float) -> float:
@@ -310,7 +381,7 @@ def speed_factor(t: float, dir_in: str) -> float:
     if dir_in not in (VERTICAL, HORIZONTAL):
         raise ValueError(f"dir_in must be '{VERTICAL}' or '{HORIZONTAL}', got {dir_in!r}")
     t = float(t)
-    if t == 0.0 or not np.isfinite(t):
+    if t == 0.0 or not math.isfinite(t):
         raise ZeroSlope(f"cannot reflect across slope {t}")
     return t if dir_in == HORIZONTAL else 1.0 / t
 
@@ -556,13 +627,8 @@ def build_accelerating_table(points, slopes) -> RadialOval:
         if abs(denom) <= 1e-12 * (1.0 + abs(t_j)):
             raise InfeasibleSlopes(f"target slope at vertex {j + 1} points along the radius")
         r1_req = r_j * (c + t_j * s) / denom
-        rb, rb1, _ = base.radius_derivs(np.array(theta_j))
-        anchors.append((theta_j, r_j - float(rb), r1_req - float(rb1), gaps[j]))
-
-    def margin_of(curve: RadialOval) -> float:
-        ts = np.linspace(0.0, 2.0 * np.pi, SCAN_GRID, endpoint=False)
-        r, r1, r2 = curve.radius_derivs(ts)
-        return float(np.min(r * r + 2.0 * r1 * r1 - r * r2))
+        rb, rb1, _ = base.radius_derivs(theta_j)
+        anchors.append((theta_j, r_j - rb, r1_req - rb1, gaps[j]))
 
     best: RadialOval | None = None
     best_margin = 0.0
@@ -575,9 +641,8 @@ def build_accelerating_table(points, slopes) -> RadialOval:
             candidate = RadialOval(base, bumps)
         except ConvexityViolation:
             continue
-        margin = margin_of(candidate)
-        if margin > best_margin:
-            best, best_margin = candidate, margin
+        if candidate.convexity_margin > best_margin:
+            best, best_margin = candidate, candidate.convexity_margin
     if best is None:
         raise ConvexityViolation(
             "no candidate bump support keeps the curve strictly convex"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pebilliards import lorentz_oval as lo
 from pebilliards.billiard import run_orbit
@@ -14,6 +16,7 @@ from pebilliards.pecore import Ellipsoid, RayState, Signature
 
 CIRCLE = lo.EllipseOval.axis_aligned(1.0, 1.0)
 ELLIPSE = lo.EllipseOval.axis_aligned(2.0, 1.0)
+TILTED = lo.EllipseOval(np.array([[0.8, 0.3], [0.3, 0.5]]), center=(0.2, -0.1))
 RECT = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
@@ -37,6 +40,14 @@ def test_chord_step_degenerate_at_extrema():
         lo.chord_step(CIRCLE, np.pi / 2, lo.HORIZONTAL)
     with pytest.raises(DegenerateChord):
         lo.chord_step(CIRCLE, 0.0, lo.VERTICAL)
+    # On a tilted ellipse the closed-form extrema are where chords degenerate.
+    for axis, direction in ((0, lo.VERTICAL), (1, lo.HORIZONTAL)):
+        for t in TILTED.coordinate_extrema(axis):
+            for offset in (0.0, 0.9 * lo.DEGENERATE_TOL, -0.9 * lo.DEGENERATE_TOL):
+                with pytest.raises(DegenerateChord):
+                    lo.chord_step(TILTED, t + offset, direction)
+            for offset in (1e-6, -1e-6):
+                lo.chord_step(TILTED, t + offset, direction)
 
 
 def test_chord_step_through_axis_points_is_fine():
@@ -262,3 +273,77 @@ def test_find_periodic_orbit_no_convergence():
     with pytest.raises((NoConvergence, DegenerateChord)):
         # Seeding exactly at a coordinate extremum cannot even evaluate the map.
         lo.find_periodic_orbit(ELLIPSE, 2, 0.0)
+
+
+def test_wrap_angle_maps_tiny_negative_to_zero():
+    assert lo.wrap_angle(-1e-17) == 0.0
+    assert lo.wrap_angle(2 * np.pi) == 0.0
+
+
+@given(st.floats(min_value=-1e3, max_value=1e3))
+def test_wrap_angle_range(t):
+    assert 0.0 <= lo.wrap_angle(t) < 2 * np.pi
+
+
+def _random_ellipse(rng):
+    lam = rng.uniform(0.25, 4.0, 2)
+    phi = rng.uniform(0.0, np.pi)
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    form = rot @ np.diag(lam) @ rot.T
+    return lo.EllipseOval((form + form.T) / 2.0, center=rng.uniform(-1.0, 1.0, 2))
+
+
+def test_ellipse_closed_form_matches_bracketed_solve():
+    # A RadialOval without bumps is the same curve through the generic
+    # OvalCurve scan and bracketed root solve.
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        ell = _random_ellipse(rng)
+        generic = lo.RadialOval(ell)
+        for axis, direction in ((0, lo.VERTICAL), (1, lo.HORIZONTAL)):
+            closed = ell.coordinate_extrema(axis)
+            scanned = generic.coordinate_extrema(axis)
+            for t in closed:
+                assert min(abs(lo.signed_angle_gap(t, u)) for u in scanned) <= 1e-12
+            for theta in rng.uniform(0.0, 2 * np.pi, 5):
+                if min(abs(lo.signed_angle_gap(theta, t)) for t in closed) < 1e-3:
+                    continue
+                got = lo.chord_step(ell, theta, direction)
+                want = lo.chord_step(generic, theta, direction)
+                assert abs(lo.signed_angle_gap(got, want)) <= 1e-12
+
+
+def _wrap_bump_table():
+    """A radial table with one bump anchored 4e-4 below 2 pi and one at 2.0."""
+    bumps = (
+        lo.RadialBump(anchor=2 * np.pi - 4e-4, value=0.02, tilt=0.03, halfwidth=0.8),
+        lo.RadialBump(anchor=2.0, value=-0.02, tilt=-0.03, halfwidth=0.8),
+    )
+    return lo.RadialOval(TILTED, bumps)
+
+
+def _sample_angles(curve):
+    ts = [0.3, 1.1, 2.7, 4.0, 5.5]
+    for bump in getattr(curve, "bumps", ()):
+        a, h = bump.anchor, bump.halfwidth
+        ts += [a, a + h / 2, a - h / 3, a + h - 1e-9, a + h + 1e-9, a - h + 1e-9, a - h - 1e-9]
+    ts += [0.0, 1e-4, 2 * np.pi - 1e-4, 2 * np.pi - 8e-4]
+    return [lo.wrap_angle(t) for t in ts]
+
+
+def _assert_within_4_ulp(scalar, array):
+    """Normwise: every component within 4 ulp of the largest component."""
+    assert all(type(v) is float for v in scalar)
+    ulp = np.spacing(max(abs(v) for v in scalar))
+    for v, w in zip(scalar, array):
+        assert abs(v - float(w[0])) <= 4 * ulp
+
+
+@pytest.mark.parametrize("curve", [ELLIPSE, TILTED, _wrap_bump_table()], ids=["axis", "tilted", "radial"])
+def test_float_path_matches_array_path(curve):
+    for t in _sample_angles(curve):
+        for scalar_t in (t, np.float64(t)):
+            one = np.array([t])
+            _assert_within_4_ulp(curve.radius_derivs(scalar_t), curve.radius_derivs(one))
+            _assert_within_4_ulp(curve.point(scalar_t), curve.point(one).T)
+            _assert_within_4_ulp(curve.velocity(scalar_t), curve.velocity(one).T)
