@@ -1,11 +1,21 @@
 """Command-line front end: orbit runs, bracket sweeps, oval experiments, plot data.
 
-One JSON config document per run; unknown keys are rejected.  Outputs are
+One JSON config document per run, checked against the command's key-spec
+table before anything is computed or written.  Unknown keys, missing
+required keys and values of the wrong type or range are config errors that
+name the dotted path of the key, e.g. ``config.initial.x``.  Outputs are
 deterministic for a fixed config and seed: CSV floats use shortest
 round-trip formatting, JSON keys are sorted, and line endings are LF.
 
-Exit codes: 0 clean, 1 config error, 2 degeneracy quarantine, 3 tolerance
-failure in verification commands.
+Exit codes:
+
+    0  clean run
+    1  config error: a bad config, flag or geometric precondition; no file is written
+    2  runtime degeneracy: a quarantined orbit, or a named error raised while
+       computing (e.g. NoConvergence or DegenerateChord on a radial oval table)
+    3  tolerance failure in a verification command (commute)
+
+A command-line syntax error exits 2 from argparse, before any config is read.
 """
 
 from __future__ import annotations
@@ -13,9 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +34,6 @@ from .errors import (
     ConvexityViolation,
     DegenerateChord,
     InfeasibleSlopes,
-    NoConvergence,
     PEBilliardsError,
     PoleParameter,
     ResonantAxes,
@@ -40,15 +47,6 @@ EXIT_CONFIG = 1
 EXIT_DEGENERATE = 2
 EXIT_TOLERANCE = 3
 
-_TOLERANCE_KEYS = {"boundary", "grazing", "null_normal", "drift", "bracket"}
-_DEFAULT_TOLERANCES = {
-    "boundary": billiard.BOUNDARY_TOL,
-    "grazing": billiard.GRAZING_TOL,
-    "null_normal": billiard.NULL_NORMAL_TOL,
-    "drift": 1e-9,
-    "bracket": 1e-10,
-}
-
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -58,211 +56,255 @@ def _fail(message: str):
     raise ConfigError(message)
 
 
-def _check_keys(doc: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(doc, dict):
-        _fail(f"{where} must be a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        _fail(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        _fail(f"missing keys in {where}: {sorted(missing)}")
+# ------------------------------------------------------------------ checkers
+#
+# A checker takes a value and the dotted path it came from, and returns the
+# value converted (numbers to float) or raises ConfigError naming the path.
+# A spec maps each key of an object to (checker, default); REQUIRED marks a
+# key without default, and a default of None marks an optional key that is
+# None when absent.  Any other default is passed through the checker too.
+
+REQUIRED = object()
 
 
-def _positive_int(doc: dict, key: str, where: str, minimum: int = 1) -> int:
-    val = doc[key]
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        _fail(f"{where}.{key} must be an integer >= {minimum}, got {val!r}")
-    return val
+def _int(minimum: int):
+    def check(val, where: str) -> int:
+        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+            _fail(f"{where} must be an integer >= {minimum}, got {val!r}")
+        return val
+
+    return check
 
 
-def _seed(doc: dict, seed_override) -> int:
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        _fail(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
-def _number(val, where: str) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+def _finite(val, where: str) -> float:
+    # The comparison is False for NaN, the infinities and ints past the float range.
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or not abs(val) <= sys.float_info.max:
         _fail(f"{where} must be a finite number, got {val!r}")
     return float(val)
 
 
-def _numbers(val, where: str, count: int | None = None) -> list[float]:
-    if not isinstance(val, list) or (count is not None and len(val) != count):
-        size = "" if count is None else f"{count} "
-        _fail(f"{where} must be a list of {size}numbers, got {val!r}")
-    return [_number(v, where) for v in val]
+def _positive(val, where: str) -> float:
+    if _finite(val, where) <= 0.0:
+        _fail(f"{where} must be a positive finite number, got {val!r}")
+    return float(val)
 
 
-def _signature(doc: dict) -> Signature:
-    sig = doc["signature"]
-    if (
-        not isinstance(sig, list)
-        or len(sig) != 2
-        or not all(isinstance(s, int) and not isinstance(s, bool) for s in sig)
-    ):
-        _fail(f"signature must be a pair of integers, got {sig!r}")
+def _boolean(val, where: str) -> bool:
+    if not isinstance(val, bool):
+        _fail(f"{where} must be true or false, got {val!r}")
+    return val
+
+
+def _string(val, where: str) -> str:
+    if not isinstance(val, str):
+        _fail(f"{where} must be a string, got {val!r}")
+    return val
+
+
+def _list(item, length: int | None = None):
+    def check(val, where: str) -> list:
+        if not isinstance(val, list) or (length is not None and len(val) != length):
+            size = "a list" if length is None else f"a list of {length} entries"
+            _fail(f"{where} must be {size}, got {val!r}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(val)]
+
+    return check
+
+
+def _object(spec: dict):
+    def check(val, where: str) -> dict:
+        if not isinstance(val, dict):
+            _fail(f"{where} must be a JSON object, got {val!r}")
+        unknown = set(val) - set(spec)
+        if unknown:
+            _fail(f"unknown keys in {where}: {sorted(unknown)}")
+        missing = [key for key, (_, default) in spec.items() if default is REQUIRED and key not in val]
+        if missing:
+            _fail(f"missing keys in {where}: {missing}")
+        out = {}
+        for key, (item, default) in spec.items():
+            given = val.get(key, default)
+            out[key] = None if given is None and key not in val else item(given, f"{where}.{key}")
+        return out
+
+    return check
+
+
+def _table(val, where: str) -> lorentz_oval.OvalCurve:
+    """Checker for an oval table: the keys its kind reads, built into the curve."""
+    kind = val.get("kind") if isinstance(val, dict) else None
+    if not isinstance(kind, str) or kind not in _TABLE_KINDS:
+        _fail(f"{where} must be an object with kind one of {sorted(_TABLE_KINDS)}, got {val!r}")
+    doc = _object({"kind": (_string, REQUIRED), **_TABLE_KINDS[kind]})(val, where)
     try:
-        return Signature(sig[0], sig[1])
+        if kind == "ellipse":
+            return lorentz_oval.EllipseOval.axis_aligned(*doc["semi_axes"], doc["center"])
+        if kind == "ellipse_form":
+            return lorentz_oval.EllipseOval(np.array(doc["form"]), doc["center"])
+        if not isinstance(doc["base"], lorentz_oval.EllipseOval):
+            _fail(f"{where}.base must be an ellipse table")
+        bumps = tuple(lorentz_oval.RadialBump(*b) for b in doc["bumps"])
+        return lorentz_oval.RadialOval(doc["base"], bumps)
     except ValueError as exc:
-        _fail(str(exc))
+        _fail(f"invalid {where}: {exc}")
+    except ConvexityViolation as exc:
+        _fail(f"ConvexityViolation: {exc}")
 
 
-def _ellipsoid(doc: dict, sig: Signature) -> Ellipsoid:
+_PAIR = _list(_finite, 2)
+_CENTER = (_PAIR, [0.0, 0.0])
+_TABLE_KINDS = {
+    "ellipse": {"semi_axes": (_PAIR, REQUIRED), "center": _CENTER},
+    "ellipse_form": {"form": (_list(_PAIR, 2), REQUIRED), "center": _CENTER},
+    "radial": {"base": (_table, REQUIRED), "bumps": (_list(_list(_finite, 4)), [])},
+}
+_POLYGON = _object({"points": (_list(_PAIR), REQUIRED), "slopes": (_list(_finite), REQUIRED)})
+
+
+def _polygon(val, where: str) -> lorentz_oval.NullPolygon:
+    doc = _POLYGON(val, where)
     try:
-        ell = Ellipsoid(tuple(_numbers(doc["axes"], "axes")))
+        return lorentz_oval.NullPolygon(np.asarray(doc["points"], dtype=float), tuple(doc["slopes"]))
     except ValueError as exc:
-        _fail(str(exc))
-    if ell.dim != sig.dim:
-        _fail(f"axes dimension {ell.dim} does not match signature dimension {sig.dim}")
-    return ell
+        _fail(f"invalid {where}: {exc}")
 
 
-def _tolerances(doc: dict, overrides: dict) -> dict:
-    tols = dict(_DEFAULT_TOLERANCES)
-    given = doc.get("tolerances", {})
-    _check_keys(given, _TOLERANCE_KEYS, set(), "tolerances")
-    for key, val in given.items():
-        if not isinstance(val, (int, float)) or val <= 0:
-            _fail(f"tolerances.{key} must be positive, got {val!r}")
-        tols[key] = float(val)
-    for key, val in overrides.items():
-        if val is not None:
-            tols[key] = val
-    return tols
+def _tolerances(defaults: dict):
+    return (_object({key: (_positive, val) for key, val in defaults.items()}), {})
 
 
-def load_config(path: str) -> dict:
+_SIMULATE_TOLERANCES = {
+    "boundary": billiard.BOUNDARY_TOL,
+    "grazing": billiard.GRAZING_TOL,
+    "null_normal": billiard.NULL_NORMAL_TOL,
+    "drift": 1e-9,
+}
+_COMMUTE_TOLERANCES = {"bracket": 1e-10}
+_OUT = (_string, None)
+_GEOMETRY = {"signature": (_list(_int(0), 2), REQUIRED), "axes": (_list(_positive), REQUIRED)}
+_OVAL_MODES = {
+    "iterate": {"table": (_table, REQUIRED), "start": (_finite, REQUIRED), "steps": (_int(1), REQUIRED)},
+    "periodic": {
+        "table": (_table, REQUIRED),
+        "half_period": (_int(2), REQUIRED),
+        "seed_param": (_finite, REQUIRED),
+    },
+    "synth": {"polygon": (_polygon, None), "polygon_file": (_string, None), "periods": (_int(1), 1)},
+}
+
+#: The key-spec table of each command (and of each oval mode).
+SPECS = {
+    "simulate": {
+        **_GEOMETRY,
+        "initial": (
+            _object({"x": (_list(_finite), None), "v": (_list(_finite), None), "sample_null": (_boolean, False)}),
+            REQUIRED,
+        ),
+        "bounces": (_int(1), REQUIRED),
+        "seed": (_int(0), 0),
+        "record_tangency": (_boolean, True),
+        "tolerances": _tolerances(_SIMULATE_TOLERANCES),
+        "out": _OUT,
+    },
+    "commute": {
+        **_GEOMETRY,
+        "samples": (_int(1), REQUIRED),
+        "seed": (_int(0), 0),
+        "tolerances": _tolerances(_COMMUTE_TOLERANCES),
+        "out": _OUT,
+    },
+    "family-plot": {
+        **_GEOMETRY,
+        "family": (
+            _object(
+                {
+                    "lambdas": (_list(_finite), None),
+                    "count": (_int(1), 7),
+                    "points": (_int(8), 256),
+                    "span": (_finite, 1.5),
+                }
+            ),
+            REQUIRED,
+        ),
+        "out": _OUT,
+    },
+    **{f"oval {mode}": {"oval": (_object(spec), REQUIRED), "out": _OUT} for mode, spec in _OVAL_MODES.items()},
+}
+
+
+def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        _fail(f"cannot read config: {exc}")
+        _fail(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        _fail(f"config is not valid JSON: {exc}")
+        _fail(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        _fail("config must be a JSON object")
+        _fail(f"{path} must hold a JSON object")
     return doc
 
 
-def serialize_config(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _geometry(cfg: dict) -> tuple[Ellipsoid, Signature]:
+    try:
+        sig = Signature(*cfg["signature"])
+        ell = Ellipsoid(tuple(cfg["axes"]))
+    except ValueError as exc:
+        _fail(str(exc))
+    if ell.dim != sig.dim:
+        _fail(f"axes dimension {ell.dim} does not match signature dimension {sig.dim}")
+    return ell, sig
 
 
 # ----------------------------------------------------------------- simulate
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated orbit-run configuration.
-
-    Structural validation (types, unknown keys) happens in from_doc; the
-    geometric preconditions (boundary membership, inwardness, resonance) are
-    checked by initial_state and family before any orbit computation runs.
-    """
-
-    signature: tuple[int, int]
-    axes: tuple[float, ...]
-    initial: dict
-    bounces: int
-    seed: int = 0
-    record_tangency: bool = True
-    tolerances: dict | None = None
-    out: str | None = None
-
-    @classmethod
-    def from_doc(cls, doc: dict, seed_override=None, tol_overrides: dict | None = None) -> "RunConfig":
-        _check_keys(
-            doc,
-            {"signature", "axes", "initial", "bounces", "seed", "record_tangency",
-             "tolerances", "out"},
-            {"signature", "axes", "initial", "bounces"},
-            "config",
-        )
-        sig = _signature(doc)
-        _ellipsoid(doc, sig)
-        init = doc["initial"]
-        _check_keys(init, {"x", "v", "sample_null"}, set(), "initial")
-        if init.get("sample_null") and ("x" in init or "v" in init):
-            _fail("initial: give either sample_null or explicit x, v, not both")
-        if not init.get("sample_null") and ("x" not in init or "v" not in init):
-            _fail("initial needs x and v (or sample_null: true)")
-        record_tangency = doc.get("record_tangency", True)
-        if not isinstance(record_tangency, bool):
-            _fail("record_tangency must be a boolean")
-        return cls(
-            signature=(sig.p, sig.q),
-            axes=tuple(float(a) for a in doc["axes"]),
-            initial=dict(init),
-            bounces=_positive_int(doc, "bounces", "config"),
-            seed=_seed(doc, seed_override),
-            record_tangency=record_tangency,
-            tolerances=_tolerances(doc, tol_overrides or {}),
-            out=doc.get("out"),
-        )
-
-    def to_doc(self) -> dict:
-        doc = {
-            "signature": list(self.signature),
-            "axes": list(self.axes),
-            "initial": dict(self.initial),
-            "bounces": self.bounces,
-            "seed": self.seed,
-            "record_tangency": self.record_tangency,
-            "tolerances": dict(self.tolerances or {}),
-        }
-        if self.out is not None:
-            doc["out"] = self.out
-        return doc
-
-    def geometry(self) -> tuple[Ellipsoid, Signature]:
-        sig = Signature(*self.signature)
-        return Ellipsoid(self.axes), sig
-
-    def initial_state(self, ell: Ellipsoid, sig: Signature) -> RayState:
-        if self.initial.get("sample_null"):
-            if sig.q < 1 or sig.p < 1:
-                _fail("sampled null starts need p >= 1 and q >= 1")
-            return billiard.sample_null_ray(ell, sig, self.seed)
-        x = np.asarray(self.initial["x"], dtype=float)
-        v = np.asarray(self.initial["v"], dtype=float)
-        if x.shape != (ell.dim,) or v.shape != (ell.dim,):
-            _fail(f"initial x and v must have length {ell.dim}")
-        if abs(ell.boundary_defect(x)) > self.tolerances["boundary"]:
-            _fail("initial x is not on the ellipsoid boundary (OffBoundary)")
-        if float(ell.conormal(x) @ v) >= 0.0:
-            _fail("initial v is not inward (NotInward)")
-        return RayState(x, v)
+def _initial_state(init: dict, ell: Ellipsoid, sig: Signature, seed: int, boundary_tol: float) -> RayState:
+    """A sampled light-like start, or the given x on the boundary with v inward."""
+    explicit = init["x"] is not None, init["v"] is not None
+    if init["sample_null"]:
+        if any(explicit):
+            _fail("config.initial: give either sample_null or explicit x, v, not both")
+        if sig.q < 1 or sig.p < 1:
+            _fail("sampled null starts need p >= 1 and q >= 1")
+        return billiard.sample_null_ray(ell, sig, seed)
+    if not all(explicit):
+        _fail("config.initial needs x and v (or sample_null: true)")
+    x = np.asarray(init["x"], dtype=float)
+    v = np.asarray(init["v"], dtype=float)
+    if x.shape != (ell.dim,) or v.shape != (ell.dim,):
+        _fail(f"config.initial x and v must have length {ell.dim}")
+    if abs(ell.boundary_defect(x)) > boundary_tol:
+        _fail("initial x is not on the ellipsoid boundary (OffBoundary)")
+    if float(ell.conormal(x) @ v) >= 0.0:
+        _fail("initial v is not inward (NotInward)")
+    return RayState(x, v)
 
 
-def cmd_simulate(doc: dict, out_dir: Path, seed_override, tol_overrides: dict) -> int:
-    cfg = RunConfig.from_doc(doc, seed_override, tol_overrides)
-    tols = cfg.tolerances
-    ell, sig = cfg.geometry()
+def cmd_simulate(cfg: dict, out_dir: Path) -> int:
+    tols = cfg["tolerances"]
+    ell, sig = _geometry(cfg)
 
     try:
-        fam = confocal.ConfocalFamily(ell, sig) if cfg.record_tangency else None
+        fam = confocal.ConfocalFamily(ell, sig) if cfg["record_tangency"] else None
         billiard._integral_denominators(ell, sig)
-        state = cfg.initial_state(ell, sig)
+        state = _initial_state(cfg["initial"], ell, sig, cfg["seed"], tols["boundary"])
     except ResonantAxes as exc:
         _fail(f"ResonantAxes: {exc}")
 
     record = billiard.run_orbit(
         state,
-        cfg.bounces,
+        cfg["bounces"],
         ell,
         sig,
         fam=fam,
@@ -310,17 +352,16 @@ def cmd_simulate(doc: dict, out_dir: Path, seed_override, tol_overrides: dict) -
             row += [_fmt(c) for c in lams] + [""] * (lam_count - len(lams))
         lines.append(",".join(row))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "orbit.csv", lines)
     summary = {
-        "bounces_requested": cfg.bounces,
+        "bounces_requested": cfg["bounces"],
         "bounces_completed": record.bounce_count,
         "aborted": record.abort_reason,
         "abort_bounce": record.abort_bounce,
         "tangency_mismatch": mismatch_reason,
         "drift": report.to_dict() if report is not None else None,
         "h_initial": float(record.h[0]),
-        "seed": cfg.seed,
+        "seed": cfg["seed"],
     }
     _write_json(out_dir / "summary.json", summary)
     return EXIT_DEGENERATE if quarantined else EXIT_OK
@@ -329,74 +370,21 @@ def cmd_simulate(doc: dict, out_dir: Path, seed_override, tol_overrides: dict) -
 # ------------------------------------------------------------------ commute
 
 
-def cmd_commute(doc: dict, out_dir: Path, seed_override, tol_overrides: dict, wrong_metric: bool) -> int:
-    _check_keys(
-        doc,
-        {"signature", "axes", "samples", "seed", "tolerances", "out"},
-        {"signature", "axes", "samples"},
-        "config",
-    )
-    sig = _signature(doc)
-    ell = _ellipsoid(doc, sig)
-    tols = _tolerances(doc, tol_overrides)
-    samples = _positive_int(doc, "samples", "config")
-    seed = _seed(doc, seed_override)
-
+def cmd_commute(cfg: dict, out_dir: Path, wrong_metric: bool) -> int:
+    ell, sig = _geometry(cfg)
+    if ell.dim > verify.MAX_SWEEP_DIM:
+        _fail(f"config.axes: commute sweeps dimension at most {verify.MAX_SWEEP_DIM}, got {ell.dim}")
     try:
-        reports = verify.commutation_sweep(ell, sig, samples, seed, wrong_metric=wrong_metric)
+        reports = verify.commutation_sweep(ell, sig, cfg["samples"], cfg["seed"], wrong_metric=wrong_metric)
     except ResonantAxes as exc:
         _fail(f"ResonantAxes: {exc}")
 
     worst = max(r.max_normalized for r in reports)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "brackets.json", [r.to_dict() for r in reports])
-    return EXIT_OK if worst <= tols["bracket"] else EXIT_TOLERANCE
+    return EXIT_OK if worst <= cfg["tolerances"]["bracket"] else EXIT_TOLERANCE
 
 
 # --------------------------------------------------------------------- oval
-
-
-def _oval_table(doc: dict) -> lorentz_oval.OvalCurve:
-    _check_keys(
-        doc,
-        {"kind", "semi_axes", "center", "form", "base", "bumps"},
-        {"kind"},
-        "oval.table",
-    )
-    kind = doc["kind"]
-    center = _numbers(doc.get("center", [0.0, 0.0]), "oval.table.center", 2)
-    try:
-        if kind == "ellipse":
-            if "semi_axes" not in doc:
-                _fail("oval.table of kind 'ellipse' needs semi_axes")
-            a, b = _numbers(doc["semi_axes"], "oval.table.semi_axes", 2)
-            return lorentz_oval.EllipseOval.axis_aligned(a, b, center)
-        if kind == "ellipse_form":
-            if "form" not in doc:
-                _fail("oval.table of kind 'ellipse_form' needs form")
-            rows = doc["form"]
-            if not isinstance(rows, list) or len(rows) != 2:
-                _fail(f"oval.table.form must be a 2x2 list of numbers, got {rows!r}")
-            form = [_numbers(row, "oval.table.form", 2) for row in rows]
-            return lorentz_oval.EllipseOval(np.array(form), center)
-        if kind == "radial":
-            if "base" not in doc:
-                _fail("oval.table of kind 'radial' needs base")
-            base = _oval_table(doc["base"])
-            if not isinstance(base, lorentz_oval.EllipseOval):
-                _fail("radial base must be an ellipse table")
-            bumps = doc.get("bumps", [])
-            if not isinstance(bumps, list):
-                _fail(f"oval.table.bumps must be a list, got {bumps!r}")
-            bumps = tuple(
-                lorentz_oval.RadialBump(*_numbers(b, "oval.table.bumps entry", 4)) for b in bumps
-            )
-            return lorentz_oval.RadialOval(base, bumps)
-    except ValueError as exc:
-        _fail(f"invalid oval.table: {exc}")
-    except ConvexityViolation as exc:
-        _fail(f"ConvexityViolation: {exc}")
-    _fail(f"unknown oval.table kind {kind!r}")
 
 
 def _table_to_doc(curve: lorentz_oval.OvalCurve) -> dict:
@@ -417,45 +405,11 @@ def _table_to_doc(curve: lorentz_oval.OvalCurve) -> dict:
     raise TypeError(f"cannot serialize table of type {type(curve).__name__}")
 
 
-def _load_polygon(spec: dict, base_dir: Path) -> lorentz_oval.NullPolygon:
-    if "polygon" in spec:
-        doc = spec["polygon"]
-    else:
-        path = base_dir / spec["polygon_file"]
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _fail(f"cannot read polygon file: {exc}")
-    _check_keys(doc, {"points", "slopes"}, {"points", "slopes"}, "polygon")
-    try:
-        return lorentz_oval.NullPolygon(
-            np.asarray(doc["points"], dtype=float), tuple(float(t) for t in doc["slopes"])
-        )
-    except ValueError as exc:
-        _fail(f"invalid polygon: {exc}")
-
-
-def cmd_oval(doc: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
-    _check_keys(doc, {"oval", "seed", "out"}, {"oval"}, "config")
-    spec = doc["oval"]
-    allowed = {
-        "iterate": {"table", "start", "steps"},
-        "periodic": {"table", "half_period", "seed_param"},
-        "synth": {"polygon", "polygon_file", "periods"},
-    }[mode]
-    required = {
-        "iterate": {"table", "start", "steps"},
-        "periodic": {"table", "half_period", "seed_param"},
-        "synth": set(),
-    }[mode]
-    _check_keys(spec, allowed, required, "oval")
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_oval(cfg: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
+    spec = cfg["oval"]
 
     if mode == "iterate":
-        curve = _oval_table(spec["table"])
-        steps = _positive_int(spec, "steps", "oval")
-        theta = _number(spec["start"], "oval.start")
+        curve, theta, steps = spec["table"], spec["start"], spec["steps"]
         lines = ["step,param,x,y"]
         for step in range(steps + 1):
             pt = curve.point(theta)
@@ -471,18 +425,9 @@ def cmd_oval(doc: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
         return EXIT_OK
 
     if mode == "periodic":
-        curve = _oval_table(spec["table"])
-        half_period = _positive_int(spec, "half_period", "oval", minimum=2)
-        try:
-            poly = lorentz_oval.find_periodic_orbit(
-                curve, half_period, _number(spec["seed_param"], "oval.seed_param")
-            )
-            v_formula = lorentz_oval.acceleration_factor(poly)
-            v_sim = lorentz_oval.simulate_speed(curve, poly)
-            deriv = lorentz_oval.return_map_derivative(curve, poly)
-        except (NoConvergence, ZeroSlope, DegenerateChord) as exc:
-            print(f"oval periodic failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+        curve = spec["table"]
+        poly = lorentz_oval.find_periodic_orbit(curve, spec["half_period"], spec["seed_param"])
+        v_formula = lorentz_oval.acceleration_factor(poly)
         _write_json(
             out_dir / "polygon.json",
             {
@@ -490,17 +435,18 @@ def cmd_oval(doc: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
                 "slopes": list(poly.slopes),
                 "acceleration_factor": v_formula,
                 "acceleration_factor_abs": abs(v_formula),
-                "simulated_factor": v_sim,
-                "return_derivative_abs": abs(deriv),
+                "simulated_factor": lorentz_oval.simulate_speed(curve, poly),
+                "return_derivative_abs": abs(lorentz_oval.return_map_derivative(curve, poly)),
             },
         )
         return EXIT_OK
 
     # synth
-    poly = _load_polygon(spec, config_dir)
-    periods = spec.get("periods", 1)
-    if not isinstance(periods, int) or isinstance(periods, bool) or periods < 1:
-        _fail("oval.periods must be a positive integer")
+    poly = spec["polygon"]
+    if (poly is None) == (spec["polygon_file"] is None):
+        _fail("config.oval needs exactly one of polygon, polygon_file")
+    if poly is None:
+        poly = _polygon(load_config(config_dir / spec["polygon_file"]), "config.oval.polygon_file")
     try:
         curve = lorentz_oval.build_accelerating_table(poly.points, poly.slopes)
     except (InfeasibleSlopes, ConvexityViolation, ZeroSlope) as exc:
@@ -512,7 +458,7 @@ def cmd_oval(doc: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
     )
     v_formula = lorentz_oval.acceleration_factor(rebuilt)
     v_sim = lorentz_oval.simulate_speed(curve, rebuilt)
-    speed, closure = lorentz_oval.simulate_periods(curve, rebuilt, periods)
+    speed, closure = lorentz_oval.simulate_periods(curve, rebuilt, spec["periods"])
     _write_json(out_dir / "table.json", _table_to_doc(curve))
     _write_json(
         out_dir / "synth_report.json",
@@ -520,7 +466,7 @@ def cmd_oval(doc: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
             "target_factor": lorentz_oval.acceleration_factor(poly),
             "formula_factor": v_formula,
             "simulated_factor": v_sim,
-            "periods": periods,
+            "periods": spec["periods"],
             "speed_after_periods": speed,
             "closure_defect": closure,
         },
@@ -531,32 +477,19 @@ def cmd_oval(doc: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
 # -------------------------------------------------------------- family-plot
 
 
-def cmd_family_plot(doc: dict, out_dir: Path) -> int:
-    _check_keys(
-        doc,
-        {"signature", "axes", "family", "out"},
-        {"signature", "axes", "family"},
-        "config",
-    )
-    sig = _signature(doc)
-    ell = _ellipsoid(doc, sig)
+def cmd_family_plot(cfg: dict, out_dir: Path) -> int:
+    ell, sig = _geometry(cfg)
     if ell.dim != 2:
         _fail("family-plot draws plane conics; need dimension 2")
-    spec = doc["family"]
-    _check_keys(spec, {"lambdas", "count", "points", "span"}, set(), "family")
-    points = spec.get("points", 256)
-    if not isinstance(points, int) or isinstance(points, bool) or points < 8:
-        _fail("family.points must be an integer >= 8")
+    spec = cfg["family"]
+    points = spec["points"]
     fam = confocal.ConfocalFamily(ell, sig)
 
-    if "lambdas" in spec:
-        lambdas = _numbers(spec["lambdas"], "family.lambdas")
+    if spec["lambdas"] is not None:
+        lambdas = spec["lambdas"]
     else:
-        count = spec.get("count", 7)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            _fail("family.count must be a positive integer")
-        span = _number(spec.get("span", 1.5), "family.span") * float(np.max(ell.a2))
-        lambdas = list(np.linspace(-span, span, count))
+        span = spec["span"] * float(np.max(ell.a2))
+        lambdas = list(np.linspace(-span, span, spec["count"]))
 
     lines = ["member,lambda,status,branch,x,y"]
     for idx, lam in enumerate(lambdas):
@@ -586,7 +519,6 @@ def cmd_family_plot(doc: dict, out_dir: Path) -> int:
                     lines.append(f"{idx},{_fmt(lam)},ok,{branch},{_fmt(x)},{_fmt(y)}")
         else:
             lines.append(f"{idx},{_fmt(lam)},empty,,,")
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_lines(out_dir / "family.csv", lines)
     return EXIT_OK
 
@@ -601,60 +533,54 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pseudo-Euclidean ellipsoid billiards: simulation and verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory (default: config or '.')")
-        p.add_argument("--tol-boundary", type=float, default=None)
-        p.add_argument("--tol-grazing", type=float, default=None)
-        p.add_argument("--tol-null-normal", type=float, default=None)
-        p.add_argument("--tol-drift", type=float, default=None)
-        p.add_argument("--tol-bracket", type=float, default=None)
-
-    common(sub.add_parser("simulate", help="run a billiard orbit and record invariants"))
+    ps = sub.add_parser("simulate", help="run a billiard orbit and record invariants")
     pc = sub.add_parser("commute", help="Poisson-bracket sweep of the quadratic integrals")
-    common(pc)
+    po = sub.add_parser("oval", help="plane light-like billiard experiments")
+    po.add_argument("mode", choices=list(_OVAL_MODES))
+    pf = sub.add_parser("family-plot", help="polyline samples of the confocal family")
+    for p in (ps, pc, po, pf):
+        p.add_argument("--config", required=True, help="path to the JSON run configuration")
+        p.add_argument("--out", default=None, help="output directory (default: config or '.')")
+    for p in (ps, pc):
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    for p, tolerances in ((ps, _SIMULATE_TOLERANCES), (pc, _COMMUTE_TOLERANCES)):
+        for key in tolerances:
+            p.add_argument(f"--tol-{key.replace('_', '-')}", type=float, default=None,
+                           help=f"override tolerances.{key}")
     pc.add_argument(
         "--debug-flip-metric",
         action="store_true",
         help="negative control: break the metric adapter on purpose",
     )
-    po = sub.add_parser("oval", help="plane light-like billiard experiments")
-    po.add_argument("mode", choices=["iterate", "periodic", "synth"])
-    common(po)
-    common(sub.add_parser("family-plot", help="polyline samples of the confocal family"))
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    tol_overrides = {
-        "boundary": args.tol_boundary,
-        "grazing": args.tol_grazing,
-        "null_normal": args.tol_null_normal,
-        "drift": args.tol_drift,
-        "bracket": args.tol_bracket,
-    }
+    command = f"oval {args.mode}" if args.command == "oval" else args.command
     try:
-        doc = load_config(args.config)
-        out_dir = Path(args.out or doc.get("out") or ".")
-        config_dir = Path(args.config).resolve().parent
+        cfg = _object(SPECS[command])(load_config(args.config), "config")
+        # Command-line overrides go through the same checkers as the config keys.
+        for name, val in vars(args).items():
+            flag = "--" + name.replace("_", "-")
+            if name == "seed" and val is not None:
+                cfg["seed"] = _int(0)(val, flag)
+            elif name.startswith("tol_") and val is not None:
+                cfg["tolerances"][name[4:]] = _positive(val, flag)
+        out_dir = Path(args.out or cfg["out"] or ".")
         if args.command == "simulate":
-            return cmd_simulate(doc, out_dir, args.seed, tol_overrides)
+            return cmd_simulate(cfg, out_dir)
         if args.command == "commute":
-            return cmd_commute(doc, out_dir, args.seed, tol_overrides, args.debug_flip_metric)
+            return cmd_commute(cfg, out_dir, args.debug_flip_metric)
         if args.command == "oval":
-            return cmd_oval(doc, args.mode, out_dir, config_dir)
-        if args.command == "family-plot":
-            return cmd_family_plot(doc, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+            return cmd_oval(cfg, args.mode, out_dir, Path(args.config).resolve().parent)
+        return cmd_family_plot(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PEBilliardsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

@@ -141,21 +141,24 @@ class BracketReport:
         }
 
 
+#: Largest dimension commutation_sweep accepts; the CLI rejects larger configs with it.
+MAX_SWEEP_DIM = 6
+
+
 def commutation_sweep(
     ell: Ellipsoid,
     sig: Signature,
     samples: int,
     seed: int,
     wrong_metric: bool = False,
-    max_dim: int = 6,
 ) -> list[BracketReport]:
     """Normalized |{F_j, F_k}| over random phase points, for every pair.
 
     Sampling is a single counter-ordered stream from the seed, so results do
     not depend on any parallel execution layout.
     """
-    if ell.dim > max_dim:
-        raise ValueError(f"dimension {ell.dim} exceeds the configured maximum {max_dim}")
+    if ell.dim > MAX_SWEEP_DIM:
+        raise ValueError(f"dimension {ell.dim} exceeds the sweep maximum {MAX_SWEEP_DIM}")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)

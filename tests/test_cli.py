@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pebilliards.cli import load_config, main, serialize_config
-from pebilliards.errors import ConfigError
+from pebilliards.cli import load_config, main
+from pebilliards.errors import ConfigError, NoConvergence
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -29,28 +35,6 @@ def simulate_doc(**overrides):
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def test_config_round_trip(tmp_path):
-    doc = simulate_doc()
-    path = write_config(tmp_path, doc)
-    loaded = load_config(path)
-    again = json.loads(serialize_config(loaded))
-    assert again == loaded == doc
-
-
-def test_run_config_round_trip_identity():
-    from pebilliards.cli import RunConfig
-
-    cfg = RunConfig.from_doc(simulate_doc(tolerances={"boundary": 1e-9}))
-    assert RunConfig.from_doc(cfg.to_doc()) == cfg
-
-
-def test_run_config_rejects_bad_seed():
-    from pebilliards.cli import RunConfig
-
-    with pytest.raises(ConfigError):
-        RunConfig.from_doc(simulate_doc(seed=-3))
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -308,27 +292,159 @@ def test_load_config_rejects_non_object(tmp_path):
         load_config(str(path))
 
 
-@pytest.mark.parametrize(
-    "command,doc,where",
-    [
-        (["commute"], {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "samples": 10, "seed": "abc"},
-         "seed"),
-        (["oval", "iterate"],
-         {"oval": {"table": {"kind": "ellipse", "semi_axes": ["two", 1.0]}, "start": 0.3, "steps": 2}},
-         "semi_axes"),
-        (["oval", "iterate"],
-         {"oval": {"table": {"kind": "radial", "base": {"kind": "ellipse", "semi_axes": [2.0, 1.0]},
-                             "bumps": [[0.0, 0.01, 0.0, 3.5]]},
-                   "start": 0.3, "steps": 2}},
-         "halfwidth"),
-    ],
-    ids=["commute-seed", "ellipse-semi-axes", "bump-halfwidth"],
-)
+NAN, INF = float("nan"), float("inf")
+SQUARE = {"points": [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]], "slopes": [-1.0, 2.0, -1.0, 2.0]}
+ELLIPSE = {"kind": "ellipse", "semi_axes": [2.0, 1.0]}
+COMMUTE = {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "samples": 10, "seed": 3}
+
+
+def iterate_doc(table):
+    return {"oval": {"table": table, "start": 0.3, "steps": 2}}
+
+
+BAD_CONFIGS = {
+    "commute-seed": (["commute"], dict(COMMUTE, seed="abc"), "config.seed"),
+    "ellipse-semi-axes": (["oval", "iterate"], iterate_doc(dict(ELLIPSE, semi_axes=["two", 1.0])),
+                          "semi_axes"),
+    "bump-halfwidth": (["oval", "iterate"],
+                       iterate_doc({"kind": "radial", "base": ELLIPSE, "bumps": [[0.0, 0.01, 0.0, 3.5]]}),
+                       "halfwidth"),
+    "seed-negative": (["simulate"], simulate_doc(seed=-3), "config.seed"),
+    "tolerance-nan": (["simulate"], simulate_doc(tolerances={"drift": NAN}), "config.tolerances.drift"),
+    "tolerance-bool": (["simulate"], simulate_doc(tolerances={"grazing": True}), "config.tolerances.grazing"),
+    "tolerance-inf": (["simulate"], simulate_doc(tolerances={"boundary": INF}), "config.tolerances.boundary"),
+    "bracket-nan": (["commute"], dict(COMMUTE, tolerances={"bracket": NAN}), "config.tolerances.bracket"),
+    "sample-null-string": (["simulate"], simulate_doc(initial={"sample_null": "yes"}),
+                           "config.initial.sample_null"),
+    "initial-x-string": (["simulate"], simulate_doc(initial={"x": ["a", 1, 2], "v": [0, 0, -1]}),
+                         "config.initial.x"),
+    "initial-x-nan": (["simulate"], simulate_doc(initial={"x": [NAN, 0, 0], "v": [0, 0, -1]}),
+                      "config.initial.x"),
+    "out-number": (["simulate"], simulate_doc(out=123), "config.out"),
+    "tol-drift-flag-nan": (["simulate", "--tol-drift", "nan"], simulate_doc(), "--tol-drift"),
+    "tol-boundary-flag-negative": (["simulate", "--tol-boundary", "-1"], simulate_doc(), "--tol-boundary"),
+    "slopes-number": (["oval", "synth"], {"oval": {"polygon": dict(SQUARE, slopes=5)}},
+                      "config.oval.polygon.slopes"),
+    "slopes-null": (["oval", "synth"], {"oval": {"polygon": dict(SQUARE, slopes=[None])}},
+                    "config.oval.polygon.slopes"),
+    "polygon-file-number": (["oval", "synth"], {"oval": {"polygon_file": 5}}, "config.oval.polygon_file"),
+    "synth-no-polygon": (["oval", "synth"], {"oval": {}}, "polygon_file"),
+    "synth-both-polygons": (["oval", "synth"], {"oval": {"polygon": SQUARE, "polygon_file": "p.json"}},
+                            "polygon_file"),
+    "oval-seed": (["oval", "iterate"], dict(iterate_doc(ELLIPSE), seed=1), "seed"),
+    "ellipse-bumps": (["oval", "iterate"], iterate_doc(dict(ELLIPSE, bumps=[])), "bumps"),
+    "commute-dimension-7": (["commute"], dict(COMMUTE, signature=[7, 0], axes=[8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0]),
+                            "config.axes"),
+}
+
+
+@pytest.mark.parametrize("command,doc,where", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, doc, where):
     path = write_config(tmp_path, doc)
-    assert main(command + ["--config", path, "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    assert main(command + ["--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and where in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_runtime_error_in_oval_synth_exits_2(tmp_path, capsys, monkeypatch):
+    from pebilliards import lorentz_oval
+
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("chord step budget exhausted")
+
+    monkeypatch.setattr(lorentz_oval, "simulate_periods", no_convergence)
+    path = write_config(tmp_path, {"oval": {"polygon": SQUARE}})
+    assert main(["oval", "synth", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: NoConvergence:")
+
+
+# Valid configs of every command, each with the paths of its optional keys:
+# removing any other key, or any single mutation below, makes the config invalid.
+VALID_CONFIGS = {
+    "simulate": (
+        ["simulate"],
+        simulate_doc(bounces=3, initial={"x": [0.0, 0.0, 1.0], "v": [0.6, 0.5, -0.3], "sample_null": False},
+                     tolerances={"drift": 1e-9}, out="unused"),
+        {("seed",), ("record_tangency",), ("tolerances",), ("tolerances", "drift"), ("out",),
+         ("initial", "sample_null")},
+    ),
+    "commute": (["commute"], dict(COMMUTE, tolerances={"bracket": 1e-10}),
+                {("seed",), ("tolerances",), ("tolerances", "bracket")}),
+    "oval-iterate": (
+        ["oval", "iterate"],
+        iterate_doc({"kind": "radial", "base": dict(ELLIPSE, center=[0.0, 0.0]),
+                     "bumps": [[0.5, 0.01, 0.0, 0.5]]}),
+        {("oval", "table", "bumps"), ("oval", "table", "base", "center")},
+    ),
+    "oval-periodic": (
+        ["oval", "periodic"],
+        {"oval": {"table": {"kind": "ellipse_form", "form": [[0.25, 0.0], [0.0, 1.0]], "center": [0.0, 0.0]},
+                  "half_period": 2, "seed_param": 0.9}},
+        {("oval", "table", "center")},
+    ),
+    "oval-synth": (["oval", "synth"], {"oval": {"polygon": SQUARE, "periods": 1}}, {("oval", "periods")}),
+    "family-plot": (
+        ["family-plot"],
+        {"signature": [1, 1], "axes": [2.0, 1.0], "family": {"count": 3, "points": 8, "span": 1.5}},
+        {("family", "count"), ("family", "points"), ("family", "span")},
+    ),
+}
+
+
+def _paths(node, prefix=()):
+    for key, val in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _paths(val, prefix + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("name", list(VALID_CONFIGS))
+def test_valid_configs_run(tmp_path, name):
+    command, doc, _ = VALID_CONFIGS[name]
+    assert main(command + ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_mutation_of_a_valid_config_is_a_config_error(data):
+    command, doc, optional = VALID_CONFIGS[data.draw(st.sampled_from(sorted(VALID_CONFIGS)))]
+    doc = json.loads(json.dumps(doc))
+    paths = list(_paths(doc))
+    dicts = [()] + [p for p in paths if isinstance(_get(doc, p), dict)]
+    kind = data.draw(st.sampled_from(["wrong type", "bool", "nan", "inf", "null", "missing", "unknown"]))
+    if kind == "missing":
+        path = data.draw(st.sampled_from([p for p in paths if isinstance(p[-1], str) and p not in optional]))
+        del _get(doc, path[:-1])[path[-1]]
+    elif kind == "unknown":
+        _get(doc, data.draw(st.sampled_from(dicts)))["unknown_key"] = 1
+    else:
+        # true is a valid value only where the config holds a boolean
+        candidates = [p for p in paths if kind != "bool" or not isinstance(_get(doc, p), bool)]
+        path = data.draw(st.sampled_from(candidates))
+        leaf = _get(doc, path)
+        _get(doc, path[:-1])[path[-1]] = {
+            "wrong type": 5 if isinstance(leaf, str) else "x",
+            "bool": True,
+            "nan": NAN,
+            "inf": INF,
+            "null": None,
+        }[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(command + ["--config", write_config(Path(tmp), doc), "--out", str(out)])
+        assert rc == 1, (kind, doc)
+        assert err.getvalue().startswith("config error:")
+        assert not out.exists()
 
 
 def test_oval_synth_square_with_extremum_at_angle_zero(tmp_path):
