@@ -36,50 +36,56 @@ GRAZING_TOL = 1e-12
 #: Reflection refuses boundary points with |<n,n>| below this times |n|^2.
 NULL_NORMAL_TOL = 1e-10
 
+#: Rejection-sampling attempts sample_null_ray makes before giving up.
+NULL_RAY_TRIES = 10_000
 
-def _require_on_boundary(x: np.ndarray, ell: Ellipsoid, tol: float) -> None:
+
+def _require_on_boundary(x: np.ndarray, ell: Ellipsoid, tol: float = BOUNDARY_TOL) -> None:
     defect = ell.boundary_defect(x)
-    if abs(defect) > tol:
+    if not abs(defect) <= tol:
         raise OffBoundary(f"|Ax.x - 1| = {abs(defect):.3e} exceeds boundary tolerance {tol:.1e}")
 
 
-def advance_to_boundary(
-    r: RayState,
-    ell: Ellipsoid,
-    boundary_tol: float = BOUNDARY_TOL,
-    grazing_tol: float = GRAZING_TOL,
-) -> RayState:
-    """Follow the chord from a boundary point with inward direction to its exit point.
+def _chord(x: np.ndarray, v: np.ndarray, Ax: np.ndarray, A: np.ndarray, grazing_tol: float) -> np.ndarray:
+    """Exit point of the chord from boundary point x along inward v, in the dtype of the arguments.
 
     Uses the closed form t* = -2 (Ax.v) / (Av.v), exact on the boundary since
     Ax.x = 1 and A is positive definite, then re-projects the endpoint onto
     the boundary with one Newton step along v to absorb rounding.
+    (ndarray.dot sums in the same order as @, with less call overhead on
+    these short vectors.)
     """
+    axv = Ax.dot(v)
+    scale = np.sqrt(x.dot(x) * v.dot(v))
+    if not -np.inf < axv < 0.0 or abs(axv) < grazing_tol * scale:
+        raise NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
+    y = x + (-2.0 * axv / (A * v).dot(v)) * v
+    Ay = A * y
+    return y + ((1.0 - Ay.dot(y)) / (2.0 * Ay.dot(v))) * v
+
+
+def _reflect(v: np.ndarray, Ax: np.ndarray, e: np.ndarray, null_normal_tol: float) -> np.ndarray:
+    """Flip the metric-normal component of v at the boundary point with conormal Ax.
+
+    The normal is n = e Ax.  As e = +-1, <n,n> = Ax.n and <v,n> = v.Ax exactly.
+    """
+    n = e * Ax
+    nn = Ax.dot(n)
+    if abs(nn) <= null_normal_tol * n.dot(n):
+        raise NullNormal(f"<n,n> = {float(nn):.3e} is null within tolerance")
+    return v - (2.0 * v.dot(Ax) / nn) * n
+
+
+def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
+    """Follow the chord from a boundary point with inward direction to its exit point."""
     if r.dim != ell.dim:
         raise ValueError(f"ray dimension {r.dim} != ellipsoid dimension {ell.dim}")
-    _require_on_boundary(r.x, ell, boundary_tol)
+    _require_on_boundary(r.x, ell)
     A = ell.shape_diag
-    axv = float((A * r.x) @ r.v)
-    scale = float(np.linalg.norm(r.x) * np.linalg.norm(r.v))
-    if axv >= 0.0 or abs(axv) < grazing_tol * scale:
-        raise NotInward(f"Ax.v = {axv:.3e} is not inward-transversal")
-    avv = float((A * r.v) @ r.v)
-    t_star = -2.0 * axv / avv
-    y = r.x + t_star * r.v
-
-    ayv = float((A * y) @ r.v)
-    if ayv != 0.0:
-        y = y + (-ell.boundary_defect(y) / (2.0 * ayv)) * r.v
-    return RayState(y, r.v)
+    return RayState(_chord(r.x, r.v, A * r.x, A, GRAZING_TOL), r.v)
 
 
-def reflect(
-    r: RayState,
-    ell: Ellipsoid,
-    sig: Signature,
-    boundary_tol: float = BOUNDARY_TOL,
-    null_normal_tol: float = NULL_NORMAL_TOL,
-) -> RayState:
+def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     """Reflect the velocity at a boundary point: flip the metric-normal component.
 
     Guarantees <u,u> = <v,v> and Ax.u = -Ax.v up to rounding.  Raises
@@ -87,60 +93,47 @@ def reflect(
     """
     if r.dim != ell.dim or ell.dim != sig.dim:
         raise ValueError("ray, ellipsoid, and signature dimensions must agree")
-    _require_on_boundary(r.x, ell, boundary_tol)
-    e = sig.e
-    nu = ell.conormal(r.x)
-    n = e * nu
-    nn = float(np.sum(e * n * n))
-    n_euclid2 = float(n @ n)
-    if abs(nn) <= null_normal_tol * n_euclid2:
-        raise NullNormal(f"<n,n> = {nn:.3e} is null within tolerance at this boundary point")
-    vn = float(np.sum(e * r.v * n))
-    if vn == 0.0:
+    _require_on_boundary(r.x, ell)
+    Ax = ell.conormal(r.x)
+    u = _reflect(r.v, Ax, sig.e, NULL_NORMAL_TOL)
+    if r.v.dot(Ax) == 0.0:
         raise NotInward("velocity is tangent to the boundary; reflection is trivial/ill-posed")
-    u = r.v - (2.0 * vn / nn) * n
     return RayState(r.x, u)
 
 
-def billiard_map(
-    r: RayState,
-    ell: Ellipsoid,
-    sig: Signature,
-    boundary_tol: float = BOUNDARY_TOL,
-    grazing_tol: float = GRAZING_TOL,
-    null_normal_tol: float = NULL_NORMAL_TOL,
-) -> RayState:
+def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     """One bounce: advance along the chord, then reflect at the far boundary point."""
-    hit = advance_to_boundary(r, ell, boundary_tol, grazing_tol)
-    return reflect(hit, ell, sig, boundary_tol, null_normal_tol)
+    return reflect(advance_to_boundary(r, ell), ell, sig)
 
 
-def joachimsthal(r: RayState, ell: Ellipsoid, boundary_tol: float = BOUNDARY_TOL) -> float:
+def joachimsthal(r: RayState, ell: Ellipsoid) -> float:
     """The invariant H = Ax.v at a boundary state; negative for inward rays."""
     if r.dim != ell.dim:
         raise ValueError(f"ray dimension {r.dim} != ellipsoid dimension {ell.dim}")
-    _require_on_boundary(r.x, ell, boundary_tol)
+    _require_on_boundary(r.x, ell)
     return float(ell.conormal(r.x) @ r.v)
 
 
 def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
-    """Denominator matrix d[k, i] = e_i a_k^2 - e_k a_i^2; raises on resonance."""
+    """Denominator matrix d[k, i] = e_i a_k^2 - e_k a_i^2, infinite on the diagonal.
+
+    The infinite diagonal drops the i = k term from every pair sum.  Raises
+    ResonantAxes where an off-diagonal entry vanishes.
+    """
     if ell.dim != sig.dim:
         raise ValueError("ellipsoid and signature dimensions must agree")
     a2 = ell.a2
     e = sig.e
     d = np.outer(a2, e) - np.outer(e, a2)  # d[k, i]
-    off = ~np.eye(ell.dim, dtype=bool)
-    if np.any(d[off] == 0.0):
+    np.fill_diagonal(d, np.inf)
+    if np.any(d == 0.0):
         raise ResonantAxes("some e_i a_k^2 - e_k a_i^2 vanishes; axes are resonant")
     return d
 
 
-def integral_F(k: int, x, v, ell: Ellipsoid, sig: Signature) -> float:
-    """The k-th quadratic integral (k is a 0-based axis index)."""
-    if not 0 <= k < ell.dim:
-        raise ValueError(f"index k must be in [0, {ell.dim}), got {k}")
-    return float(integrals(x, v, ell, sig)[k])
+def _wedge(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """w[:, k, i] = x_i v_k - x_k v_i, antisymmetric in (k, i)."""
+    return vs[:, :, None] * xs[:, None, :] - xs[:, :, None] * vs[:, None, :]
 
 
 def integrals(x, v, ell: Ellipsoid, sig: Signature) -> np.ndarray:
@@ -163,12 +156,8 @@ def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signatu
     vs = vs.astype(dtype, copy=False)
     if xs.ndim != 2 or xs.shape != vs.shape or xs.shape[1] != ell.dim:
         raise ValueError("phase arrays must both have shape (N, dim)")
-    e = sig.e
-    # w[:, k, i] = x_i v_k - x_k v_i
-    w = vs[:, :, None] * xs[:, None, :] - xs[:, :, None] * vs[:, None, :]
-    dsafe = d.copy()
-    np.fill_diagonal(dsafe, np.inf)
-    return e * vs * vs + np.sum(w * w / dsafe, axis=2)
+    w = _wedge(xs, vs)
+    return sig.e * vs * vs + np.sum(w * w / d, axis=2)
 
 
 def pseudo_norm_defect(vs: np.ndarray, fs: np.ndarray, sig: Signature) -> np.ndarray:
@@ -229,6 +218,7 @@ def run_orbit(
     drown the drift being measured in cancellation noise.  States are stored
     in place, one row per bounce; H and every F_k are evaluated once over the
     completed rows, and rows and invariant values are rounded back to double.
+    Each bounce runs the single-step API's chord and reflection kernel.
 
     Tangency parameters are recorded per bounce when `fam` is given.  A
     NullNormal, NotInward, or RootIsolationFailure event aborts the run
@@ -238,7 +228,7 @@ def run_orbit(
         raise ValueError("bounce count must be >= 1")
     _require_on_boundary(r.x, ell, boundary_tol)
     ax_v = float(ell.conormal(r.x) @ r.v)
-    if ax_v >= 0.0:
+    if not -np.inf < ax_v < 0.0:
         raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
 
     ld = np.longdouble
@@ -257,26 +247,9 @@ def run_orbit(
     for k in range(n_bounces + 1):
         if k:
             try:
-                # Chord step, closed form, then one Newton re-projection along v.
-                # (ndarray.dot sums in the same order as @, with less call
-                # overhead on these short longdouble vectors.)
-                axv = Ax.dot(v)
-                scale = np.sqrt(x.dot(x) * v.dot(v))
-                if axv >= 0.0 or abs(axv) < grazing_tol * scale:
-                    raise NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
-                y = x + (-2.0 * axv / (A * v).dot(v)) * v
-                Ay = A * y
-                y = y + ((1.0 - Ay.dot(y)) / (2.0 * Ay.dot(v))) * v
-
-                # Reflection: flip the metric-normal component n = e Ay.  As
-                # e = +-1, <n,n> = Ay.n and <v,n> = v.Ay exactly, and Ay is
-                # the next bounce's Ax.
-                Ax = A * y
-                n = e * Ax
-                nn = Ax.dot(n)
-                if abs(nn) <= null_normal_tol * n.dot(n):
-                    raise NullNormal(f"<n,n> = {float(nn):.3e} is null within tolerance")
-                x, v = y, v - (2.0 * v.dot(Ax) / nn) * n
+                x = _chord(x, v, Ax, A, grazing_tol)
+                Ax = A * x
+                v = _reflect(v, Ax, e, null_normal_tol)
             except (NotInward, NullNormal) as exc:
                 abort_reason = f"{type(exc).__name__}: {exc}"
                 abort_bounce = k
@@ -309,7 +282,6 @@ def sample_null_ray(
     ell: Ellipsoid,
     sig: Signature,
     rng: "np.random.Generator | int",
-    max_tries: int = 10_000,
 ) -> RayState:
     """Random boundary point with an inward light-like direction.
 
@@ -326,7 +298,7 @@ def sample_null_ray(
     amin = float(np.min(a))
     d = ell.dim
 
-    for _ in range(max_tries):
+    for _ in range(NULL_RAY_TRIES):
         s = rng.standard_normal(d)
         nrm = float(np.linalg.norm(s))
         if nrm == 0.0:
@@ -350,4 +322,4 @@ def sample_null_ray(
         if axv >= -GRAZING_TOL * float(np.linalg.norm(x) * np.linalg.norm(v)):
             continue
         return RayState(x, v)
-    raise NotInward(f"rejection sampling exhausted after {max_tries} tries")
+    raise NotInward(f"rejection sampling exhausted after {NULL_RAY_TRIES} tries")

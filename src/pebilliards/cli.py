@@ -15,7 +15,9 @@ Exit codes:
        computing (e.g. NoConvergence or DegenerateChord on a radial oval table)
     3  tolerance failure in a verification command (commute)
 
-A command-line syntax error exits 2 from argparse, before any config is read.
+A command-line syntax error (an unknown command or mode, a missing
+``--config``, a flag value of the wrong type) is a config error too and
+exits 1 before any config is read; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -526,9 +528,17 @@ def cmd_family_plot(cfg: dict, out_dir: Path) -> int:
 # --------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line syntax error as a config error instead of exiting 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pebilliards",
         description="Pseudo-Euclidean ellipsoid billiards: simulation and verification",
     )
@@ -556,9 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = f"oval {args.mode}" if args.command == "oval" else args.command
     try:
+        args = _build_parser().parse_args(argv)
+        command = f"oval {args.mode}" if args.command == "oval" else args.command
         cfg = _object(SPECS[command])(load_config(args.config), "config")
         # Command-line overrides go through the same checkers as the config keys.
         for name, val in vars(args).items():

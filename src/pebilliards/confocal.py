@@ -247,18 +247,14 @@ class TangencySet:
         return any(m > 1 for m in self.multiplicities)
 
 
-def tangency_parameters(
-    fam: ConfocalFamily,
-    r: RayState,
-    verify_tol: float = VERIFY_TOL,
-) -> TangencySet:
+def tangency_parameters(fam: ConfocalFamily, r: RayState) -> TangencySet:
     """All real tangency parameters of the line of r: the real roots of Q.
 
     For a light-like direction (|<v,v>| <= LIGHTLIKE_TOL |v|^2) Q's top
     coefficient is dropped.  The roots (closed form up to degree 2, Q's
     companion matrix above) get one Newton step on Q, kept where it lowers
     |Q|.  Roots within the pole tolerance of a pole are reported in
-    `near_pole` only, and a root is kept only where |G| <= verify_tol times
+    `near_pole` only, and a root is kept only where |G| <= VERIFY_TOL times
     the size of G's two terms.
     """
     if r.dim != fam.dim:
@@ -295,7 +291,7 @@ def tangency_parameters(
             near_pole.append(lam)
             continue
         first, second = _discriminant_terms(lin, x, v, lam)
-        if abs(first - second) <= verify_tol * max(1.0, first, abs(second)):
+        if abs(first - second) <= VERIFY_TOL * max(1.0, first, abs(second)):
             kept.append(lam)
 
     mult = [1] * len(kept)

@@ -3,8 +3,9 @@
 Canonical Poisson brackets of the quadratic integrals, conservation drift
 over recorded orbits, and free-flight invariance.  Phase space is (x, p)
 with the momentum identified through the metric, p_i = e_i v_i; every
-bracket routes through that single adapter so the sign bookkeeping lives in
-one place.  In velocity variables the bracket reads
+bracket, including those of commutation_sweep, routes through that single
+adapter in poisson_bracket, so the sign bookkeeping lives in one place.  In
+velocity variables the bracket reads
 
     {F, G} = sum_i e_i (dF/dx_i dG/dv_i - dF/dv_i dG/dx_i).
 """
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .billiard import OrbitRecord, _integral_denominators, integrals_batch
-from .errors import NoConvergence, TangencyCountChanged
+from .billiard import OrbitRecord, _integral_denominators, _wedge, integrals_batch
+from .errors import TangencyCountChanged
 from .pecore import Ellipsoid, Signature
 
 #: |initial value| above which drift is reported relative rather than absolute.
@@ -25,54 +26,11 @@ RELATIVE_FLOOR = 1e-8
 #: Default matching tolerance for tangency parameters along an orbit.
 LAMBDA_DRIFT_TOL = 1e-8
 
+#: Relative central-difference step of gradient_check.
+FD_STEP = 1e-6
 
-class MoserIntegral:
-    """One quadratic billiard integral with analytic value and gradient."""
-
-    def __init__(self, ell: Ellipsoid, sig: Signature, k: int):
-        if not 0 <= k < ell.dim:
-            raise ValueError(f"index must be in [0, {ell.dim}), got {k}")
-        self.ell = ell
-        self.sig = sig
-        self.k = k
-        self._denoms = _integral_denominators(ell, sig)
-
-    def value(self, x: np.ndarray, v: np.ndarray) -> float:
-        return float(integrals_batch(x[None, :], v[None, :], self.ell, self.sig)[0, self.k])
-
-    def gradient(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gx, gv = moser_gradients_batch(x[None, :], v[None, :], self.ell, self.sig)
-        return gx[0, self.k], gv[0, self.k]
-
-
-class FiniteDifferenceObservable:
-    """Wrap an arbitrary scalar observable f(x, v) with central-difference gradients."""
-
-    def __init__(self, func, step_scale: float = 1e-6):
-        self.func = func
-        self.step_scale = step_scale
-
-    def value(self, x: np.ndarray, v: np.ndarray) -> float:
-        return float(self.func(x, v))
-
-    def gradient(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = x.shape[0]
-        gx = np.empty(d)
-        gv = np.empty(d)
-        for i in range(d):
-            hx = self.step_scale * max(1.0, abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += hx
-            xm[i] -= hx
-            gx[i] = (self.func(xp, v) - self.func(xm, v)) / (2.0 * hx)
-            hv = self.step_scale * max(1.0, abs(v[i]))
-            vp, vm = v.copy(), v.copy()
-            vp[i] += hv
-            vm[i] -= hv
-            gv[i] = (self.func(x, vp) - self.func(x, vm)) / (2.0 * hv)
-        if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gv))):
-            raise NoConvergence("finite-difference gradient is not finite")
-        return gx, gv
+#: free_flight_invariance slides base points by up to this many times v.
+FREE_FLIGHT_SPAN = 3.0
 
 
 def moser_gradients_batch(
@@ -87,12 +45,7 @@ def moser_gradients_batch(
     d = _integral_denominators(ell, sig)
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    e = sig.e
-    dsafe = d.copy()
-    np.fill_diagonal(dsafe, np.inf)
-    # w[:, k, i] = x_i v_k - x_k v_i, antisymmetric in (k, i)
-    w = vs[:, :, None] * xs[:, None, :] - xs[:, :, None] * vs[:, None, :]
-    wd = w / dsafe
+    wd = _wedge(xs, vs) / d
 
     gx = 2.0 * wd * vs[:, :, None]  # d F_k / d x_i, i != k
     gx_kk = -2.0 * np.sum(wd * vs[:, None, :], axis=2)
@@ -100,24 +53,22 @@ def moser_gradients_batch(
     gx[:, idx, idx] = gx_kk
 
     gv = -2.0 * wd * xs[:, :, None]  # d F_k / d v_i, i != k
-    gv_kk = 2.0 * e * vs + 2.0 * np.sum(wd * xs[:, None, :], axis=2)
+    gv_kk = 2.0 * sig.e * vs + 2.0 * np.sum(wd * xs[:, None, :], axis=2)
     gv[:, idx, idx] = gv_kk
     return gx, gv
 
 
-def poisson_bracket(f_obs, g_obs, x, v, sig: Signature, wrong_metric: bool = False) -> float:
-    """Canonical bracket of two observables at one phase point.
+def poisson_bracket(fx, fv, gx, gv, sig: Signature, wrong_metric: bool = False):
+    """Canonical bracket {F, G} from the gradients of F and G in (x, v).
 
-    Observables supply value/gradient in (x, v); the metric adapter converts
-    velocity gradients to momentum gradients.  `wrong_metric` replaces the
-    adapter with the identity, a deliberate negative control.
+    The gradients are arrays whose last axis is the coordinate index; the
+    bracket sums over it, so a batch of points gives a batch of brackets.
+    The metric adapter converts velocity gradients to momentum gradients;
+    `wrong_metric` replaces it with the identity, a deliberate negative
+    control.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     e = np.ones(sig.dim) if wrong_metric else sig.e
-    fx, fv = f_obs.gradient(x, v)
-    gx, gv = g_obs.gradient(x, v)
-    return float(np.sum(e * (fx * gv - fv * gx)))
+    return np.sum(e * (fx * gv - fv * gx), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -165,13 +116,12 @@ def commutation_sweep(
     xs = rng.standard_normal((samples, ell.dim))
     vs = rng.standard_normal((samples, ell.dim))
     gx, gv = moser_gradients_batch(xs, vs, ell, sig)
-    e = np.ones(sig.dim) if wrong_metric else sig.e
     norms = np.sqrt(np.sum(gx * gx, axis=2) + np.sum(gv * gv, axis=2))  # (N, dim)
 
     reports = []
     for j in range(ell.dim):
         for k in range(j + 1, ell.dim):
-            br = np.sum(e * (gx[:, j] * gv[:, k] - gv[:, j] * gx[:, k]), axis=1)
+            br = poisson_bracket(gx[:, j], gv[:, j], gx[:, k], gv[:, k], sig, wrong_metric)
             denom = np.maximum(norms[:, j] * norms[:, k], 1e-300)
             vals = np.abs(br) / denom
             worst = int(np.argmax(vals))
@@ -184,9 +134,7 @@ def commutation_sweep(
     return reports
 
 
-def gradient_check(
-    ell: Ellipsoid, sig: Signature, samples: int, seed: int, step: float = 1e-6
-) -> float:
+def gradient_check(ell: Ellipsoid, sig: Signature, samples: int, seed: int) -> float:
     """Max relative disagreement of analytic and central-difference gradients."""
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((samples, ell.dim))
@@ -196,7 +144,7 @@ def gradient_check(
     worst = 0.0
     d = ell.dim
     for i in range(d):
-        hx = step * np.maximum(1.0, np.abs(xs[:, i]))[:, None]
+        hx = FD_STEP * np.maximum(1.0, np.abs(xs[:, i]))[:, None]
         xp, xm = xs.copy(), xs.copy()
         xp[:, i] += hx[:, 0]
         xm[:, i] -= hx[:, 0]
@@ -204,7 +152,7 @@ def gradient_check(
         scale = np.maximum(1.0, np.abs(gx[:, :, i]))
         worst = max(worst, float(np.max(np.abs(fd - gx[:, :, i]) / scale)))
 
-        hv = step * np.maximum(1.0, np.abs(vs[:, i]))[:, None]
+        hv = FD_STEP * np.maximum(1.0, np.abs(vs[:, i]))[:, None]
         vp, vm = vs.copy(), vs.copy()
         vp[:, i] += hv[:, 0]
         vm[:, i] -= hv[:, 0]
@@ -262,11 +210,7 @@ def _series_drift(values: np.ndarray, floor: float) -> tuple[float, int]:
     return float(dev[worst]), worst
 
 
-def drift_report(
-    orbit: OrbitRecord,
-    rel_floor: float = RELATIVE_FLOOR,
-    lambda_tol: float = LAMBDA_DRIFT_TOL,
-) -> DriftReport:
+def drift_report(orbit: OrbitRecord, lambda_tol: float = LAMBDA_DRIFT_TOL) -> DriftReport:
     """Worst drift of H, every F_k, and the tangency parameters over an orbit.
 
     Tangency parameters are matched between consecutive bounces by nearest
@@ -275,12 +219,12 @@ def drift_report(
     """
     if orbit.bounce_count < 1:
         raise ValueError("drift needs an orbit with at least two recorded states")
-    h_drift, h_worst = _series_drift(orbit.h, rel_floor)
+    h_drift, h_worst = _series_drift(orbit.h, RELATIVE_FLOOR)
     f_drifts = []
     f_worsts = []
     if np.all(np.isfinite(orbit.f)):
         for k in range(orbit.f.shape[1]):
-            dk, wk = _series_drift(orbit.f[:, k], rel_floor)
+            dk, wk = _series_drift(orbit.f[:, k], RELATIVE_FLOOR)
             f_drifts.append(dk)
             f_worsts.append(wk)
 
@@ -299,7 +243,7 @@ def drift_report(
         for b, ts in enumerate(orbit.tangency[1:], start=1):
             cur = list(ts.lambdas)
             for lam_ref in base:
-                scale = max(abs(lam_ref), rel_floor)
+                scale = max(abs(lam_ref), RELATIVE_FLOOR)
                 nearest = min(range(len(cur)), key=lambda i: abs(cur[i] - lam_ref)) if cur else None
                 if nearest is None:
                     continue
@@ -330,13 +274,7 @@ class FreeFlightReport:
     samples: int = 0
 
 
-def free_flight_invariance(
-    ell: Ellipsoid,
-    sig: Signature,
-    samples: int,
-    seed: int,
-    t_span: float = 3.0,
-) -> FreeFlightReport:
+def free_flight_invariance(ell: Ellipsoid, sig: Signature, samples: int, seed: int) -> FreeFlightReport:
     """Max defect of F_k and of canonicalized H under sliding the base point.
 
     F_k(x + t v, v) equals F_k(x, v) identically; H is made line-invariant by
@@ -345,7 +283,7 @@ def free_flight_invariance(
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((samples, ell.dim))
     vs = rng.standard_normal((samples, ell.dim))
-    ts = rng.uniform(-t_span, t_span, samples)
+    ts = rng.uniform(-FREE_FLIGHT_SPAN, FREE_FLIGHT_SPAN, samples)
 
     f0 = integrals_batch(xs, vs, ell, sig)
     f1 = integrals_batch(xs + ts[:, None] * vs, vs, ell, sig)

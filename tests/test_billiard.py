@@ -4,7 +4,6 @@ import pytest
 from pebilliards.billiard import (
     advance_to_boundary,
     billiard_map,
-    integral_F,
     integrals,
     integrals_batch,
     joachimsthal,
@@ -173,8 +172,7 @@ def test_joachimsthal_examples():
 
 
 def test_integral_values_lorentz():
-    f1 = integral_F(0, (0, 1), (1, -1), ELLIPSE, LORENTZ)
-    f2 = integral_F(1, (0, 1), (1, -1), ELLIPSE, LORENTZ)
+    f1, f2 = integrals((0, 1), (1, -1), ELLIPSE, LORENTZ)
     assert f1 == pytest.approx(0.8)
     assert f2 == pytest.approx(-0.8)
     assert f1 + f2 == pytest.approx(inner((1, -1), (1, -1), LORENTZ), abs=1e-15)
@@ -338,13 +336,13 @@ def test_extended_recorder_matches_double_map():
     assert np.allclose(rec.states[1].v, direct.v, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "ell, start, reason",
-    [
-        (ELLIPSE, RayState((0.0, 1.0), (1.0, -1e-15)), "NotInward"),
-        (Ellipsoid((np.sqrt(2.0), np.sqrt(2.0))), RayState((1.0, 1.0), (-1.0, 0.0)), "NullNormal"),
-    ],
-)
+ABORT_STARTS = [
+    (ELLIPSE, RayState((0.0, 1.0), (1.0, -1e-15)), "NotInward"),
+    (Ellipsoid((np.sqrt(2.0), np.sqrt(2.0))), RayState((1.0, 1.0), (-1.0, 0.0)), "NullNormal"),
+]
+
+
+@pytest.mark.parametrize("ell, start, reason", ABORT_STARTS)
 def test_run_orbit_partial_record_rows(ell, start, reason):
     # An aborted record keeps one row per completed state in every array,
     # and its states are those rows.
@@ -359,6 +357,37 @@ def test_run_orbit_partial_record_rows(ell, start, reason):
     for state, x, v in zip(states, rec.xs, rec.vs):
         assert np.array_equal(state.x, x) and np.array_equal(state.v, v)
     assert np.array_equal(rec.xs[0], start.x) and np.array_equal(rec.vs[0], start.v)
+
+
+@pytest.mark.parametrize("ell, start, reason", ABORT_STARTS)
+def test_billiard_map_and_run_orbit_fail_alike(ell, start, reason):
+    # The single-step map and the recorder share one chord and reflection
+    # kernel, so a grazing chord or a null normal fails both the same way.
+    with pytest.raises((NotInward, NullNormal)) as exc:
+        billiard_map(start, ell, LORENTZ)
+    rec = run_orbit(start, 10, ell, LORENTZ)
+    assert f"{type(exc.value).__name__}: {exc.value}" == rec.abort_reason
+    assert rec.abort_reason.startswith(f"{reason}: ")
+
+
+@pytest.mark.parametrize(
+    "start, error",
+    [
+        (RayState((np.nan, 1.0), (1.0, -1.0)), OffBoundary),
+        (RayState((0.0, 1.0), (np.inf, -1.0)), NotInward),
+        (RayState((1.6, -0.6), (-np.inf, -1.0)), NotInward),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_states_are_refused(start, error):
+    # NaN and inf compare False with every bound, so each guard is written
+    # to fail on them rather than let a NaN state through.
+    with pytest.raises(error):
+        advance_to_boundary(start, ELLIPSE)
+    with pytest.raises(error):
+        billiard_map(start, ELLIPSE, LORENTZ)
+    with pytest.raises(error):
+        run_orbit(start, 3, ELLIPSE, LORENTZ)
 
 
 def test_run_orbit_rows_match_double_map():

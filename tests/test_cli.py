@@ -193,10 +193,8 @@ def test_main_after_rejected_command_line(tmp_path, capsys):
         }
     }
     path = write_config(tmp_path, doc)
-    with pytest.raises(SystemExit) as exc:
-        main(["oval", "spin", "--config", path])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert main(["oval", "spin", "--config", path]) == 1
+    assert "config error: " in capsys.readouterr().err
     out = tmp_path / "out"
     assert main(["oval", "periodic", "--config", path, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
@@ -210,6 +208,29 @@ def test_main_after_rejected_command_line(tmp_path, capsys):
         "return_derivative_abs",
     }
     assert poly["return_derivative_abs"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oval", "spin", "--config", "c.json"],
+        ["simulate"],
+        ["simulate", "--config", "c.json", "--seed", "abc"],
+        [],
+    ],
+)
+def test_command_line_syntax_error_exits_1(capsys, argv):
+    # Usage errors are config errors (exit 1), not runtime degeneracies (exit 2).
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pebilliards") and "config error: pebilliards" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_oval_synth_v4_and_determinism(tmp_path):

@@ -6,8 +6,6 @@ from pebilliards.confocal import ConfocalFamily, TangencySet
 from pebilliards.errors import TangencyCountChanged
 from pebilliards.pecore import Ellipsoid, RayState, Signature
 from pebilliards.verify import (
-    FiniteDifferenceObservable,
-    MoserIntegral,
     commutation_sweep,
     drift_report,
     free_flight_invariance,
@@ -21,27 +19,15 @@ ELL = Ellipsoid((3.0, 2.0, 1.0))
 
 
 def test_bracket_antisymmetry_and_canonical_pair():
-    f = MoserIntegral(ELL, SIG, 0)
-    x = np.array([0.3, -0.8, 1.1])
-    v = np.array([0.5, 0.2, -0.9])
-    assert poisson_bracket(f, f, x, v, SIG) == pytest.approx(0.0, abs=1e-14)
+    x = np.array([[0.3, -0.8, 1.1]])
+    v = np.array([[0.5, 0.2, -0.9]])
+    gx, gv = moser_gradients_batch(x, v, ELL, SIG)
+    fx, fv = gx[0, 0], gv[0, 0]
+    assert poisson_bracket(fx, fv, fx, fv, SIG) == pytest.approx(0.0, abs=1e-14)
 
-    # {x1, p1} = 1 with p = Ev, checked through the finite-difference path.
-    x1 = FiniteDifferenceObservable(lambda x, v: x[0])
-    p1 = FiniteDifferenceObservable(lambda x, v: SIG.e[0] * v[0])
-    assert poisson_bracket(x1, p1, x, v, SIG) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_integrals_commute_at_a_point():
-    f1 = MoserIntegral(ELL, SIG, 0)
-    f2 = MoserIntegral(ELL, SIG, 1)
-    rng = np.random.default_rng(0)
-    x, v = rng.standard_normal(3), rng.standard_normal(3)
-    br = poisson_bracket(f1, f2, x, v, SIG)
-    gx1, gv1 = f1.gradient(x, v)
-    gx2, gv2 = f2.gradient(x, v)
-    norm = np.linalg.norm(np.r_[gx1, gv1]) * np.linalg.norm(np.r_[gx2, gv2])
-    assert abs(br) / norm <= 1e-10
+    # {x1, p1} = 1 with p = Ev: grad x1 = (e_1, 0) and grad p1 = (0, e_1 e_1).
+    e1, zero = np.eye(3)[0], np.zeros(3)
+    assert poisson_bracket(e1, zero, zero, SIG.e[0] * e1, SIG) == 1.0
 
 
 def test_commutation_sweep_across_signatures():
@@ -73,18 +59,6 @@ def test_commutation_sweep_validation():
 
 def test_analytic_gradients_match_finite_differences():
     assert gradient_check(ELL, SIG, 300, 11) <= 1e-6
-
-
-def test_fd_observable_matches_analytic_integral():
-    f_an = MoserIntegral(ELL, SIG, 1)
-    f_fd = FiniteDifferenceObservable(f_an.value)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x, v = rng.standard_normal(3), rng.standard_normal(3)
-        gx_a, gv_a = f_an.gradient(x, v)
-        gx_f, gv_f = f_fd.gradient(x, v)
-        assert np.allclose(gx_a, gx_f, atol=1e-6, rtol=1e-6)
-        assert np.allclose(gv_a, gv_f, atol=1e-6, rtol=1e-6)
 
 
 def test_gradient_batch_shapes():
