@@ -40,13 +40,13 @@ NULL_NORMAL_TOL = 1e-10
 NULL_RAY_TRIES = 10_000
 
 
-def _require_on_boundary(x: np.ndarray, ell: Ellipsoid, tol: float = BOUNDARY_TOL) -> None:
+def _require_on_boundary(x: np.ndarray, ell: Ellipsoid) -> None:
     defect = ell.boundary_defect(x)
-    if not abs(defect) <= tol:
-        raise OffBoundary(f"|Ax.x - 1| = {abs(defect):.3e} exceeds boundary tolerance {tol:.1e}")
+    if not abs(defect) <= BOUNDARY_TOL:
+        raise OffBoundary(f"|Ax.x - 1| = {abs(defect):.3e} exceeds boundary tolerance {BOUNDARY_TOL:.1e}")
 
 
-def _chord(x: np.ndarray, v: np.ndarray, Ax: np.ndarray, A: np.ndarray, grazing_tol: float) -> np.ndarray:
+def _chord(x: np.ndarray, v: np.ndarray, Ax: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Exit point of the chord from boundary point x along inward v, in the dtype of the arguments.
 
     Uses the closed form t* = -2 (Ax.v) / (Av.v), exact on the boundary since
@@ -57,21 +57,21 @@ def _chord(x: np.ndarray, v: np.ndarray, Ax: np.ndarray, A: np.ndarray, grazing_
     """
     axv = Ax.dot(v)
     scale = np.sqrt(x.dot(x) * v.dot(v))
-    if not -np.inf < axv < 0.0 or abs(axv) < grazing_tol * scale:
+    if not -np.inf < axv < 0.0 or abs(axv) < GRAZING_TOL * scale:
         raise NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
     y = x + (-2.0 * axv / (A * v).dot(v)) * v
     Ay = A * y
     return y + ((1.0 - Ay.dot(y)) / (2.0 * Ay.dot(v))) * v
 
 
-def _reflect(v: np.ndarray, Ax: np.ndarray, e: np.ndarray, null_normal_tol: float) -> np.ndarray:
+def _reflect(v: np.ndarray, Ax: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Flip the metric-normal component of v at the boundary point with conormal Ax.
 
     The normal is n = e Ax.  As e = +-1, <n,n> = Ax.n and <v,n> = v.Ax exactly.
     """
     n = e * Ax
     nn = Ax.dot(n)
-    if abs(nn) <= null_normal_tol * n.dot(n):
+    if abs(nn) <= NULL_NORMAL_TOL * n.dot(n):
         raise NullNormal(f"<n,n> = {float(nn):.3e} is null within tolerance")
     return v - (2.0 * v.dot(Ax) / nn) * n
 
@@ -82,23 +82,24 @@ def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
         raise ValueError(f"ray dimension {r.dim} != ellipsoid dimension {ell.dim}")
     _require_on_boundary(r.x, ell)
     A = ell.shape_diag
-    return RayState(_chord(r.x, r.v, A * r.x, A, GRAZING_TOL), r.v)
+    return RayState(_chord(r.x, r.v, A * r.x, A), r.v)
 
 
 def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     """Reflect the velocity at a boundary point: flip the metric-normal component.
 
     Guarantees <u,u> = <v,v> and Ax.u = -Ax.v up to rounding.  Raises
+    NotInward where v is tangent to the boundary or not finite, and
     NullNormal where the boundary normal is light-like (reflection undefined).
     """
     if r.dim != ell.dim or ell.dim != sig.dim:
         raise ValueError("ray, ellipsoid, and signature dimensions must agree")
     _require_on_boundary(r.x, ell)
     Ax = ell.conormal(r.x)
-    u = _reflect(r.v, Ax, sig.e, NULL_NORMAL_TOL)
-    if r.v.dot(Ax) == 0.0:
-        raise NotInward("velocity is tangent to the boundary; reflection is trivial/ill-posed")
-    return RayState(r.x, u)
+    vax = r.v.dot(Ax)
+    if not 0.0 < abs(vax) < np.inf:
+        raise NotInward(f"v.Ax = {vax:.3e}: velocity is tangent to the boundary or not finite")
+    return RayState(r.x, _reflect(r.v, Ax, sig.e))
 
 
 def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -205,9 +206,6 @@ def run_orbit(
     ell: Ellipsoid,
     sig: Signature,
     fam: "confocal.ConfocalFamily | None" = None,
-    boundary_tol: float = BOUNDARY_TOL,
-    grazing_tol: float = GRAZING_TOL,
-    null_normal_tol: float = NULL_NORMAL_TOL,
 ) -> OrbitRecord:
     """Iterate the billiard map, recording H, every F_k, and (optionally) tangency.
 
@@ -220,13 +218,15 @@ def run_orbit(
     completed rows, and rows and invariant values are rounded back to double.
     Each bounce runs the single-step API's chord and reflection kernel.
 
-    Tangency parameters are recorded per bounce when `fam` is given.  A
-    NullNormal, NotInward, or RootIsolationFailure event aborts the run
-    early; the partial record is returned with the reason attached.
+    A start off the boundary or not pointing inward raises OffBoundary or
+    NotInward before the first bounce.  Tangency parameters are recorded per
+    bounce when `fam` is given.  A NullNormal, NotInward, or
+    RootIsolationFailure event during the orbit aborts the run early; the
+    partial record is returned with the reason attached.
     """
     if n_bounces < 1:
         raise ValueError("bounce count must be >= 1")
-    _require_on_boundary(r.x, ell, boundary_tol)
+    _require_on_boundary(r.x, ell)
     ax_v = float(ell.conormal(r.x) @ r.v)
     if not -np.inf < ax_v < 0.0:
         raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
@@ -247,9 +247,9 @@ def run_orbit(
     for k in range(n_bounces + 1):
         if k:
             try:
-                x = _chord(x, v, Ax, A, grazing_tol)
+                x = _chord(x, v, Ax, A)
                 Ax = A * x
-                v = _reflect(v, Ax, e, null_normal_tol)
+                v = _reflect(v, Ax, e)
             except (NotInward, NullNormal) as exc:
                 abort_reason = f"{type(exc).__name__}: {exc}"
                 abort_bounce = k

@@ -10,14 +10,19 @@ round-trip formatting, JSON keys are sorted, and line endings are LF.
 Exit codes:
 
     0  clean run
-    1  config error: a bad config, flag or geometric precondition; no file is written
-    2  runtime degeneracy: a quarantined orbit, or a named error raised while
-       computing (e.g. NoConvergence or DegenerateChord on a radial oval table)
+    1  config error: a bad config or command line, or a failure before the
+       first bounce (a simulate start off the boundary, not inward, of zero
+       direction or not sampled, resonant axes); no file is written
+    2  runtime degeneracy: a failure during the orbit (an abort or a tangency
+       mismatch), or a named error raised while computing (e.g.
+       NoConvergence or DegenerateChord on a radial oval table)
     3  tolerance failure in a verification command (commute)
 
-A command-line syntax error (an unknown command or mode, a missing
-``--config``, a flag value of the wrong type) is a config error too and
-exits 1 before any config is read; ``--help`` exits 0.
+The thresholds are the library's constants: billiard.BOUNDARY_TOL,
+GRAZING_TOL and NULL_NORMAL_TOL, verify.LAMBDA_DRIFT_TOL and BRACKET_TOL.
+A command-line syntax error (an unknown command, mode or flag, a missing
+``--config``) is a config error too and exits 1 before any config is read;
+``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ from .errors import (
     ConvexityViolation,
     DegenerateChord,
     InfeasibleSlopes,
+    NotInward,
+    OffBoundary,
     PEBilliardsError,
     PoleParameter,
     ResonantAxes,
-    TangencyCountChanged,
+    ZeroDirection,
     ZeroSlope,
 )
 from .pecore import Ellipsoid, RayState, Signature
@@ -171,17 +178,6 @@ def _polygon(val, where: str) -> lorentz_oval.NullPolygon:
         _fail(f"invalid {where}: {exc}")
 
 
-def _tolerances(defaults: dict):
-    return (_object({key: (_positive, val) for key, val in defaults.items()}), {})
-
-
-_SIMULATE_TOLERANCES = {
-    "boundary": billiard.BOUNDARY_TOL,
-    "grazing": billiard.GRAZING_TOL,
-    "null_normal": billiard.NULL_NORMAL_TOL,
-    "drift": 1e-9,
-}
-_COMMUTE_TOLERANCES = {"bracket": 1e-10}
 _OUT = (_string, None)
 _GEOMETRY = {"signature": (_list(_int(0), 2), REQUIRED), "axes": (_list(_positive), REQUIRED)}
 _OVAL_MODES = {
@@ -205,14 +201,12 @@ SPECS = {
         "bounces": (_int(1), REQUIRED),
         "seed": (_int(0), 0),
         "record_tangency": (_boolean, True),
-        "tolerances": _tolerances(_SIMULATE_TOLERANCES),
         "out": _OUT,
     },
     "commute": {
         **_GEOMETRY,
         "samples": (_int(1), REQUIRED),
         "seed": (_int(0), 0),
-        "tolerances": _tolerances(_COMMUTE_TOLERANCES),
         "out": _OUT,
     },
     "family-plot": {
@@ -271,8 +265,8 @@ def _geometry(cfg: dict) -> tuple[Ellipsoid, Signature]:
 # ----------------------------------------------------------------- simulate
 
 
-def _initial_state(init: dict, ell: Ellipsoid, sig: Signature, seed: int, boundary_tol: float) -> RayState:
-    """A sampled light-like start, or the given x on the boundary with v inward."""
+def _initial_state(init: dict, ell: Ellipsoid, sig: Signature, seed: int) -> RayState:
+    """A sampled light-like start, or the given x and v; run_orbit checks the start."""
     explicit = init["x"] is not None, init["v"] is not None
     if init["sample_null"]:
         if any(explicit):
@@ -286,53 +280,23 @@ def _initial_state(init: dict, ell: Ellipsoid, sig: Signature, seed: int, bounda
     v = np.asarray(init["v"], dtype=float)
     if x.shape != (ell.dim,) or v.shape != (ell.dim,):
         _fail(f"config.initial x and v must have length {ell.dim}")
-    if abs(ell.boundary_defect(x)) > boundary_tol:
-        _fail("initial x is not on the ellipsoid boundary (OffBoundary)")
-    if float(ell.conormal(x) @ v) >= 0.0:
-        _fail("initial v is not inward (NotInward)")
     return RayState(x, v)
 
 
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
-    tols = cfg["tolerances"]
     ell, sig = _geometry(cfg)
 
+    # A failure before the first bounce is a config error; one during the
+    # orbit is recorded in the output and exits 2.
     try:
         fam = confocal.ConfocalFamily(ell, sig) if cfg["record_tangency"] else None
         billiard._integral_denominators(ell, sig)
-        state = _initial_state(cfg["initial"], ell, sig, cfg["seed"], tols["boundary"])
-    except ResonantAxes as exc:
-        _fail(f"ResonantAxes: {exc}")
-
-    record = billiard.run_orbit(
-        state,
-        cfg["bounces"],
-        ell,
-        sig,
-        fam=fam,
-        boundary_tol=tols["boundary"],
-        grazing_tol=tols["grazing"],
-        null_normal_tol=tols["null_normal"],
-    )
-
-    quarantined = record.aborted
-    mismatch_reason = None
-    try:
-        report = (
-            verify.drift_report(record, lambda_tol=tols["drift"])
-            if record.bounce_count >= 1
-            else None
-        )
-    except TangencyCountChanged as exc:
-        report = None
-        quarantined = True
-        mismatch_reason = str(exc)
-    if report is not None and report.lambda_mismatch:
-        quarantined = True
-        mismatch_reason = (
-            f"tangency parameters drift {report.lambda_drift:.3e} at bounce "
-            f"{report.lambda_worst_bounce}, above 10 x the drift tolerance {tols['drift']:.3e}"
-        )
+        state = _initial_state(cfg["initial"], ell, sig, cfg["seed"])
+        record = billiard.run_orbit(state, cfg["bounces"], ell, sig, fam=fam)
+    except (ResonantAxes, OffBoundary, NotInward, ZeroDirection) as exc:
+        _fail(f"{type(exc).__name__}: {exc}")
+    report = verify.drift_report(record) if record.bounce_count >= 1 else None
+    mismatch = report.lambda_mismatch if report is not None else None
 
     dim = ell.dim
     lam_count = record.tangency[0].count if record.tangency else 0
@@ -360,13 +324,13 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         "bounces_completed": record.bounce_count,
         "aborted": record.abort_reason,
         "abort_bounce": record.abort_bounce,
-        "tangency_mismatch": mismatch_reason,
+        "tangency_mismatch": mismatch,
         "drift": report.to_dict() if report is not None else None,
         "h_initial": float(record.h[0]),
         "seed": cfg["seed"],
     }
     _write_json(out_dir / "summary.json", summary)
-    return EXIT_DEGENERATE if quarantined else EXIT_OK
+    return EXIT_DEGENERATE if record.aborted or mismatch else EXIT_OK
 
 
 # ------------------------------------------------------------------ commute
@@ -383,7 +347,7 @@ def cmd_commute(cfg: dict, out_dir: Path, wrong_metric: bool) -> int:
 
     worst = max(r.max_normalized for r in reports)
     _write_json(out_dir / "brackets.json", [r.to_dict() for r in reports])
-    return EXIT_OK if worst <= cfg["tolerances"]["bracket"] else EXIT_TOLERANCE
+    return EXIT_OK if worst <= verify.BRACKET_TOL else EXIT_TOLERANCE
 
 
 # --------------------------------------------------------------------- oval
@@ -551,12 +515,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (ps, pc, po, pf):
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (default: config or '.')")
-    for p in (ps, pc):
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    for p, tolerances in ((ps, _SIMULATE_TOLERANCES), (pc, _COMMUTE_TOLERANCES)):
-        for key in tolerances:
-            p.add_argument(f"--tol-{key.replace('_', '-')}", type=float, default=None,
-                           help=f"override tolerances.{key}")
     pc.add_argument(
         "--debug-flip-metric",
         action="store_true",
@@ -570,13 +528,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command = f"oval {args.mode}" if args.command == "oval" else args.command
         cfg = _object(SPECS[command])(load_config(args.config), "config")
-        # Command-line overrides go through the same checkers as the config keys.
-        for name, val in vars(args).items():
-            flag = "--" + name.replace("_", "-")
-            if name == "seed" and val is not None:
-                cfg["seed"] = _int(0)(val, flag)
-            elif name.startswith("tol_") and val is not None:
-                cfg["tolerances"][name[4:]] = _positive(val, flag)
         out_dir = Path(args.out or cfg["out"] or ".")
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)

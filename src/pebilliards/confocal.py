@@ -105,13 +105,18 @@ class ConfocalFamily:
         ]
 
 
+def _near_pole(fam: ConfocalFamily, lam: float) -> bool:
+    """Whether lam is within the pole tolerance of a pole: |lam - pole_k| = |c_k(lam)| exactly."""
+    return min(abs(a2k + ek * lam) for a2k, ek in fam.factors) <= fam.pole_tolerance
+
+
 def member(fam: ConfocalFamily, lam: float) -> Quadric:
     """The family member at parameter lam.
 
     Raises PoleParameter when lam is within the pole tolerance of a pole.
     """
     lam = float(lam)
-    if np.min(np.abs(fam.poles() - lam)) <= fam.pole_tolerance:
+    if _near_pole(fam, lam):
         raise PoleParameter(f"lambda = {lam} is at (or within tolerance of) a family pole")
     return Quadric(fam.coefficients(lam))
 
@@ -130,7 +135,7 @@ def _discriminant_terms(lin: list, x: list, v: list, lam: float) -> tuple[float,
 def tangency_discriminant(fam: ConfocalFamily, r: RayState, lam: float) -> float:
     """G(lam) for the line of r; zero iff the line is tangent to member(fam, lam)."""
     lam = float(lam)
-    if np.min(np.abs(fam.poles() - lam)) <= fam.pole_tolerance:
+    if _near_pole(fam, lam):
         raise PoleParameter(f"lambda = {lam} is at (or within tolerance of) a family pole")
     if r.dim != fam.dim:
         raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
@@ -283,14 +288,13 @@ def tangency_parameters(fam: ConfocalFamily, r: RayState) -> TangencySet:
         lams.append(lam)
     lams.sort()
 
-    lin, pole_tol = fam.factors, fam.pole_tolerance
     kept: list[float] = []
     near_pole: list[float] = []
     for lam in lams:
-        if min(abs(a2k + ek * lam) for a2k, ek in lin) <= pole_tol:  # |lam - pole| = |c_k(lam)|
+        if _near_pole(fam, lam):
             near_pole.append(lam)
             continue
-        first, second = _discriminant_terms(lin, x, v, lam)
+        first, second = _discriminant_terms(fam.factors, x, v, lam)
         if abs(first - second) <= VERIFY_TOL * max(1.0, first, abs(second)):
             kept.append(lam)
 

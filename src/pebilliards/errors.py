@@ -57,9 +57,5 @@ class InfeasibleSlopes(PEBilliardsError):
     """Requested slope signs are incompatible with any convex traversal."""
 
 
-class TangencyCountChanged(PEBilliardsError):
-    """Consecutive bounces reported different numbers of tangency parameters."""
-
-
 class ConfigError(PEBilliardsError):
     """A run configuration failed validation."""

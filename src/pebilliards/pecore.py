@@ -115,7 +115,7 @@ class RayState:
         v = _readonly(self.v)
         if x.ndim != 1 or x.shape != v.shape:
             raise ValueError(f"x and v must be 1-D of equal length, got {x.shape} and {v.shape}")
-        if not float(np.linalg.norm(v)) > 0.0:
+        if float(np.linalg.norm(v)) == 0.0:  # a NaN v is left to the billiard guards
             raise ZeroDirection("direction vector has zero Euclidean norm")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)

@@ -17,14 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .billiard import OrbitRecord, _integral_denominators, _wedge, integrals_batch
-from .errors import TangencyCountChanged
 from .pecore import Ellipsoid, Signature
 
 #: |initial value| above which drift is reported relative rather than absolute.
 RELATIVE_FLOOR = 1e-8
 
-#: Default matching tolerance for tangency parameters along an orbit.
-LAMBDA_DRIFT_TOL = 1e-8
+#: Matching tolerance for tangency parameters along an orbit; drift_report
+#: flags a mismatch above 10 times it.
+LAMBDA_DRIFT_TOL = 1e-9
+
+#: Largest normalized bracket magnitude a passing commutation sweep may show.
+BRACKET_TOL = 1e-10
 
 #: Relative central-difference step of gradient_check.
 FD_STEP = 1e-6
@@ -167,7 +170,8 @@ class DriftReport:
     """Per-invariant worst drift along an orbit, measured against bounce 0.
 
     Drift is relative when the initial value exceeds the relative floor and
-    absolute otherwise.
+    absolute otherwise.  `lambda_mismatch` is the reason the tangency
+    parameters fail as a witness of integrability, or None.
     """
 
     h_drift: float
@@ -176,7 +180,7 @@ class DriftReport:
     f_worst_bounce: tuple[int, ...]
     lambda_drift: float | None = None
     lambda_worst_bounce: int | None = None
-    lambda_mismatch: bool = False
+    lambda_mismatch: str | None = None
     aborted: str | None = None
 
     def to_dict(self) -> dict:
@@ -187,18 +191,9 @@ class DriftReport:
             "f_worst_bounce": list(self.f_worst_bounce),
             "lambda_drift": self.lambda_drift,
             "lambda_worst_bounce": self.lambda_worst_bounce,
-            "lambda_mismatch": self.lambda_mismatch,
+            "lambda_mismatch": self.lambda_mismatch is not None,
             "aborted": self.aborted,
         }
-
-    @property
-    def max_drift(self) -> float:
-        worst = self.h_drift
-        if self.f_drift:
-            worst = max(worst, max(self.f_drift))
-        if self.lambda_drift is not None:
-            worst = max(worst, self.lambda_drift)
-        return worst
 
 
 def _series_drift(values: np.ndarray, floor: float) -> tuple[float, int]:
@@ -210,12 +205,13 @@ def _series_drift(values: np.ndarray, floor: float) -> tuple[float, int]:
     return float(dev[worst]), worst
 
 
-def drift_report(orbit: OrbitRecord, lambda_tol: float = LAMBDA_DRIFT_TOL) -> DriftReport:
+def drift_report(orbit: OrbitRecord) -> DriftReport:
     """Worst drift of H, every F_k, and the tangency parameters over an orbit.
 
-    Tangency parameters are matched between consecutive bounces by nearest
-    value (greedy); a cardinality change raises TangencyCountChanged rather
-    than being absorbed into the numbers.
+    Tangency parameters are matched against bounce 0 by nearest value
+    (greedy).  A mismatch is a change of their count along the orbit, which
+    is reported as such rather than absorbed into the numbers, or a drift
+    above 10 times LAMBDA_DRIFT_TOL.
     """
     if orbit.bounce_count < 1:
         raise ValueError("drift needs an orbit with at least two recorded states")
@@ -228,30 +224,26 @@ def drift_report(orbit: OrbitRecord, lambda_tol: float = LAMBDA_DRIFT_TOL) -> Dr
             f_drifts.append(dk)
             f_worsts.append(wk)
 
-    lam_drift = None
-    lam_worst = None
-    mismatch = False
+    lam_drift = lam_worst = mismatch = None
     if orbit.tangency is not None and len(orbit.tangency) >= 2:
         counts = {ts.count for ts in orbit.tangency}
         if len(counts) > 1:
-            raise TangencyCountChanged(
-                f"tangency parameter count varies along the orbit: {sorted(counts)}"
-            )
-        lam_drift = 0.0
-        lam_worst = 0
-        base = np.array(orbit.tangency[0].lambdas)
-        for b, ts in enumerate(orbit.tangency[1:], start=1):
-            cur = list(ts.lambdas)
-            for lam_ref in base:
-                scale = max(abs(lam_ref), RELATIVE_FLOOR)
-                nearest = min(range(len(cur)), key=lambda i: abs(cur[i] - lam_ref)) if cur else None
-                if nearest is None:
-                    continue
-                dev = abs(cur.pop(nearest) - lam_ref) / scale
-                if dev > lam_drift:
-                    lam_drift, lam_worst = dev, b
-                if dev > 10.0 * lambda_tol:
-                    mismatch = True
+            mismatch = f"tangency parameter count varies along the orbit: {sorted(counts)}"
+        else:
+            lam_drift, lam_worst = 0.0, 0
+            base = orbit.tangency[0].lambdas
+            for b, ts in enumerate(orbit.tangency[1:], start=1):
+                cur = list(ts.lambdas)
+                for lam_ref in base:
+                    nearest = min(range(len(cur)), key=lambda i: abs(cur[i] - lam_ref))
+                    dev = abs(cur.pop(nearest) - lam_ref) / max(abs(lam_ref), RELATIVE_FLOOR)
+                    if dev > lam_drift:
+                        lam_drift, lam_worst = dev, b
+            if lam_drift > 10.0 * LAMBDA_DRIFT_TOL:
+                mismatch = (
+                    f"tangency parameters drift {lam_drift:.3e} at bounce {lam_worst}, "
+                    f"above 10 x the drift tolerance {LAMBDA_DRIFT_TOL:.3e}"
+                )
 
     return DriftReport(
         h_drift=h_drift,

@@ -376,6 +376,7 @@ def test_billiard_map_and_run_orbit_fail_alike(ell, start, reason):
         (RayState((np.nan, 1.0), (1.0, -1.0)), OffBoundary),
         (RayState((0.0, 1.0), (np.inf, -1.0)), NotInward),
         (RayState((1.6, -0.6), (-np.inf, -1.0)), NotInward),
+        (RayState((0.0, 1.0), (np.nan, -1.0)), NotInward),
     ],
 )
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -384,6 +385,8 @@ def test_non_finite_states_are_refused(start, error):
     # to fail on them rather than let a NaN state through.
     with pytest.raises(error):
         advance_to_boundary(start, ELLIPSE)
+    with pytest.raises(error):
+        reflect(start, ELLIPSE, LORENTZ)
     with pytest.raises(error):
         billiard_map(start, ELLIPSE, LORENTZ)
     with pytest.raises(error):

@@ -3,7 +3,6 @@ import pytest
 
 from pebilliards.billiard import OrbitRecord, run_orbit, sample_null_ray
 from pebilliards.confocal import ConfocalFamily, TangencySet
-from pebilliards.errors import TangencyCountChanged
 from pebilliards.pecore import Ellipsoid, RayState, Signature
 from pebilliards.verify import (
     commutation_sweep,
@@ -94,8 +93,9 @@ def test_drift_report_flags_count_change():
         f=np.array([[0.8, -0.8], [0.8, -0.8]]),
         tangency=[TangencySet(lambdas=(0.5,)), TangencySet(lambdas=(0.5, 2.0))],
     )
-    with pytest.raises(TangencyCountChanged):
-        drift_report(rec)
+    rep = drift_report(rec)
+    assert rep.lambda_mismatch == "tangency parameter count varies along the orbit: [1, 2]"
+    assert rep.lambda_drift is None and rep.to_dict()["lambda_mismatch"] is True
 
 
 def test_drift_report_partial_after_abort():
