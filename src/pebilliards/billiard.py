@@ -107,14 +107,6 @@ def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     return reflect(advance_to_boundary(r, ell), ell, sig)
 
 
-def joachimsthal(r: RayState, ell: Ellipsoid) -> float:
-    """The invariant H = Ax.v at a boundary state; negative for inward rays."""
-    if r.dim != ell.dim:
-        raise ValueError(f"ray dimension {r.dim} != ellipsoid dimension {ell.dim}")
-    _require_on_boundary(r.x, ell)
-    return float(ell.conormal(r.x) @ r.v)
-
-
 def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
     """Denominator matrix d[k, i] = e_i a_k^2 - e_k a_i^2, infinite on the diagonal.
 

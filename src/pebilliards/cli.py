@@ -314,7 +314,8 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     for idx, cells in enumerate(table):
         row = [str(idx), *map(repr, cells)]
         if record.tangency:
-            lams = list(record.tangency[idx].lambdas)[:lam_count]
+            # A RootIsolationFailure abort leaves the last row without a TangencySet.
+            lams = record.tangency[idx].lambdas[:lam_count] if idx < len(record.tangency) else ()
             row += [_fmt(c) for c in lams] + [""] * (lam_count - len(lams))
         lines.append(",".join(row))
 

@@ -26,7 +26,7 @@ a pole are set aside, and every root is re-verified against |G|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,8 +40,7 @@ POLE_FILTER_FACTOR = 1e-7
 #: Normalized |G| threshold for accepting a polished root as a tangency.
 VERIFY_TOL = 1e-9
 
-#: A root of Q counts as real when |imag| <= REAL_TOL * max(1, |real|); real
-#: roots that close to each other are flagged as one multiple root.
+#: A root of Q counts as real when |imag| <= REAL_TOL * max(1, |real|).
 REAL_TOL = 1e-7
 
 _poly = np.polynomial.polynomial
@@ -80,10 +79,6 @@ class ConfocalFamily:
         """
         lam = np.asarray(lam, dtype=float)
         return self.ellipsoid.a2 + np.multiply.outer(lam, self.sig.e)
-
-    def poles(self) -> np.ndarray:
-        """Sorted distinct pole parameters lam = -e_i a_i^2."""
-        return np.unique(-self.sig.e * self.ellipsoid.a2)
 
     @cached_property
     def pole_tolerance(self) -> float:
@@ -143,31 +138,6 @@ def tangency_discriminant(fam: ConfocalFamily, r: RayState, lam: float) -> float
     return first - second
 
 
-def cleared_polynomial(fam: ConfocalFamily, r: RayState) -> np.ndarray:
-    """Coefficients (ascending, length 2d) of P(lam) = G(lam) * prod_i c_i(lam)^2.
-
-    P is polynomial of degree <= 2d - 1 in dimension d, and P = Q * prod_i c_i
-    for the tangency polynomial Q.  Its top coefficient equals <v,v>, which
-    is the degree-drop mechanism for light-like directions.  Expansion uses
-
-        P = S_xv^2 - S_vv * (S_xx - C),
-
-    with C = prod_i c_i,  S_ww = sum_i w_i^2 prod_{j != i} c_j, and
-    S_xv = sum_i x_i v_i prod_{j != i} c_j.
-    """
-    if r.dim != fam.dim:
-        raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
-    lin = fam.factors
-    partial = np.array([_linear_product(lin[:i] + lin[i + 1 :]) for i in range(len(lin))])
-    s_xv, s_vv, s_xx = (w @ partial for w in (r.x * r.v, r.v * r.v, r.x * r.x))
-    p = _poly.polysub(
-        _poly.polymul(s_xv, s_xv), _poly.polymul(s_vv, _poly.polysub(s_xx, _linear_product(lin)))
-    )
-    out = np.zeros(2 * len(lin))
-    out[: p.shape[0]] = p
-    return out
-
-
 def tangency_polynomial(fam: ConfocalFamily, r: RayState) -> np.ndarray:
     """Coefficients (ascending, length d) of Q, whose real roots are the tangency parameters.
 
@@ -223,33 +193,24 @@ def _horner(q: list[float], lam: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TangencySet:
-    """Sorted tangency parameters of a line, with multiplicity flags.
+    """Sorted tangency parameters of a line.
 
     Every real root of Q is listed, a multiple root once per multiplicity,
-    so `count` is the number of real roots counted with multiplicity.  The
-    entries of a multiple root are flagged 2.  `near_pole` lists roots
-    discarded by the spurious-root filter, kept for diagnostics only.
+    so `count` is the number of real roots counted with multiplicity.
+    `near_pole` lists roots discarded by the spurious-root filter, kept for
+    diagnostics only.
     """
 
     lambdas: tuple[float, ...]
-    multiplicities: tuple[int, ...] = field(default=())
-    near_pole: tuple[float, ...] = field(default=())
+    near_pole: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.multiplicities:
-            object.__setattr__(self, "multiplicities", tuple(1 for _ in self.lambdas))
-        if len(self.multiplicities) != len(self.lambdas):
-            raise ValueError("multiplicity flags must match the parameter list")
         if any(b < a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ValueError("tangency parameters must be sorted ascending")
 
     @property
     def count(self) -> int:
         return len(self.lambdas)
-
-    @property
-    def has_multiple(self) -> bool:
-        return any(m > 1 for m in self.multiplicities)
 
 
 def tangency_parameters(fam: ConfocalFamily, r: RayState) -> TangencySet:
@@ -298,12 +259,4 @@ def tangency_parameters(fam: ConfocalFamily, r: RayState) -> TangencySet:
         if abs(first - second) <= VERIFY_TOL * max(1.0, first, abs(second)):
             kept.append(lam)
 
-    mult = [1] * len(kept)
-    for i in range(len(kept) - 1):
-        if kept[i + 1] - kept[i] <= REAL_TOL * max(1.0, abs(kept[i + 1])):
-            mult[i] = mult[i + 1] = 2
-    return TangencySet(
-        lambdas=tuple(kept),
-        multiplicities=tuple(mult),
-        near_pole=tuple(near_pole),
-    )
+    return TangencySet(lambdas=tuple(kept), near_pole=tuple(near_pole))

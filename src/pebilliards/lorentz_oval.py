@@ -68,13 +68,8 @@ _R45 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 def to_null_chart(xy: np.ndarray) -> np.ndarray:
-    """Map orthonormal-chart coordinates (x, y) to null-chart (u, w)."""
+    """Map orthonormal-chart coordinates (x, y) to null-chart (u, w); the map is an involution."""
     return np.asarray(xy, dtype=float) @ _R45.T
-
-
-def from_null_chart(uw: np.ndarray) -> np.ndarray:
-    """Inverse of to_null_chart (the map is an involution)."""
-    return np.asarray(uw, dtype=float) @ _R45.T
 
 
 def wrap_angle(t: float) -> float:
@@ -115,10 +110,10 @@ class OvalCurve:
     """Closed strictly convex curve given as a polar graph about a center.
 
     Subclasses provide radius_derivs; everything else (points, slopes,
-    curvature, chord partners) lives here.  radius_derivs, point, velocity,
-    slope and curvature take one angle as a Python float (np.float64
-    included) and return floats (a point or velocity as an (x, y) tuple), or
-    an array of angles and return arrays.
+    chord partners) lives here.  radius_derivs, point, velocity and slope
+    take one angle as a Python float (np.float64 included) and return
+    floats (a point or velocity as an (x, y) tuple), or an array of angles
+    and return arrays.
     """
 
     center: np.ndarray
@@ -150,11 +145,6 @@ class OvalCurve:
         if isinstance(dx, float) and dx == 0.0:
             return math.copysign(math.inf, dy)
         return dy / dx
-
-    def curvature(self, theta):
-        r, r1, r2 = self.radius_derivs(_angle(theta))
-        num = r * r + 2.0 * r1 * r1 - r * r2
-        return num / (r * r + r1 * r1) ** 1.5
 
     def coordinate_extrema(self, axis: int) -> tuple[float, float]:
         """The two parameters where the given coordinate is extremal, ascending."""
@@ -302,9 +292,12 @@ class RadialBump:
             raise ValueError("bump halfwidth must lie in (0, pi)")
 
     def derivs(self, theta):
-        d = (_angle(theta) - self.anchor + math.pi) % TWO_PI - math.pi
+        theta = _angle(theta)
+        d = (theta - self.anchor + math.pi) % TWO_PI - math.pi
         xi = d / self.halfwidth
         inside = abs(xi) < 1.0
+        if isinstance(theta, float) and not inside:
+            return 0.0, 0.0, 0.0
         xi = xi * inside
         one = 1.0 - xi * xi
         psi = one**3

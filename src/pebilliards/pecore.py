@@ -1,8 +1,8 @@
 """Diagonal pseudo-Euclidean linear algebra.
 
 Signatures, indefinite inner products, causal classification of directions,
-canonical representatives of oriented lines, and diagonal quadrics.  All
-values are immutable after construction and all functions are pure.
+ellipsoids, ray states and diagonal quadrics.  All values are immutable
+after construction and all functions are pure.
 """
 
 from __future__ import annotations
@@ -162,39 +162,18 @@ def inner(u, v, sig: Signature) -> float:
     return float(np.sum(sig.e * u * v))
 
 
-def classify_vector(v, sig: Signature, tol: float = LIGHTLIKE_TOL) -> VectorType:
+def classify_vector(v, sig: Signature) -> VectorType:
     """Classify a non-zero direction as spacelike, timelike, or lightlike.
 
-    Lightlike means |<v,v>| <= tol * |v|^2 in the auxiliary Euclidean norm,
-    so the decision is scale-invariant.
+    Lightlike means |<v,v>| <= LIGHTLIKE_TOL * |v|^2 in the auxiliary
+    Euclidean norm, so the decision is scale-invariant.
     """
     v = _check_dim(v, sig.dim, "v")
     nrm2 = float(v @ v)
     if nrm2 == 0.0:
         raise ZeroDirection("cannot classify the zero vector")
     q = inner(v, v, sig)
-    if abs(q) <= tol * nrm2:
+    if abs(q) <= LIGHTLIKE_TOL * nrm2:
         return VectorType.LIGHTLIKE
     return VectorType.SPACELIKE if q > 0.0 else VectorType.TIMELIKE
 
-
-def line_canonicalize(r: RayState) -> RayState:
-    """Canonical representative of the oriented line through r.
-
-    The base point becomes the point of the line closest to the origin in
-    the auxiliary Euclidean metric and the direction is rescaled to unit
-    Euclidean length, preserving orientation.  Two states on the same
-    oriented line canonicalize to equal results up to rounding.
-    """
-    nrm = float(np.linalg.norm(r.v))
-    if nrm == 0.0:
-        raise ZeroDirection("cannot canonicalize a ray with zero direction")
-    vhat = r.v / nrm
-    foot = r.x - float(r.x @ vhat) * vhat
-    return RayState(foot, vhat)
-
-
-def quadric_eval(q: Quadric, x) -> float:
-    """Evaluate sum_i x_i^2 / c_i - 1; zero iff x lies on the quadric."""
-    x = _check_dim(x, q.dim, "x")
-    return float(np.sum(x * x / q.c) - 1.0)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebilliards.billiard import (
     advance_to_boundary,
     billiard_map,
     integrals,
     integrals_batch,
-    joachimsthal,
     pseudo_norm_defect,
     reflect,
     run_orbit,
@@ -28,11 +29,59 @@ from pebilliards.pecore import (
     VectorType,
     classify_vector,
     inner,
-    line_canonicalize,
 )
 
 LORENTZ = Signature(1, 1)
 ELLIPSE = Ellipsoid((2.0, 1.0))
+
+
+def line_canonicalize(r: RayState) -> RayState:
+    """Canonical representative of the oriented line through r, a test oracle.
+
+    The base point becomes the point of the line closest to the origin in
+    the auxiliary Euclidean metric and the direction is rescaled to unit
+    Euclidean length, preserving orientation.  Two states on the same
+    oriented line canonicalize to equal results up to rounding.
+    """
+    vhat = r.v / float(np.linalg.norm(r.v))
+    return RayState(r.x - float(r.x @ vhat) * vhat, vhat)
+
+
+def test_canonicalize_examples():
+    r = line_canonicalize(RayState((5, 5), (2, 2)))
+    assert np.allclose(r.x, [0, 0], atol=1e-14)
+    assert np.allclose(r.v, [1 / np.sqrt(2)] * 2)
+
+    r = line_canonicalize(RayState((1, 0), (0, 3)))
+    assert np.allclose(r.x, [1, 0])
+    assert np.allclose(r.v, [0, 1])
+
+    # Derived: minimize Euclidean distance to the origin over the line.
+    r = line_canonicalize(RayState((2, 1), (1, 0)))
+    assert np.allclose(r.x, [0, 1])
+    assert np.allclose(r.v, [1, 0])
+
+
+@given(
+    st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=3),
+    st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=3).filter(
+        lambda v: np.linalg.norm(v) > 1e-3
+    ),
+    st.floats(min_value=-50, max_value=50),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+@settings(max_examples=200, deadline=None)
+def test_canonicalize_quotient_property(x, v, t, s):
+    x, v = np.array(x), np.array(v)
+    base = line_canonicalize(RayState(x, v))
+    slid = line_canonicalize(RayState(x + t * v, s * v))
+    again = line_canonicalize(base)
+    scale = max(1.0, float(np.max(np.abs(base.x))))
+    assert np.max(np.abs(base.x - slid.x)) <= 1e-9 * scale
+    assert np.max(np.abs(base.v - slid.v)) <= 1e-12
+    # idempotent
+    assert np.max(np.abs(base.x - again.x)) <= 1e-12 * scale
+    assert np.max(np.abs(base.v - again.v)) <= 1e-15
 
 
 def test_advance_circle_diameter():
@@ -164,11 +213,15 @@ def test_minor_axis_period_two():
 
 
 def test_joachimsthal_examples():
-    assert joachimsthal(RayState((0, 1), (1, -1)), ELLIPSE) == pytest.approx(-1.0)
-    assert joachimsthal(RayState((1.6, -0.6), (5, 5)), ELLIPSE) == pytest.approx(-1.0)
-    assert joachimsthal(RayState((0, 1), (0, -1)), Ellipsoid((1.0, 1.0))) == pytest.approx(-1.0)
+    # The recorder's H column is the Joachimsthal invariant Ax.v.
+    def h0(r, ell):
+        return run_orbit(r, 1, ell, Signature(2, 0)).h[0]
+
+    assert h0(RayState((0, 1), (1, -1)), ELLIPSE) == pytest.approx(-1.0)
+    assert h0(RayState((1.6, -0.6), (5, 5)), ELLIPSE) == pytest.approx(-1.0)
+    assert h0(RayState((0, 1), (0, -1)), Ellipsoid((1.0, 1.0))) == pytest.approx(-1.0)
     with pytest.raises(OffBoundary):
-        joachimsthal(RayState((0, 0.2), (1, 0)), ELLIPSE)
+        h0(RayState((0, 0.2), (1, 0)), ELLIPSE)
 
 
 def test_integral_values_lorentz():

@@ -560,6 +560,33 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
     assert b",\n" in expected  # the short bounce is padded
 
 
+def test_mid_orbit_root_isolation_failure_exits_2_with_files(tmp_path, monkeypatch):
+    # The README simulate config: the third tangency solve (bounce 2) fails,
+    # so the record has three rows and two TangencySets.
+    from pebilliards import confocal
+    from pebilliards.errors import RootIsolationFailure
+
+    solve = confocal.tangency_parameters
+    calls = []
+
+    def failing_third(fam, state):
+        calls.append(state)
+        if len(calls) == 3:
+            raise RootIsolationFailure("injected on the third call")
+        return solve(fam, state)
+
+    monkeypatch.setattr(confocal, "tangency_parameters", failing_third)
+    doc = simulate_doc(bounces=5, record_tangency=True)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] == "RootIsolationFailure: injected on the third call"
+    assert summary["abort_bounce"] == 2 and summary["bounces_completed"] == 2
+    lines = (out / "orbit.csv").read_text().splitlines()
+    assert lines[0].endswith(",lam1") and len(lines) == 4
+    assert lines[2].split(",")[-1] != "" and lines[3].split(",")[-1] == ""
+
+
 # Non-resonant axes for each signature the property below draws from.
 PROPERTY_GEOMETRIES = [([1, 1], [2.0, 1.0]), ([2, 1], [3.0, 2.0, 1.0]), ([1, 2], [3.0, 2.0, 1.0]),
                        ([2, 2], [4.0, 3.0, 2.0, 1.0]), ([3, 0], [3.0, 2.0, 1.0])]

@@ -211,8 +211,7 @@ def test_build_table_v4_closed_loop():
     assert np.max(np.abs(pts - RECT)) <= 1e-8
     got_slopes = np.array([float(curve.slope(t)) for t in params])
     assert np.max(np.abs(got_slopes - np.array(slopes))) <= 1e-8
-    kappa = curve.curvature(np.linspace(0, 2 * np.pi, 4096, endpoint=False))
-    assert np.all(kappa > 0)
+    assert curve.convexity_margin > 0  # least curvature numerator on the 4096-point grid
     rebuilt = lo.polygon_from_parameter(curve, float(params[-1]), 2)
     assert lo.acceleration_factor(rebuilt) == pytest.approx(4.0, abs=1e-10)
     assert lo.simulate_speed(curve, rebuilt) == pytest.approx(4.0, abs=1e-8)
@@ -243,7 +242,7 @@ def test_null_polygon_validation():
 def test_chart_maps_are_involutive_isometries_on_nullity():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((10, 2))
-    assert np.allclose(lo.from_null_chart(lo.to_null_chart(pts)), pts, atol=1e-14)
+    assert np.allclose(lo.to_null_chart(lo.to_null_chart(pts)), pts, atol=1e-14)
     # null directions map to the coordinate axes
     assert np.allclose(lo.to_null_chart(np.array([1.0, -1.0])), [0.0, np.sqrt(2.0)])
     assert np.allclose(lo.to_null_chart(np.array([1.0, 1.0])), [np.sqrt(2.0), 0.0])
@@ -323,6 +322,8 @@ def _wrap_bump_table():
 
 
 def _sample_angles(curve):
+    # 1.1 and 4.0 lie outside every bump of _wrap_bump_table, where a scalar
+    # angle takes the bump's early zero return.
     ts = [0.3, 1.1, 2.7, 4.0, 5.5]
     for bump in getattr(curve, "bumps", ()):
         a, h = bump.anchor, bump.halfwidth

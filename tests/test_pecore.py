@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pebilliards import billiard, cli, confocal, lorentz_oval, pecore, verify
 from pebilliards.errors import ZeroDirection
 from pebilliards.pecore import (
     Ellipsoid,
@@ -12,8 +15,6 @@ from pebilliards.pecore import (
     VectorType,
     classify_vector,
     inner,
-    line_canonicalize,
-    quadric_eval,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -96,51 +97,6 @@ def test_classify_scale_invariant(v, s):
     assert classify_vector(np.array(v), sig) is classify_vector(s * np.array(v), sig)
 
 
-def test_canonicalize_examples():
-    r = line_canonicalize(RayState((5, 5), (2, 2)))
-    assert np.allclose(r.x, [0, 0], atol=1e-14)
-    assert np.allclose(r.v, [1 / np.sqrt(2)] * 2)
-
-    r = line_canonicalize(RayState((1, 0), (0, 3)))
-    assert np.allclose(r.x, [1, 0])
-    assert np.allclose(r.v, [0, 1])
-
-    # Derived: minimize Euclidean distance to the origin over the line.
-    r = line_canonicalize(RayState((2, 1), (1, 0)))
-    assert np.allclose(r.x, [0, 1])
-    assert np.allclose(r.v, [1, 0])
-
-
-@given(
-    st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=3),
-    st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=3).filter(
-        lambda v: np.linalg.norm(v) > 1e-3
-    ),
-    st.floats(min_value=-50, max_value=50),
-    st.floats(min_value=1e-3, max_value=1e3),
-)
-@settings(max_examples=200, deadline=None)
-def test_canonicalize_quotient_property(x, v, t, s):
-    x, v = np.array(x), np.array(v)
-    base = line_canonicalize(RayState(x, v))
-    slid = line_canonicalize(RayState(x + t * v, s * v))
-    again = line_canonicalize(base)
-    scale = max(1.0, float(np.max(np.abs(base.x))))
-    assert np.max(np.abs(base.x - slid.x)) <= 1e-9 * scale
-    assert np.max(np.abs(base.v - slid.v)) <= 1e-12
-    # idempotent
-    assert np.max(np.abs(base.x - again.x)) <= 1e-12 * scale
-    assert np.max(np.abs(base.v - again.v)) <= 1e-15
-
-
-def test_quadric_eval_examples():
-    ellipse = Quadric(np.array([4.0, 1.0]))
-    assert quadric_eval(ellipse, (0, 1)) == 0.0
-    assert quadric_eval(ellipse, (0, 0)) == -1.0
-    hyperbola = Quadric(np.array([1.0, -2.0]))
-    assert quadric_eval(hyperbola, (1, 0)) == 0.0
-
-
 def test_quadric_rejects_zero_coefficients():
     with pytest.raises(ValueError):
         Quadric(np.array([1.0, 0.0]))
@@ -164,3 +120,30 @@ def test_raystate_immutability_and_validation():
         RayState((0, 1), (0, 0))
     with pytest.raises(ValueError):
         RayState((0, 1, 2), (1, 0))
+
+
+def _public_functions():
+    """(qualified name, function) for every public function and method of the six modules."""
+    for mod in (billiard, cli, confocal, lorentz_oval, pecore, verify):
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)  # unwrap class- and staticmethods
+                    if inspect.isfunction(fn) and (attr == "__init__" or not attr.startswith("_")):
+                        yield f"{mod.__name__}.{name}.{attr}", fn
+
+
+def test_no_public_function_takes_a_tolerance():
+    # Thresholds are module constants; no library function takes one as an argument.
+    found = [
+        f"{name}({param})"
+        for name, fn in _public_functions()
+        for param in inspect.signature(fn).parameters
+        if param == "tol" or param.endswith("_tol")
+    ]
+    assert len(dict(_public_functions())) > 50
+    assert found == []
