@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import confocal
-from .errors import NotInward, NullNormal, OffBoundary, ResonantAxes, RootIsolationFailure
+from .errors import NonFinite, NotInward, NullNormal, OffBoundary, ResonantAxes, RootIsolationFailure
 from .pecore import BOUNDARY_TOL, Ellipsoid, RayState, Signature
 
 #: Chords with |Ax.v| below this times |x||v| are refused as grazing.
@@ -117,9 +117,9 @@ def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
         raise ValueError("ellipsoid and signature dimensions must agree")
     a2 = ell.a2
     e = sig.e
-    d = np.outer(a2, e) - np.outer(e, a2)  # d[k, i]
+    d = a2[:, None] * e - e[:, None] * a2  # d[k, i]
     np.fill_diagonal(d, np.inf)
-    if np.any(d == 0.0):
+    if not d.all():
         raise ResonantAxes("some e_i a_k^2 - e_k a_i^2 vanishes; axes are resonant")
     return d
 
@@ -165,9 +165,10 @@ def pseudo_norm_defect(vs: np.ndarray, fs: np.ndarray, sig: Signature) -> np.nda
 class OrbitRecord:
     """Phase points and per-bounce invariant values of a billiard orbit.
 
-    Row k of `xs`, `vs`, `h` and `f` is the post-reflection state after
-    bounce k; row 0 is the initial state.  On an early abort the record
-    holds every row computed so far plus the reason.
+    Row k of `xs`, `vs`, `h`, `f` and (with one TangencySet per row)
+    `tangency` is the post-reflection state after bounce k; row 0 is the
+    initial state.  Every value is finite.  An abort ends the record before
+    the failed row, whose index is `abort_bounce`.
     """
 
     xs: np.ndarray
@@ -205,19 +206,21 @@ def run_orbit(
     platform provides it (x86 long double): the scaled-line representative
     legitimately reaches Euclidean speeds of 1e3..1e4 on long null orbits,
     where evaluating the quadratic integrals in plain double precision would
-    drown the drift being measured in cancellation noise.  States are stored
-    in place, one row per bounce; H and every F_k are evaluated once over the
-    completed rows, and rows and invariant values are rounded back to double.
-    Each bounce runs the single-step API's chord and reflection kernel.
+    drown the drift being measured in cancellation noise.
 
-    A start off the boundary or not pointing inward raises OffBoundary or
-    NotInward before the first bounce.  Tangency parameters are recorded per
-    bounce when `fam` is given.  A NullNormal, NotInward, or
-    RootIsolationFailure event during the orbit aborts the run early; the
-    partial record is returned with the reason attached.
+    The loop only steps, with the single-step API's chord and reflection
+    kernel.  H, every F_k and, with `fam`, Q's coefficients are then
+    evaluated for all rows at once, and the per-row core of
+    confocal.tangency_parameters solves each row.  A row is recorded only
+    when its state, H and every F_k are finite (else NonFinite) and its
+    tangency parameters, if asked for, are solved (else RootIsolationFailure).
+    A failed step or row k >= 1 ends the record before row k, with the reason
+    and abort_bounce = k.  A failed row 0, resonant axes, or a start off the
+    boundary or not pointing inward raise before the first bounce.
     """
     if n_bounces < 1:
         raise ValueError("bounce count must be >= 1")
+    _integral_denominators(ell, sig)
     _require_on_boundary(r.x, ell)
     ax_v = float(ell.conormal(r.x) @ r.v)
     if not -np.inf < ax_v < 0.0:
@@ -232,42 +235,42 @@ def run_orbit(
     xs[0], vs[0] = x, v
     Ax = A * x
 
-    tangs: list[confocal.TangencySet] | None = [] if fam is not None else None
-    abort_reason = None
-    abort_bounce = None
-    rows = 0
-    for k in range(n_bounces + 1):
-        if k:
+    failure = None
+    rows = n_bounces + 1
+    for k in range(1, n_bounces + 1):
+        try:
+            x = _chord(x, v, Ax, A)
+            Ax = A * x
+            v = _reflect(v, Ax, e)
+        except (NotInward, NullNormal) as exc:
+            failure, rows = exc, k
+            break
+        xs[k], vs[k] = x, v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.sum(A * xs[:rows] * vs[:rows], axis=1).astype(float)
+        f = integrals_batch(xs[:rows], vs[:rows], ell, sig).astype(float)
+        xs, vs = xs[:rows].astype(float), vs[:rows].astype(float)
+    finite = np.isfinite(np.column_stack([xs, vs, h, f])).all(axis=1)
+    if not finite.all():
+        rows = int(np.argmin(finite))
+        failure = NonFinite(f"not finite at bounce {rows}: H = {h[rows]}, F = {f[rows].tolist()}")
+    tangs = None
+    if fam is not None:
+        tangs = []
+        qs = confocal.tangency_polynomial(fam, xs[:rows], vs[:rows])
+        for q, xk, vk in zip(qs.tolist(), xs[:rows].tolist(), vs[:rows].tolist()):
             try:
-                x = _chord(x, v, Ax, A)
-                Ax = A * x
-                v = _reflect(v, Ax, e)
-            except (NotInward, NullNormal) as exc:
-                abort_reason = f"{type(exc).__name__}: {exc}"
-                abort_bounce = k
-                break
-            xs[k], vs[k] = x, v
-        rows = k + 1
-        if tangs is not None:
-            state = RayState(xs[k].astype(float), vs[k].astype(float))
-            try:
-                tangs.append(confocal.tangency_parameters(fam, state))
+                tangs.append(confocal._tangency_set(fam, q, xk, vk))
             except RootIsolationFailure as exc:
-                abort_reason = f"RootIsolationFailure: {exc}"
-                abort_bounce = k
+                failure, rows = exc, len(tangs)
                 break
 
-    xs, vs = xs[:rows], vs[:rows]
-    h = np.sum(A * xs * vs, axis=1)
-    try:
-        f = integrals_batch(xs, vs, ell, sig).astype(float)
-    except ResonantAxes:
-        # Degenerate axes (sphere-like blocks): the quadratic integrals are
-        # undefined; their columns are recorded as NaN and H is kept.
-        f = np.full(xs.shape, np.nan)
-    return OrbitRecord(
-        xs.astype(float), vs.astype(float), h.astype(float), f, tangs, abort_reason, abort_bounce
-    )
+    if failure is not None and rows == 0:
+        raise failure
+    reason = None if failure is None else f"{type(failure).__name__}: {failure}"
+    bounce = None if failure is None else rows
+    return OrbitRecord(xs[:rows], vs[:rows], h[:rows], f[:rows], tangs, reason, bounce)
 
 
 def sample_null_ray(

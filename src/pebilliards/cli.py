@@ -12,10 +12,11 @@ Exit codes:
     0  clean run
     1  config error: a bad config or command line, or a failure before the
        first bounce (a simulate start off the boundary, not inward, of zero
-       direction or not sampled, resonant axes); no file is written
-    2  runtime degeneracy: a failure during the orbit (an abort or a tangency
-       mismatch), or a named error raised while computing (e.g.
-       NoConvergence or DegenerateChord on a radial oval table)
+       direction or not sampled, resonant axes, or a start row that cannot
+       be recorded: NonFinite, RootIsolationFailure); no file is written
+    2  runtime degeneracy: a failed step or row during the orbit, a tangency
+       mismatch, or a named error raised while computing (e.g. NoConvergence
+       or DegenerateChord on a radial oval table)
     3  tolerance failure in a verification command (commute)
 
 The thresholds are the library's constants: billiard.BOUNDARY_TOL,
@@ -41,12 +42,9 @@ from .errors import (
     ConvexityViolation,
     DegenerateChord,
     InfeasibleSlopes,
-    NotInward,
-    OffBoundary,
     PEBilliardsError,
     PoleParameter,
     ResonantAxes,
-    ZeroDirection,
     ZeroSlope,
 )
 from .pecore import Ellipsoid, RayState, Signature
@@ -290,10 +288,11 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     # orbit is recorded in the output and exits 2.
     try:
         fam = confocal.ConfocalFamily(ell, sig) if cfg["record_tangency"] else None
-        billiard._integral_denominators(ell, sig)
         state = _initial_state(cfg["initial"], ell, sig, cfg["seed"])
         record = billiard.run_orbit(state, cfg["bounces"], ell, sig, fam=fam)
-    except (ResonantAxes, OffBoundary, NotInward, ZeroDirection) as exc:
+    except ConfigError:
+        raise
+    except PEBilliardsError as exc:  # every named error here is a failed start
         _fail(f"{type(exc).__name__}: {exc}")
     report = verify.drift_report(record) if record.bounce_count >= 1 else None
     mismatch = report.lambda_mismatch if report is not None else None
@@ -314,8 +313,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     for idx, cells in enumerate(table):
         row = [str(idx), *map(repr, cells)]
         if record.tangency:
-            # A RootIsolationFailure abort leaves the last row without a TangencySet.
-            lams = record.tangency[idx].lambdas[:lam_count] if idx < len(record.tangency) else ()
+            lams = record.tangency[idx].lambdas[:lam_count]
             row += [_fmt(c) for c in lams] + [""] * (lam_count - len(lams))
         lines.append(",".join(row))
 

@@ -20,7 +20,9 @@ is a polynomial of degree <= d - 1 with top coefficient (prod_i e_i) <v,v>.
 The degree drops by one for light-like directions, which is the paper's
 one tangency parameter fewer.  The tangency parameters are the real roots
 of Q, each polished by one Newton step; roots within the pole tolerance of
-a pole are set aside, and every root is re-verified against |G|.
+a pole are set aside, and every root is re-verified against |G|.  Q is
+evaluated for all rows of an orbit at once and solved row by row; no factor
+divides by e_i a_k^2 - e_k a_i^2, so resonant axes need no special case.
 """
 
 from __future__ import annotations
@@ -90,14 +92,12 @@ class ConfocalFamily:
         return list(zip(self.ellipsoid.a2.tolist(), self.sig.e.tolist()))
 
     @cached_property
-    def _q_products(self) -> list[tuple[int, int, list[float]]]:
-        """(i, j, ascending coefficients of prod_{k not in {i, j}} c_k) for all i <= j."""
-        lin = self.factors
-        return [
-            (i, j, _linear_product([f for k, f in enumerate(lin) if k not in (i, j)]))
-            for i in range(self.dim)
-            for j in range(i, self.dim)
-        ]
+    def _q_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs i <= j as a (2 x pairs) index array, and the (pairs x d) matrix whose row
+        (i, j) holds the ascending coefficients of prod_{k not in {i, j}} c_k, zero-padded."""
+        pairs = [(i, j) for i in range(self.dim) for j in range(i, self.dim)]
+        prods = [_linear_product([f for k, f in enumerate(self.factors) if k not in p]) for p in pairs]
+        return np.array(pairs).T, np.array([c + [0.0] * (self.dim - len(c)) for c in prods])
 
 
 def _near_pole(fam: ConfocalFamily, lam: float) -> bool:
@@ -138,22 +138,26 @@ def tangency_discriminant(fam: ConfocalFamily, r: RayState, lam: float) -> float
     return first - second
 
 
-def tangency_polynomial(fam: ConfocalFamily, r: RayState) -> np.ndarray:
-    """Coefficients (ascending, length d) of Q, whose real roots are the tangency parameters.
+def tangency_polynomial(fam: ConfocalFamily, xs, vs) -> np.ndarray:
+    """Ascending coefficients of Q (length d on the last axis) for each row of xs, vs.
 
-    Q(lam) = sum_i v_i^2 prod_{j != i} c_j - sum_{i<j} (x_i v_j - x_j v_i)^2 prod_{k != i,j} c_k.
-    No factor divides by e_i a_k^2 - e_k a_i^2, so resonant axes need no
-    special case.
+    The monomials v_i^2 and -(x_i v_j - x_j v_i)^2 of all rows are formed at
+    once and accumulated over the pairs in one fixed order with elementwise
+    operations, so a row's coefficients do not depend on the rows evaluated
+    with it.  Overflow gives non-finite coefficients, not an exception.
     """
-    if r.dim != fam.dim:
-        raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
-    x, v = r.x.tolist(), r.v.tolist()
-    q = [0.0] * fam.dim
-    for i, j, prod in fam._q_products:
-        w = v[i] * v[i] if i == j else -((x[i] * v[j] - x[j] * v[i]) ** 2)
-        for k, c in enumerate(prod):
-            q[k] += w * c
-    return np.array(q)
+    xs = np.asarray(xs, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    if xs.shape != vs.shape or xs.shape[-1:] != (fam.dim,):
+        raise ValueError(f"phase arrays {xs.shape} and {vs.shape} do not match family dimension {fam.dim}")
+    (i, j), prods = fam._q_terms
+    q = np.zeros(xs.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = xs[..., i] * vs[..., j] - xs[..., j] * vs[..., i]
+        mono = np.where(i == j, vs[..., i] * vs[..., j], -(w * w))
+        for p, prod in enumerate(prods):
+            q += mono[..., p, None] * prod
+    return q
 
 
 def _is_real(re: float, im: float) -> bool:
@@ -214,22 +218,22 @@ class TangencySet:
 
 
 def tangency_parameters(fam: ConfocalFamily, r: RayState) -> TangencySet:
-    """All real tangency parameters of the line of r: the real roots of Q.
+    """All real tangency parameters of the line of r: Q on its one row, solved as the recorder does."""
+    q = tangency_polynomial(fam, r.x, r.v)
+    return _tangency_set(fam, q.tolist(), r.x.tolist(), r.v.tolist())
+
+
+def _tangency_set(fam: ConfocalFamily, q: list[float], x: list[float], v: list[float]) -> TangencySet:
+    """The tangency parameters of the line (x, v) from the coefficients q of its Q.
 
     For a light-like direction (|<v,v>| <= LIGHTLIKE_TOL |v|^2) Q's top
     coefficient is dropped.  The roots (closed form up to degree 2, Q's
     companion matrix above) get one Newton step on Q, kept where it lowers
     |Q|.  Roots within the pole tolerance of a pole are reported in
     `near_pole` only, and a root is kept only where |G| <= VERIFY_TOL times
-    the size of G's two terms.
+    the size of G's two terms.  A non-finite Q (from a non-finite state or
+    an overflow) raises RootIsolationFailure.
     """
-    if r.dim != fam.dim:
-        raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
-    x, v = r.x.tolist(), r.v.tolist()
-    if not all(math.isfinite(c) for c in x + v):
-        raise RootIsolationFailure("non-finite ray state")
-
-    q = tangency_polynomial(fam, r).tolist()
     if not all(math.isfinite(c) for c in q):
         raise RootIsolationFailure(f"tangency polynomial not finite: {q}")
     if abs(q[-1]) <= LIGHTLIKE_TOL * sum(c * c for c in v):  # |q[-1]| = |<v,v>|: light-like

@@ -33,6 +33,10 @@ class NullNormal(PEBilliardsError):
     """The boundary normal is light-like; reflection is undefined there."""
 
 
+class NonFinite(PEBilliardsError):
+    """A recorded state, H or F_k is not finite: the orbit's values overflow double precision."""
+
+
 class ResonantAxes(PEBilliardsError):
     """Two semi-axes make a quadratic-integral denominator vanish."""
 

@@ -208,37 +208,27 @@ def _series_drift(values: np.ndarray, floor: float) -> tuple[float, int]:
 def drift_report(orbit: OrbitRecord) -> DriftReport:
     """Worst drift of H, every F_k, and the tangency parameters over an orbit.
 
-    Tangency parameters are matched against bounce 0 by nearest value
-    (greedy).  A mismatch is a change of their count along the orbit, which
-    is reported as such rather than absorbed into the numbers, or a drift
-    above 10 times LAMBDA_DRIFT_TOL.
+    Tangency parameters are matched against bounce 0 by index: both lists
+    are sorted, which pairs each with its own value wherever the drift is
+    below half the gap between parameters.  A mismatch is a change of their
+    count along the orbit, which is reported as such rather than absorbed
+    into the numbers, or a drift above 10 times LAMBDA_DRIFT_TOL.
     """
     if orbit.bounce_count < 1:
         raise ValueError("drift needs an orbit with at least two recorded states")
     h_drift, h_worst = _series_drift(orbit.h, RELATIVE_FLOOR)
-    f_drifts = []
-    f_worsts = []
-    if np.all(np.isfinite(orbit.f)):
-        for k in range(orbit.f.shape[1]):
-            dk, wk = _series_drift(orbit.f[:, k], RELATIVE_FLOOR)
-            f_drifts.append(dk)
-            f_worsts.append(wk)
+    f_drifts, f_worsts = zip(*(_series_drift(fk, RELATIVE_FLOOR) for fk in orbit.f.T))
 
     lam_drift = lam_worst = mismatch = None
-    if orbit.tangency is not None and len(orbit.tangency) >= 2:
+    if orbit.tangency is not None:
         counts = {ts.count for ts in orbit.tangency}
         if len(counts) > 1:
             mismatch = f"tangency parameter count varies along the orbit: {sorted(counts)}"
         else:
-            lam_drift, lam_worst = 0.0, 0
-            base = orbit.tangency[0].lambdas
-            for b, ts in enumerate(orbit.tangency[1:], start=1):
-                cur = list(ts.lambdas)
-                for lam_ref in base:
-                    nearest = min(range(len(cur)), key=lambda i: abs(cur[i] - lam_ref))
-                    dev = abs(cur.pop(nearest) - lam_ref) / max(abs(lam_ref), RELATIVE_FLOOR)
-                    if dev > lam_drift:
-                        lam_drift, lam_worst = dev, b
+            lams = np.array([ts.lambdas for ts in orbit.tangency])  # (rows, count)
+            dev = np.abs(lams - lams[0]) / np.maximum(np.abs(lams[0]), RELATIVE_FLOOR)
+            per_bounce = np.max(dev, axis=1, initial=0.0)
+            lam_drift, lam_worst = float(per_bounce.max()), int(per_bounce.argmax())  # first worst bounce
             if lam_drift > 10.0 * LAMBDA_DRIFT_TOL:
                 mismatch = (
                     f"tangency parameters drift {lam_drift:.3e} at bounce {lam_worst}, "
@@ -248,8 +238,8 @@ def drift_report(orbit: OrbitRecord) -> DriftReport:
     return DriftReport(
         h_drift=h_drift,
         h_worst_bounce=h_worst,
-        f_drift=tuple(f_drifts),
-        f_worst_bounce=tuple(f_worsts),
+        f_drift=f_drifts,
+        f_worst_bounce=f_worsts,
         lambda_drift=lam_drift,
         lambda_worst_bounce=lam_worst,
         lambda_mismatch=mismatch,

@@ -13,7 +13,7 @@ from pebilliards.billiard import (
     run_orbit,
     sample_null_ray,
 )
-from pebilliards import confocal, pecore
+from pebilliards import billiard, confocal, pecore
 from pebilliards.confocal import ConfocalFamily
 from pebilliards.errors import (
     NotInward,
@@ -213,13 +213,15 @@ def test_minor_axis_period_two():
 
 
 def test_joachimsthal_examples():
-    # The recorder's H column is the Joachimsthal invariant Ax.v.
-    def h0(r, ell):
-        return run_orbit(r, 1, ell, Signature(2, 0)).h[0]
+    # The recorder's H column is the Joachimsthal invariant Ax.v.  The circle
+    # is resonant in signature (2, 0), where run_orbit refuses it, so its
+    # case runs in the Lorentz plane: H does not depend on the metric.
+    def h0(r, ell, sig=Signature(2, 0)):
+        return run_orbit(r, 1, ell, sig).h[0]
 
     assert h0(RayState((0, 1), (1, -1)), ELLIPSE) == pytest.approx(-1.0)
     assert h0(RayState((1.6, -0.6), (5, 5)), ELLIPSE) == pytest.approx(-1.0)
-    assert h0(RayState((0, 1), (0, -1)), Ellipsoid((1.0, 1.0))) == pytest.approx(-1.0)
+    assert h0(RayState((0, 1), (0, -1)), Ellipsoid((1.0, 1.0)), LORENTZ) == pytest.approx(-1.0)
     with pytest.raises(OffBoundary):
         h0(RayState((0, 0.2), (1, 0)), ELLIPSE)
 
@@ -272,9 +274,9 @@ def test_free_flight_leaves_integrals_unchanged():
 
 
 def test_run_orbit_circle_h_constant():
+    # The Lorentz circle: the Euclidean one is resonant, which run_orbit refuses.
     circle = Ellipsoid((1.0, 1.0))
-    sig = Signature(2, 0)
-    rec = run_orbit(RayState((1.0, 0.0), (-0.8, 0.6)), 100, circle, sig)
+    rec = run_orbit(RayState((1.0, 0.0), (-0.8, 0.6)), 100, circle, LORENTZ)
     assert rec.abort_reason is None
     assert rec.bounce_count == 100
     assert float(np.max(np.abs(rec.h - rec.h[0]))) <= 1e-12
@@ -460,18 +462,71 @@ def test_run_orbit_rows_match_double_map():
 
 
 def test_run_orbit_tangency_failure_at_bounce_zero(monkeypatch):
-    def fail(fam, r):
+    # A start whose own row cannot be recorded is refused like any other bad start.
+    def fail(fam, q, x, v):
         raise RootIsolationFailure("no roots here")
 
-    monkeypatch.setattr(confocal, "tangency_parameters", fail)
+    monkeypatch.setattr(confocal, "_tangency_set", fail)
+    sig = Signature(2, 1)
+    ell = Ellipsoid((3.0, 2.0, 1.0))
+    with pytest.raises(RootIsolationFailure, match="no roots here"):
+        run_orbit(sample_null_ray(ell, sig, 8), 5, ell, sig, fam=ConfocalFamily(ell, sig))
+
+
+def test_run_orbit_non_finite_row_ends_the_record(monkeypatch):
+    # One abort rule for every reason: a row k >= 1 whose integrals are not
+    # finite ends the record before row k, as a failed step does.
+    batch = billiard.integrals_batch
+
+    def overflow_row_2(xs, vs, ell, sig):
+        f = batch(xs, vs, ell, sig)
+        f[2:, 0] = np.inf
+        return f
+
+    monkeypatch.setattr(billiard, "integrals_batch", overflow_row_2)
     sig = Signature(2, 1)
     ell = Ellipsoid((3.0, 2.0, 1.0))
     rec = run_orbit(sample_null_ray(ell, sig, 8), 5, ell, sig, fam=ConfocalFamily(ell, sig))
-    assert rec.abort_reason == "RootIsolationFailure: no roots here"
-    assert rec.abort_bounce == 0
-    assert rec.bounce_count == 0
-    assert rec.xs.shape == (1, 3) and rec.h.shape == (1,) and rec.f.shape == (1, 3)
-    assert rec.tangency == []
+    assert rec.abort_reason.startswith("NonFinite: not finite at bounce 2: ")
+    assert rec.abort_bounce == 2 and rec.bounce_count == 1
+    assert len(rec.tangency) == 2 and np.all(np.isfinite(rec.f))
+
+
+def test_run_orbit_refuses_resonant_axes():
+    # The Euclidean circle has no quadratic integrals F_k; the start is refused.
+    with pytest.raises(ResonantAxes):
+        run_orbit(RayState((1.0, 0.0), (-0.8, 0.6)), 10, Ellipsoid((1.0, 1.0)), Signature(2, 0))
+
+
+#: Semi-axes for each of the five signatures the suite covers.
+SIGNATURE_AXES = {
+    (1, 1): (2.0, 1.0),
+    (2, 1): (3.0, 2.0, 1.0),
+    (3, 1): (4.0, 3.0, 2.0, 1.0),
+    (2, 2): (4.0, 3.0, 2.0, 1.0),
+    (3, 0): (3.0, 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
+def test_recorded_tangency_equals_single_state_solve(p, q):
+    # The recorder solves all rows after the loop; each row's TangencySet is
+    # exactly what the single-state API gives on that row.
+    sig = Signature(p, q)
+    ell = Ellipsoid(SIGNATURE_AXES[(p, q)])
+    fam = ConfocalFamily(ell, sig)
+    rng = np.random.default_rng(10 * p + q)
+    s = rng.standard_normal(sig.dim)
+    x = np.array(ell.a) * s / np.linalg.norm(s)
+    v = rng.standard_normal(sig.dim)
+    starts = [RayState(x, v if ell.conormal(x) @ v < 0.0 else -v)]
+    if q >= 1:
+        starts.append(sample_null_ray(ell, sig, p + q))
+    for start in starts:
+        rec = run_orbit(start, 30, ell, sig, fam=fam)
+        assert len(rec.tangency) == len(rec.xs) > 1
+        for ts, state in zip(rec.tangency, rec.states):
+            assert ts == confocal.tangency_parameters(fam, state)
 
 
 def test_run_orbit_builds_no_per_bounce_raystates(monkeypatch):
@@ -490,6 +545,11 @@ def test_run_orbit_builds_no_per_bounce_raystates(monkeypatch):
     monkeypatch.setattr(pecore.RayState, "__post_init__", counted)
     rec = run_orbit(start, 1000, ell, sig)
     assert rec.abort_reason is None and rec.bounce_count == 1000
+    assert len(built) <= 2
+    # Tangency is solved from the rows after the loop, so it builds none either.
+    built.clear()
+    rec = run_orbit(start, 1000, ell, sig, fam=ConfocalFamily(ell, sig))
+    assert rec.abort_reason is None and len(rec.tangency) == 1001
     assert len(built) <= 2
 
 

@@ -561,30 +561,48 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
 
 
 def test_mid_orbit_root_isolation_failure_exits_2_with_files(tmp_path, monkeypatch):
-    # The README simulate config: the third tangency solve (bounce 2) fails,
-    # so the record has three rows and two TangencySets.
+    # The README simulate config: the third row's tangency solve (bounce 2)
+    # fails, so the record ends before it: rows 0-1, each with its parameters.
     from pebilliards import confocal
     from pebilliards.errors import RootIsolationFailure
 
-    solve = confocal.tangency_parameters
+    solve = confocal._tangency_set
     calls = []
 
-    def failing_third(fam, state):
-        calls.append(state)
+    def failing_third(fam, q, x, v):
+        calls.append(x)
         if len(calls) == 3:
             raise RootIsolationFailure("injected on the third call")
-        return solve(fam, state)
+        return solve(fam, q, x, v)
 
-    monkeypatch.setattr(confocal, "tangency_parameters", failing_third)
+    monkeypatch.setattr(confocal, "_tangency_set", failing_third)
     doc = simulate_doc(bounces=5, record_tangency=True)
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["aborted"] == "RootIsolationFailure: injected on the third call"
-    assert summary["abort_bounce"] == 2 and summary["bounces_completed"] == 2
+    assert summary["abort_bounce"] == 2 and summary["bounces_completed"] == 1
     lines = (out / "orbit.csv").read_text().splitlines()
-    assert lines[0].endswith(",lam1") and len(lines) == 4
-    assert lines[2].split(",")[-1] != "" and lines[3].split(",")[-1] == ""
+    assert lines[0].endswith(",lam1") and len(lines) == 3
+    assert all(line.split(",")[-1] != "" for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "speed, record_tangency, error",
+    [(1e200, True, "NonFinite"), (1e200, False, "NonFinite"), (1e154, True, "RootIsolationFailure")],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # RayState's norm of v
+def test_start_that_overflows_is_config_error(tmp_path, capsys, speed, record_tangency, error):
+    # At 1e200 F_k overflows double precision (it used to be written as inf
+    # with exit 0, or to die in Q with an OverflowError); at 1e154 F_k is
+    # finite but Q's coefficients are not.  Either way row 0 cannot be
+    # recorded, which is a failed start: exit 1 and nothing written.
+    doc = {"signature": [1, 1], "axes": [2.0, 1.0], "initial": {"x": [0.0, 1.0], "v": [speed, -speed]},
+           "bounces": 3, "record_tangency": record_tangency}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert f"config error: {error}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Non-resonant axes for each signature the property below draws from.

@@ -310,12 +310,25 @@ def test_cleared_polynomial_factors_through_q(p, q):
     for a2, e in zip(fam.ellipsoid.a2, sig.e):
         prod_c = poly.polymul(prod_c, [a2, e])
     for r in _random_states(sig, np.random.default_rng(31)):
-        q_coeffs = tangency_polynomial(fam, r)
+        q_coeffs = tangency_polynomial(fam, r.x, r.v)
         assert q_coeffs.shape == (sig.dim,)
         assert q_coeffs[-1] == pytest.approx(np.prod(sig.e) * float(sig.e @ (r.v * r.v)), abs=1e-15)
         p_coeffs = cleared_polynomial(fam, r)
         product = np.convolve(q_coeffs, prod_c)
         assert np.max(np.abs(product - p_coeffs)) <= 1e-13 * np.max(np.abs(p_coeffs))
+
+
+@pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
+def test_q_row_does_not_depend_on_its_batch(p, q):
+    # Q is accumulated with elementwise operations in a fixed order, so a
+    # row alone and the same row inside a batch of 1000 agree bit for bit.
+    sig = Signature(p, q)
+    fam = ConfocalFamily(Ellipsoid(SIGNATURE_AXES[(p, q)]), sig)
+    xs, vs = np.random.default_rng(17).standard_normal((2, 1000, sig.dim)) * 3.0
+    batch = tangency_polynomial(fam, xs, vs)
+    assert batch.shape == (1000, sig.dim)
+    for k in range(1000):
+        assert np.array_equal(tangency_polynomial(fam, xs[k], vs[k]), batch[k])
 
 
 def _oracle_roots(fam, r):

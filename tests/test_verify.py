@@ -68,8 +68,9 @@ def test_gradient_batch_shapes():
 
 
 def test_drift_report_circle():
+    # The Lorentz circle: the Euclidean one is resonant, which run_orbit refuses.
     circle = Ellipsoid((1.0, 1.0))
-    rec = run_orbit(RayState((1.0, 0.0), (-0.6, 0.8)), 1000, circle, Signature(2, 0))
+    rec = run_orbit(RayState((1.0, 0.0), (-0.6, 0.8)), 1000, circle, Signature(1, 1))
     rep = drift_report(rec)
     assert rep.h_drift <= 1e-12
     assert rep.aborted is None
@@ -96,6 +97,18 @@ def test_drift_report_flags_count_change():
     rep = drift_report(rec)
     assert rep.lambda_mismatch == "tangency parameter count varies along the orbit: [1, 2]"
     assert rep.lambda_drift is None and rep.to_dict()["lambda_mismatch"] is True
+
+
+def test_drift_report_matches_lambdas_by_index():
+    # Sorted parameters pair up by index; a tie in the worst drift goes to the first bounce.
+    lams = [(1.0, 4.0), (1.5, 4.0), (1.0, 4.5), (1.5, 4.0)]
+    rec = OrbitRecord(
+        xs=np.zeros((4, 2)), vs=np.ones((4, 2)), h=np.ones(4), f=np.ones((4, 2)),
+        tangency=[TangencySet(lambdas=lam) for lam in lams],
+    )
+    rep = drift_report(rec)
+    assert rep.lambda_drift == 0.5 and rep.lambda_worst_bounce == 1
+    assert rep.lambda_mismatch.startswith("tangency parameters drift 5.000e-01 at bounce 1")
 
 
 def test_drift_report_partial_after_abort():
