@@ -32,8 +32,10 @@ Evaluation
   formula is written once for both; only cos and sin are chosen by type.
 * An ellipse's chord partner is the other root of its quadratic in the free
   coordinate, and its coordinate-k extrema lie along +-M^-1 e_k: both closed
-  form.  Other curves find their extrema by a grid scan refined by brentq,
-  bracket the partner on the arc between them, and polish it by Newton.
+  form.  Other curves solve both by one guarded Newton iteration
+  (`_guarded_newton`): the extrema inside the cells of a grid scan where the
+  coordinate's derivative changes sign, and the partner on the arc between
+  them, seeded at the base ellipse's closed-form partner.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConvexityViolation,
@@ -63,6 +64,12 @@ DEGENERATE_TOL = 1e-9
 SCAN_GRID = 4096
 
 TWO_PI = 2.0 * math.pi
+
+#: Step (radians) below which the guarded Newton root solve stops.
+ROOT_XTOL = 1e-14
+
+#: Iterations after which the guarded Newton root solve gives up.
+ROOT_MAX_ITER = 100
 
 _R45 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -106,6 +113,40 @@ def _pair(x, y):
     return np.stack([x, y], axis=-1)
 
 
+def _guarded_newton(fdf, lo: float, hi: float, t: float, rising: bool, what: str) -> float:
+    """Root of f on [lo, hi] by Newton from t, bisecting where a step leaves the bracket.
+
+    fdf(t) returns f(t) and f'(t) as floats; f changes sign on the bracket,
+    from negative to positive when `rising`.  The sign of each new f shrinks
+    the bracket (Numerical Recipes' rtsafe), and the iteration stops once a
+    step is at most ROOT_XTOL.  Raises NoConvergence on a non-finite f or
+    after ROOT_MAX_ITER steps.
+    """
+    neg, pos = (lo, hi) if rising else (hi, lo)
+    for _ in range(ROOT_MAX_ITER):
+        f, df = fdf(t)
+        if f == 0.0:
+            return t
+        if not math.isfinite(f):
+            raise NoConvergence(f"{what}: function not finite at {t}")
+        if f < 0.0:
+            neg = t
+        else:
+            pos = t
+        step = f / df if df != 0.0 else math.nan
+        if abs(step) <= ROOT_XTOL:
+            return t - step
+        # A step onto a bracket end is a step out: where rounding noise in f
+        # outweighs f' * ROOT_XTOL, Newton would hop between the two ends.
+        new = t - step
+        if not min(neg, pos) < new < max(neg, pos):
+            new = 0.5 * (neg + pos)
+            if abs(new - t) <= ROOT_XTOL:
+                return new
+        t = new
+    raise NoConvergence(f"{what}: no root to {ROOT_XTOL} after {ROOT_MAX_ITER} steps")
+
+
 class OvalCurve:
     """Closed strictly convex curve given as a polar graph about a center.
 
@@ -118,6 +159,8 @@ class OvalCurve:
 
     center: np.ndarray
     _center: tuple[float, float]
+    #: Ellipse the curve perturbs, whose closed-form partner seeds chord_partner.
+    base: EllipseOval | None = None
 
     def radius_derivs(self, theta):
         """Radius and its first two angle derivatives."""
@@ -146,40 +189,46 @@ class OvalCurve:
             return math.copysign(math.inf, dy)
         return dy / dx
 
+    def _coordinate_derivs(self, theta: float, axis: int) -> tuple[float, float, float]:
+        """Coordinate `axis` of point(theta) and its first two theta-derivatives, on a float."""
+        r, r1, r2 = self.radius_derivs(theta)
+        u, w = (math.cos(theta), -math.sin(theta)) if axis == 0 else (math.sin(theta), math.cos(theta))
+        return self._center[axis] + r * u, r1 * u + r * w, (r2 - r) * u + 2.0 * r1 * w
+
     def coordinate_extrema(self, axis: int) -> tuple[float, float]:
-        """The two parameters where the given coordinate is extremal, ascending."""
+        """The two parameters where the given coordinate is extremal, ascending.
+
+        A SCAN_GRID scan of the coordinate's derivative must change sign in
+        exactly two cells, else the curve is not strictly convex; each cell's
+        root is then solved by the guarded Newton on the first and second
+        derivatives, seeded by the secant of the scan.
+        """
         cache = self.__dict__.setdefault("_extrema_cache", {})
         if axis not in cache:
+            h = TWO_PI / SCAN_GRID
             ts = np.linspace(0.0, TWO_PI, SCAN_GRID, endpoint=False)
             der = self.velocity(ts)[:, axis]
+            nxt = np.roll(der, -1)
+            cells = np.flatnonzero((der == 0.0) | (der * nxt < 0.0))
+            if len(cells) != 2:
+                raise ConvexityViolation(
+                    f"expected exactly two extrema of coordinate {axis}, found {len(cells)}"
+                )
 
-            def f(t: float) -> float:
-                return self.velocity(t)[axis]
+            def fdf(t: float) -> tuple[float, float]:
+                return self._coordinate_derivs(t, axis)[1:]
 
             roots = []
-            for i in np.flatnonzero((der == 0.0) | (der * np.roll(der, -1) < 0.0)):
-                lo = float(ts[i])
-                hi = lo + TWO_PI / SCAN_GRID
-                if der[i] == 0.0:
+            for i in cells:
+                # The last cell ends at 2 pi, scanned as 0; the solve's own
+                # signs decide a root within an ulp of either end.
+                lo, d0, d1 = float(ts[i]), float(der[i]), float(nxt[i])
+                if d0 == 0.0:
                     roots.append(lo)
                     continue
-                try:
-                    roots.append(brentq(f, lo, hi, xtol=1e-14))
-                except RuntimeError as exc:
-                    raise NoConvergence(f"extremum of coordinate {axis}: {exc}") from exc
-                except ValueError:
-                    # f's own values do not bracket: f differs from the
-                    # scan in the last ulp at an endpoint (hi = 2 pi is
-                    # scanned as 0), so the extremum lies at that endpoint.
-                    fa, fb = f(lo), f(hi)
-                    if not (math.isfinite(fa) and math.isfinite(fb)):
-                        raise NoConvergence(
-                            f"extremum of coordinate {axis}: derivative not finite at {lo} or {hi}"
-                        ) from None
-                    roots.append(lo if abs(fa) <= abs(fb) else hi)
-            if len(roots) != 2:
-                raise ConvexityViolation(
-                    f"expected exactly two extrema of coordinate {axis}, found {len(roots)}"
+                seed = lo + h * d0 / (d0 - d1)
+                roots.append(
+                    _guarded_newton(fdf, lo, lo + h, seed, d0 < 0.0, f"extremum of coordinate {axis}")
                 )
             cache[axis] = tuple(sorted(wrap_angle(t) for t in roots))
         return cache[axis]
@@ -188,35 +237,39 @@ class OvalCurve:
         """Parameter of the other point of the curve with the same coordinate `axis`.
 
         Strict convexity splits the curve into two monotone arcs per
-        coordinate; the partner is bracketed on the arc not containing theta,
-        found by brentq and polished by two Newton steps on the analytic
-        tangent.  theta must lie in [0, 2*pi) and off the extrema, as
-        chord_step ensures; the result is not wrapped.
+        coordinate, between its two extrema; the partner lies on the arc not
+        containing theta and is solved there by the guarded Newton, seeded
+        at the base ellipse's closed-form partner when the curve has one.
+        theta must lie in [0, 2*pi) and off the extrema, as chord_step
+        ensures; the result is not wrapped.
         """
         t_lo, t_hi = self.coordinate_extrema(axis)
-        target = self.point(theta)[axis]
-
-        def f(t: float) -> float:
-            return self.point(t)[axis] - target
-
+        ends = self.__dict__.setdefault("_extremum_coords", {})
+        if axis not in ends:
+            ends[axis] = (self._coordinate_derivs(t_lo, axis)[0], self._coordinate_derivs(t_hi, axis)[0])
+        x_lo, x_hi = ends[axis]
+        target = self._coordinate_derivs(theta, axis)[0]
         if t_lo < theta < t_hi:
-            lo, hi = t_hi, t_lo + TWO_PI
+            lo, hi, flo, fhi = t_hi, t_lo + TWO_PI, x_hi - target, x_lo - target
         else:
-            lo, hi = t_lo, t_hi
-        flo, fhi = f(lo), f(hi)
+            lo, hi, flo, fhi = t_lo, t_hi, x_lo - target, x_hi - target
         if flo == 0.0:
             return lo
         if fhi == 0.0:
             return hi
         if flo * fhi > 0.0:
             raise DegenerateChord("chord endpoint could not be bracketed; point is at an extremum")
-        root = brentq(f, lo, hi, xtol=1e-14)
-        for _ in range(2):
-            slope = self.velocity(root)[axis]
-            if slope == 0.0:
-                break
-            root -= f(root) / slope
-        return root
+        seed = 0.5 * (lo + hi)
+        if self.base is not None:
+            guess = lo + (self.base.chord_partner(theta, axis) - lo) % TWO_PI
+            if guess <= hi:
+                seed = guess
+
+        def fdf(t: float) -> tuple[float, float]:
+            x, dx, _ = self._coordinate_derivs(t, axis)
+            return x - target, dx
+
+        return _guarded_newton(fdf, lo, hi, seed, flo < 0.0, "chord partner")
 
 
 class EllipseOval(OvalCurve):
@@ -290,14 +343,15 @@ class RadialBump:
     def __post_init__(self) -> None:
         if not 0.0 < self.halfwidth < np.pi:
             raise ValueError("bump halfwidth must lie in (0, pi)")
+        for name in ("anchor", "value", "tilt", "halfwidth"):
+            # Python floats keep scalar evaluations off numpy scalar arithmetic.
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def derivs(self, theta):
         theta = _angle(theta)
         d = (theta - self.anchor + math.pi) % TWO_PI - math.pi
         xi = d / self.halfwidth
         inside = abs(xi) < 1.0
-        if isinstance(theta, float) and not inside:
-            return 0.0, 0.0, 0.0
         xi = xi * inside
         one = 1.0 - xi * xi
         psi = one**3
@@ -335,7 +389,11 @@ class RadialOval(OvalCurve):
     def radius_derivs(self, theta):
         theta = _angle(theta)
         r, r1, r2 = self.base.radius_derivs(theta)
+        scalar = isinstance(theta, float)
         for bump in self.bumps:
+            # A float angle outside a bump's support skips the call.
+            if scalar and abs((theta - bump.anchor + math.pi) % TWO_PI - math.pi) >= bump.halfwidth:
+                continue
             g, g1, g2 = bump.derivs(theta)
             r, r1, r2 = r + g, r1 + g1, r2 + g2
         return r, r1, r2
@@ -354,7 +412,7 @@ def chord_step(curve: OvalCurve, theta: float, direction: str) -> float:
 
     Raises DegenerateChord at coordinate extrema; otherwise the curve's
     chord_partner solves for the other intersection (closed form on an
-    ellipse, a bracketed root solve polished by Newton on other curves).
+    ellipse, a guarded Newton solve on other curves).
     """
     axis = _axis_index(direction)
     t_lo, t_hi = curve.coordinate_extrema(axis)

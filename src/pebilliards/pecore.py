@@ -115,7 +115,8 @@ class RayState:
         v = _readonly(self.v)
         if x.ndim != 1 or x.shape != v.shape:
             raise ValueError(f"x and v must be 1-D of equal length, got {x.shape} and {v.shape}")
-        if float(np.linalg.norm(v)) == 0.0:  # a NaN v is left to the billiard guards
+        # No norm: its squares overflow past ~1e154.  A NaN v is left to the billiard guards.
+        if not np.any(v):
             raise ZeroDirection("direction vector has zero Euclidean norm")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "v", v)

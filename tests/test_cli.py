@@ -2,7 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -591,17 +596,22 @@ def test_mid_orbit_root_isolation_failure_exits_2_with_files(tmp_path, monkeypat
     "speed, record_tangency, error",
     [(1e200, True, "NonFinite"), (1e200, False, "NonFinite"), (1e154, True, "RootIsolationFailure")],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # RayState's norm of v
 def test_start_that_overflows_is_config_error(tmp_path, capsys, speed, record_tangency, error):
     # At 1e200 F_k overflows double precision (it used to be written as inf
     # with exit 0, or to die in Q with an OverflowError); at 1e154 F_k is
     # finite but Q's coefficients are not.  Either way row 0 cannot be
-    # recorded, which is a failed start: exit 1 and nothing written.
+    # recorded, which is a failed start: exit 1 and nothing written.  The
+    # verdict is the only thing said: no overflow warning comes before it.
     doc = {"signature": [1, 1], "axes": [2.0, 1.0], "initial": {"x": [0.0, 1.0], "v": [speed, -speed]},
            "bounces": 3, "record_tangency": record_tangency}
     out = tmp_path / "out"
-    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
-    assert f"config error: {error}: " in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert f"config error: {error}: " in err
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -646,3 +656,21 @@ def test_explicit_simulate_start_ends_in_a_named_outcome(data):
         assert rc == 0, rc
         cells = [c for row in (out / "orbit.csv").read_text().splitlines()[1:] for c in row.split(",")[1:]]
         assert all(np.isfinite(float(c)) for c in cells if c)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter, so modules other tests imported do not count.
+    code = "import sys, pebilliards.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_source_file_imports_scipy():
+    importing = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    sources = sorted(SRC.rglob("*.py"))
+    assert sources
+    assert [p.name for p in sources if importing.search(p.read_text())] == []

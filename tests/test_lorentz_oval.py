@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pebilliards import lorentz_oval as lo
@@ -323,7 +323,7 @@ def _wrap_bump_table():
 
 def _sample_angles(curve):
     # 1.1 and 4.0 lie outside every bump of _wrap_bump_table, where a scalar
-    # angle takes the bump's early zero return.
+    # angle skips the bump.
     ts = [0.3, 1.1, 2.7, 4.0, 5.5]
     for bump in getattr(curve, "bumps", ()):
         a, h = bump.anchor, bump.halfwidth
@@ -348,3 +348,82 @@ def test_float_path_matches_array_path(curve):
             _assert_within_4_ulp(curve.radius_derivs(scalar_t), curve.radius_derivs(one))
             _assert_within_4_ulp(curve.point(scalar_t), curve.point(one).T)
             _assert_within_4_ulp(curve.velocity(scalar_t), curve.velocity(one).T)
+
+
+def _bisection_partner(curve, theta, axis):
+    """The chord partner by plain bisection, on the arc between the coordinate
+    extrema of a dense array scan (no Newton, no cached library extrema)."""
+    ts = np.linspace(0.0, 2 * np.pi, 20000, endpoint=False)
+    coord = curve.point(ts)[:, axis]
+    t_lo, t_hi = sorted((float(ts[np.argmin(coord)]), float(ts[np.argmax(coord)])))
+    lo_, hi_ = (t_hi, t_lo + 2 * np.pi) if t_lo < theta < t_hi else (t_lo, t_hi)
+    target = curve.point(theta)[axis]
+    neg_at_lo = curve.point(lo_)[axis] < target
+    while True:
+        mid = 0.5 * (lo_ + hi_)
+        if not lo_ < mid < hi_:
+            return mid
+        if (curve.point(mid)[axis] < target) == neg_at_lo:
+            lo_ = mid
+        else:
+            hi_ = mid
+
+
+@st.composite
+def radial_tables(draw):
+    """A random ellipse with one to four random bumps.
+
+    A bump's value and tilt scale with its halfwidth h as h^2 and h (its
+    curvature term as 1), and with the minor semi-axis, so that about half
+    the tables are strictly convex.
+    """
+    lam = np.array([draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))])
+    phi = draw(st.floats(0.0, np.pi))
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    form = rot @ np.diag(lam) @ rot.T
+    center = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    base = lo.EllipseOval((form + form.T) / 2.0, center=center)
+    size = 1.0 / np.sqrt(lam.max())
+    bumps = []
+    for _ in range(draw(st.integers(1, 4))):
+        h = draw(st.floats(0.05, 1.5))
+        anchor = draw(st.floats(0.0, 2 * np.pi, exclude_max=True))
+        value, tilt = draw(st.floats(-0.2, 0.2)) * size * h * h, draw(st.floats(-0.2, 0.2)) * size * h
+        bumps.append(lo.RadialBump(anchor, value, tilt, h))
+    return base, tuple(bumps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=radial_tables(), thetas=st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=1, max_size=6),
+       offsets=st.lists(st.sampled_from([0.0, 1e-10, -1e-10, 2e-9, -2e-9, 1e-6, -1e-6, 1e-3]), max_size=4))
+def test_random_radial_table_chord_steps(table, thetas, offsets):
+    # A random table is either refused as not strictly convex or its chord
+    # steps end in a named error (DegenerateChord, NoConvergence) or in a
+    # partner that keeps the coordinate.  Off the extrema, where the chord
+    # is well conditioned (|X'| >= 1e-2 * scale at both ends), the partner
+    # lies on the other arc, matches plain bisection, and the inverse chord
+    # returns theta.
+    base, bumps = table
+    try:
+        curve = lo.RadialOval(base, bumps)
+        extrema = [curve.coordinate_extrema(axis) for axis in (0, 1)]
+    except ConvexityViolation:
+        event("not strictly convex")
+        return
+    scale = max(1.0, float(np.max(np.abs(curve.point(np.linspace(0.0, 2 * np.pi, 64))))))
+    for axis, direction in ((0, lo.VERTICAL), (1, lo.HORIZONTAL)):
+        t_lo, t_hi = extrema[axis]
+        near = [lo.wrap_angle(t + d) for t in extrema[axis] for d in offsets]
+        for theta in [*thetas, *near]:
+            try:
+                partner = lo.chord_step(curve, theta, direction)
+            except (DegenerateChord, NoConvergence) as exc:
+                event(type(exc).__name__)
+                continue
+            assert abs(curve.point(partner)[axis] - curve.point(theta)[axis]) <= 1e-12 * scale
+            if min(abs(curve.velocity(t)[axis]) for t in (theta, partner)) < 1e-2 * scale:
+                continue
+            event("well-conditioned chord")
+            assert (t_lo < partner < t_hi) != (t_lo < theta < t_hi)
+            assert abs(lo.signed_angle_gap(partner, _bisection_partner(curve, theta, axis))) <= 1e-12
+            assert abs(lo.signed_angle_gap(lo.chord_step(curve, partner, direction), theta)) <= 1e-12
