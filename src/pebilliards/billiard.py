@@ -22,6 +22,7 @@ undefined there and orbit runs abort with a recorded reason.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +108,13 @@ def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     return reflect(advance_to_boundary(r, ell), ell, sig)
 
 
+@functools.lru_cache(maxsize=16)
 def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
     """Denominator matrix d[k, i] = e_i a_k^2 - e_k a_i^2, infinite on the diagonal.
 
     The infinite diagonal drops the i = k term from every pair sum.  Raises
-    ResonantAxes where an off-diagonal entry vanishes.
+    ResonantAxes where an off-diagonal entry vanishes.  Cached per geometry
+    (read-only), so run_orbit's start check and its integrals share one.
     """
     if ell.dim != sig.dim:
         raise ValueError("ellipsoid and signature dimensions must agree")
@@ -121,6 +124,7 @@ def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
     np.fill_diagonal(d, np.inf)
     if not d.all():
         raise ResonantAxes("some e_i a_k^2 - e_k a_i^2 vanishes; axes are resonant")
+    d.setflags(write=False)
     return d
 
 

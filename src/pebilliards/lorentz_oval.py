@@ -28,8 +28,16 @@ Evaluation
 ----------
 * A curve's radius, points, tangents and slopes take one angle as a Python
   float and then compute on floats with the math module, or an array of
-  angles (the scan and convexity grids) and then compute with numpy.  Each
-  formula is written once for both; only cos and sin are chosen by type.
+  angles and then compute with numpy.  Each formula is written once for
+  both; only cos and sin are chosen by type.
+* The SCAN_GRID angles and their cos and sin are module constants.  Each
+  curve evaluates r, r', r'' on them once (`grid_derivs`, read-only), and
+  both the extremum scan and a radial table's convexity check read that
+  array.  A radial table copies its base ellipse's grid, so the candidate
+  tables of one synthesis share one base evaluation, and adds each bump
+  only on the grid slices that cover its support (two where it wraps past
+  2 pi): outside its support a bump adds an exact zero, so the sums equal
+  the whole-grid ones.
 * An ellipse's chord partner is the other root of its quadratic in the free
   coordinate, and its coordinate-k extrema lie along +-M^-1 e_k: both closed
   form.  Other curves solve both by one guarded Newton iteration
@@ -40,6 +48,7 @@ Evaluation
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +61,7 @@ from .errors import (
     NoConvergence,
     ZeroSlope,
 )
-from .pecore import Ellipsoid
+from .pecore import Ellipsoid, _readonly
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -64,6 +73,12 @@ DEGENERATE_TOL = 1e-9
 SCAN_GRID = 4096
 
 TWO_PI = 2.0 * math.pi
+
+#: The SCAN_GRID angles i * 2 pi / SCAN_GRID, their spacing, cosines and sines.
+_SCAN_ANGLES = _readonly(np.linspace(0.0, TWO_PI, SCAN_GRID, endpoint=False))
+_SCAN_STEP = TWO_PI / SCAN_GRID
+_SCAN_COS = _readonly(np.cos(_SCAN_ANGLES))
+_SCAN_SIN = _readonly(np.sin(_SCAN_ANGLES))
 
 #: Step (radians) below which the guarded Newton root solve stops.
 ROOT_XTOL = 1e-14
@@ -100,9 +115,14 @@ def _angle(theta):
 
 
 def _cos_sin(theta):
-    """Cosine and sine of an angle from _angle: math on a float, numpy on an array."""
+    """Cosine and sine of an angle from _angle: math on a float, numpy on an array.
+
+    On the scan grid itself they are the module constants.
+    """
     if isinstance(theta, float):
         return math.cos(theta), math.sin(theta)
+    if theta is _SCAN_ANGLES:
+        return _SCAN_COS, _SCAN_SIN
     return np.cos(theta), np.sin(theta)
 
 
@@ -189,6 +209,19 @@ class OvalCurve:
             return math.copysign(math.inf, dy)
         return dy / dx
 
+    @functools.cached_property
+    def grid_derivs(self) -> np.ndarray:
+        """r, r' and r'' on the SCAN_GRID angles: the rows of a read-only (3, SCAN_GRID) array.
+
+        Evaluated once per curve, on first use; the extremum scan reads it.
+        """
+        grid = self._evaluate_grid()
+        grid.setflags(write=False)
+        return grid
+
+    def _evaluate_grid(self) -> np.ndarray:
+        return np.array(self.radius_derivs(_SCAN_ANGLES))
+
     def _coordinate_derivs(self, theta: float, axis: int) -> tuple[float, float, float]:
         """Coordinate `axis` of point(theta) and its first two theta-derivatives, on a float."""
         r, r1, r2 = self.radius_derivs(theta)
@@ -198,16 +231,17 @@ class OvalCurve:
     def coordinate_extrema(self, axis: int) -> tuple[float, float]:
         """The two parameters where the given coordinate is extremal, ascending.
 
-        A SCAN_GRID scan of the coordinate's derivative must change sign in
-        exactly two cells, else the curve is not strictly convex; each cell's
-        root is then solved by the guarded Newton on the first and second
-        derivatives, seeded by the secant of the scan.
+        The coordinate's derivative on the SCAN_GRID angles (from
+        grid_derivs) must change sign in exactly two cells, else the curve
+        is not strictly convex; each cell's root is then solved by the
+        guarded Newton on the first and second derivatives, seeded by the
+        secant of the scan.
         """
         cache = self.__dict__.setdefault("_extrema_cache", {})
         if axis not in cache:
-            h = TWO_PI / SCAN_GRID
-            ts = np.linspace(0.0, TWO_PI, SCAN_GRID, endpoint=False)
-            der = self.velocity(ts)[:, axis]
+            r, r1, _ = self.grid_derivs
+            u, w = (_SCAN_COS, -_SCAN_SIN) if axis == 0 else (_SCAN_SIN, _SCAN_COS)
+            der = r1 * u + r * w
             nxt = np.roll(der, -1)
             cells = np.flatnonzero((der == 0.0) | (der * nxt < 0.0))
             if len(cells) != 2:
@@ -222,13 +256,15 @@ class OvalCurve:
             for i in cells:
                 # The last cell ends at 2 pi, scanned as 0; the solve's own
                 # signs decide a root within an ulp of either end.
-                lo, d0, d1 = float(ts[i]), float(der[i]), float(nxt[i])
+                lo, d0, d1 = float(_SCAN_ANGLES[i]), float(der[i]), float(nxt[i])
                 if d0 == 0.0:
                     roots.append(lo)
                     continue
-                seed = lo + h * d0 / (d0 - d1)
+                seed = lo + _SCAN_STEP * d0 / (d0 - d1)
                 roots.append(
-                    _guarded_newton(fdf, lo, lo + h, seed, d0 < 0.0, f"extremum of coordinate {axis}")
+                    _guarded_newton(
+                        fdf, lo, lo + _SCAN_STEP, seed, d0 < 0.0, f"extremum of coordinate {axis}"
+                    )
                 )
             cache[axis] = tuple(sorted(wrap_angle(t) for t in roots))
         return cache[axis]
@@ -253,10 +289,10 @@ class OvalCurve:
             lo, hi, flo, fhi = t_hi, t_lo + TWO_PI, x_hi - target, x_lo - target
         else:
             lo, hi, flo, fhi = t_lo, t_hi, x_lo - target, x_hi - target
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
+        if flo == 0.0 or fhi == 0.0:
+            # The coordinate at theta equals an extremum's in float64 (theta
+            # within ~1.5e-8 of it): the only partner is the extremum itself.
+            raise DegenerateChord(f"parameter {theta} is at a coordinate-{axis} extremum in float64")
         if flo * fhi > 0.0:
             raise DegenerateChord("chord endpoint could not be bracketed; point is at an extremum")
         seed = 0.5 * (lo + hi)
@@ -368,7 +404,7 @@ class RadialOval(OvalCurve):
     """Base ellipse plus localized radial bumps; verified strictly convex.
 
     convexity_margin is the least curvature numerator r^2 + 2 r'^2 - r r''
-    over the SCAN_GRID check grid.
+    over the SCAN_GRID angles, read from grid_derivs.
     """
 
     def __init__(self, base: EllipseOval, bumps: tuple[RadialBump, ...] = ()):
@@ -376,8 +412,7 @@ class RadialOval(OvalCurve):
         self.bumps = tuple(bumps)
         self.center = base.center
         self._center = base._center
-        ts = np.linspace(0.0, 2.0 * np.pi, SCAN_GRID, endpoint=False)
-        r, r1, r2 = self.radius_derivs(ts)
+        r, r1, r2 = self.grid_derivs
         if np.any(r <= 0.0):
             raise ConvexityViolation("perturbed radius is not positive everywhere")
         self.convexity_margin = float(np.min(r * r + 2.0 * r1 * r1 - r * r2))
@@ -397,6 +432,38 @@ class RadialOval(OvalCurve):
             g, g1, g2 = bump.derivs(theta)
             r, r1, r2 = r + g, r1 + g1, r2 + g2
         return r, r1, r2
+
+    def _evaluate_grid(self) -> np.ndarray:
+        """The base's cached grid plus each bump, evaluated on the grid points of its support.
+
+        A bump adds an exact zero outside its support, so the sums equal
+        radius_derivs on the whole grid (up to the sign of a zero).
+        """
+        grid = self.base.grid_derivs.copy()
+        for bump in self.bumps:
+            for cells in _support_cells(bump):
+                grid[:, cells] += bump.derivs(_SCAN_ANGLES[cells])
+        return grid
+
+
+def _support_cells(bump: RadialBump) -> tuple[slice, ...]:
+    """Slices of the SCAN_GRID indices that cover a bump's support, two where it wraps past 2 pi.
+
+    The index range is widened by a grid step at each end, far beyond the
+    rounding of the bump's wrapped offset, so it misses no grid angle of the
+    support.  Beyond |anchor| = 1e6 that rounding grows, and the whole grid
+    is used.
+    """
+    if abs(bump.anchor) > 1e6:
+        return (slice(None),)
+    first = math.floor((bump.anchor - bump.halfwidth) / _SCAN_STEP) - 1
+    count = math.floor((bump.anchor + bump.halfwidth) / _SCAN_STEP) + 2 - first
+    if count >= SCAN_GRID:
+        return (slice(None),)
+    first %= SCAN_GRID
+    if first + count <= SCAN_GRID:
+        return (slice(first, first + count),)
+    return slice(first, SCAN_GRID), slice(0, first + count - SCAN_GRID)
 
 
 def _axis_index(direction: str) -> int:

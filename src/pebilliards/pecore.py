@@ -8,6 +8,7 @@ after construction and all functions are pure.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +57,10 @@ class Signature:
     def dim(self) -> int:
         return self.p + self.q
 
-    @property
+    @functools.cached_property
     def e(self) -> np.ndarray:
-        """Diagonal sign vector of the metric."""
-        signs = np.ones(self.dim)
-        signs[self.p :] = -1.0
-        signs.setflags(write=False)
-        return signs
+        """Diagonal sign vector of the metric (read-only)."""
+        return _readonly([1.0] * self.p + [-1.0] * self.q)
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,10 @@ class Ellipsoid:
     def dim(self) -> int:
         return len(self.a)
 
-    @property
+    @functools.cached_property
     def a2(self) -> np.ndarray:
-        """Squared semi-axes."""
-        return np.array(self.a) ** 2
+        """Squared semi-axes (read-only)."""
+        return _readonly(np.array(self.a) ** 2)
 
     @property
     def shape_diag(self) -> np.ndarray:

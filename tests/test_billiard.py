@@ -492,6 +492,17 @@ def test_run_orbit_non_finite_row_ends_the_record(monkeypatch):
     assert len(rec.tangency) == 2 and np.all(np.isfinite(rec.f))
 
 
+def test_run_orbit_computes_the_integral_denominators_once():
+    # The start check and the integrals after the loop share one matrix.
+    sig, ell = Signature(2, 1), Ellipsoid((3.0, 2.0, 1.0))
+    start = sample_null_ray(ell, sig, 8)
+    billiard._integral_denominators.cache_clear()
+    run_orbit(start, 5, ell, sig)
+    info = billiard._integral_denominators.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not billiard._integral_denominators(ell, sig).flags.writeable
+
+
 def test_run_orbit_refuses_resonant_axes():
     # The Euclidean circle has no quadratic integrals F_k; the start is refused.
     with pytest.raises(ResonantAxes):

@@ -264,6 +264,13 @@ def test_oval_synth_v4_and_determinism(tmp_path):
     assert report["speed_after_periods"] == pytest.approx(1024.0, rel=1e-6)
     for name in ("table.json", "synth_report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # The README's periodic example finds the orbit again on the written table.
+    table = json.loads((out1 / "table.json").read_text())
+    path = write_config(tmp_path, {"oval": {"table": table, "half_period": 2, "seed_param": 5.45}})
+    assert main(["oval", "periodic", "--config", path, "--out", str(tmp_path / "p")]) == 0
+    poly = json.loads((tmp_path / "p" / "polygon.json").read_text())
+    assert poly["acceleration_factor"] == pytest.approx(4.0, abs=1e-12)
+    assert poly["return_derivative_abs"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_oval_synth_infeasible_slopes(tmp_path):

@@ -375,7 +375,8 @@ def radial_tables(draw):
 
     A bump's value and tilt scale with its halfwidth h as h^2 and h (its
     curvature term as 1), and with the minor semi-axis, so that about half
-    the tables are strictly convex.
+    the tables are strictly convex.  Halfwidths reach 3.1, and some anchors
+    lie within 0.3 of 0 on either side, so many supports straddle 0 = 2 pi.
     """
     lam = np.array([draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))])
     phi = draw(st.floats(0.0, np.pi))
@@ -386,8 +387,12 @@ def radial_tables(draw):
     size = 1.0 / np.sqrt(lam.max())
     bumps = []
     for _ in range(draw(st.integers(1, 4))):
-        h = draw(st.floats(0.05, 1.5))
-        anchor = draw(st.floats(0.0, 2 * np.pi, exclude_max=True))
+        h = draw(st.floats(0.05, 3.1))
+        anchor = draw(
+            st.floats(0.0, 2 * np.pi, exclude_max=True)
+            | st.floats(-0.3, 0.3)
+            | st.floats(2 * np.pi - 0.3, 2 * np.pi + 0.3)
+        )
         value, tilt = draw(st.floats(-0.2, 0.2)) * size * h * h, draw(st.floats(-0.2, 0.2)) * size * h
         bumps.append(lo.RadialBump(anchor, value, tilt, h))
     return base, tuple(bumps)
@@ -427,3 +432,93 @@ def test_random_radial_table_chord_steps(table, thetas, offsets):
             assert (t_lo < partner < t_hi) != (t_lo < theta < t_hi)
             assert abs(lo.signed_angle_gap(partner, _bisection_partner(curve, theta, axis))) <= 1e-12
             assert abs(lo.signed_angle_gap(lo.chord_step(curve, partner, direction), theta)) <= 1e-12
+
+
+def _full_grid_sum(base, bumps):
+    """r, r', r'' on the SCAN_GRID angles as the base plus every bump's derivs on the whole grid."""
+    ts = np.linspace(0.0, 2 * np.pi, lo.SCAN_GRID, endpoint=False)
+    total = np.array(base.radius_derivs(ts))
+    for bump in bumps:
+        total = total + np.array(bump.derivs(ts))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=radial_tables())
+def test_cached_grid_equals_full_grid_sum(table):
+    # Each bump is evaluated only on the grid cells of its support; outside
+    # it a bump adds an exact zero, so every entry equals the full-grid sum
+    # (np.array_equal: equal bits, up to the sign of a zero).  The
+    # convexity verdict and margin follow from the same values.
+    base, bumps = table
+    want = _full_grid_sum(base, bumps)
+    r, r1, r2 = want
+    margin = float(np.min(r * r + 2.0 * r1 * r1 - r * r2))
+    if np.any(r <= 0.0) or margin <= 0.0:
+        event("not strictly convex")
+        with pytest.raises(ConvexityViolation):
+            lo.RadialOval(base, bumps)
+        return
+    if any(not b.halfwidth <= b.anchor <= 2 * np.pi - b.halfwidth for b in bumps):
+        event("a support straddles 0 = 2 pi")
+    curve = lo.RadialOval(base, bumps)
+    assert curve.grid_derivs.shape == (3, lo.SCAN_GRID)
+    assert np.array_equal(curve.grid_derivs, want)
+    assert curve.convexity_margin == margin
+
+
+def test_radial_table_is_evaluated_on_the_grid_once(monkeypatch):
+    # Building a table and scanning both coordinates for extrema evaluates
+    # the base on the whole grid once and each bump once on the grid cells
+    # of its support: the wrapping bump on two slices, no cell twice.
+    grid_calls = []
+    base_derivs, bump_derivs = lo.EllipseOval.radius_derivs, lo.RadialBump.derivs
+    bumps = _wrap_bump_table().bumps
+
+    def record(fn, owner):
+        def wrapper(self, theta):
+            if isinstance(theta, np.ndarray):
+                grid_calls.append((owner(self), theta.copy()))
+            return fn(self, theta)
+
+        return wrapper
+
+    monkeypatch.setattr(lo.EllipseOval, "radius_derivs", record(base_derivs, lambda _: "base"))
+    monkeypatch.setattr(lo.RadialBump, "derivs", record(bump_derivs, lambda b: b.anchor))
+    curve = lo.RadialOval(lo.EllipseOval(TILTED.form, TILTED.center), bumps)
+    curve.coordinate_extrema(0)
+    curve.coordinate_extrema(1)
+    grid = np.linspace(0.0, 2 * np.pi, lo.SCAN_GRID, endpoint=False)
+    assert [len(ts) for owner, ts in grid_calls if owner == "base"] == [lo.SCAN_GRID]
+    for bump in curve.bumps:
+        angles = np.concatenate([ts for owner, ts in grid_calls if owner == bump.anchor])
+        assert len(angles) == len(np.unique(angles)) < lo.SCAN_GRID
+        inside = np.abs(bump_derivs(bump, grid)[0]) > 0.0
+        assert set(grid[inside]) <= set(angles)
+    assert sum(owner == curve.bumps[0].anchor for owner, _ in grid_calls) == 2
+    n_calls = len(grid_calls)
+    curve.coordinate_extrema(0)
+    lo.chord_step(curve, 1.0, lo.VERTICAL)
+    assert len(grid_calls) == n_calls
+
+
+def test_cached_grid_is_read_only():
+    curve = _wrap_bump_table()
+    for grid in (curve.grid_derivs, curve.base.grid_derivs):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+    assert curve.grid_derivs is curve.grid_derivs
+
+
+def test_chord_step_within_float_resolution_of_an_extremum_is_degenerate():
+    # Between DEGENERATE_TOL and ~1.5e-8 from the x-extremum at pi, the
+    # point's x equals the extremum's in float64: the only partner would be
+    # the extremum itself, from which the next vertical step is degenerate.
+    curve = lo.RadialOval(lo.EllipseOval.axis_aligned(1.0, 0.8), (lo.RadialBump(1.0, 0.01, 0.0, 0.3),))
+    t_lo, t_hi = curve.coordinate_extrema(0)
+    assert t_lo == 0.0 and t_hi == np.pi
+    with pytest.raises(DegenerateChord, match="parameter 3.14159265"):
+        lo.chord_step(curve, np.pi + 2e-9, lo.VERTICAL)
+    partner = lo.chord_step(curve, np.pi + 1e-6, lo.VERTICAL)
+    assert abs(lo.signed_angle_gap(partner, np.pi - 1e-6)) <= 1e-9

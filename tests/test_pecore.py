@@ -33,6 +33,17 @@ def test_signature_basics():
     assert Signature(2, 0).q == 0
 
 
+def test_metric_signs_and_squared_axes_are_cached_read_only():
+    sig, ell = Signature(2, 1), Ellipsoid((3.0, 2.0, 1.0))
+    assert sig.e is sig.e and ell.a2 is ell.a2
+    assert np.array_equal(ell.a2, [9.0, 4.0, 1.0])
+    for arr in (sig.e, ell.a2):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # The cache is not a field: equality and hashing are unchanged.
+    assert sig == Signature(2, 1) and hash(ell) == hash(Ellipsoid((3.0, 2.0, 1.0)))
+
+
 def test_inner_examples():
     assert inner((1, 1), (1, 1), Signature(1, 1)) == 0.0
     assert inner((1, 0), (0, 1), Signature(1, 1)) == 0.0
