@@ -34,10 +34,17 @@ Evaluation
   curve evaluates r, r', r'' on them once (`grid_derivs`, read-only), and
   both the extremum scan and a radial table's convexity check read that
   array.  A radial table copies its base ellipse's grid, so the candidate
-  tables of one synthesis share one base evaluation, and adds each bump
-  only on the grid slices that cover its support (two where it wraps past
-  2 pi): outside its support a bump adds an exact zero, so the sums equal
-  the whole-grid ones.
+  tables of one synthesis share one base evaluation.
+* A bump is its wrapped offset d from the anchor (`RadialBump.offset`) and
+  its shape g, g', g'' at d (`RadialBump.shape`), one formula for a float
+  and an array.  A float angle wraps each offset once, for the support
+  test and the shape.  On the grid a bump is evaluated only on the index
+  range that covers its support (two slices where it wraps past 2 pi),
+  and its shape is added there in place: outside its support a bump adds
+  an exact zero, so the sums equal the whole-grid ones.  The offsets on
+  that range are kept read-only on the base ellipse, per anchor, and a
+  narrower range is a slice of them, so the candidate tables of one
+  synthesis wrap each vertex's offsets once, not once per candidate.
 * An ellipse's chord partner is the other root of its quadratic in the free
   coordinate, and its coordinate-k extrema lie along +-M^-1 e_k: both closed
   form.  Other curves solve both by one guarded Newton iteration
@@ -383,21 +390,54 @@ class RadialBump:
             # Python floats keep scalar evaluations off numpy scalar arithmetic.
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    def derivs(self, theta):
-        theta = _angle(theta)
-        d = (theta - self.anchor + math.pi) % TWO_PI - math.pi
-        xi = d / self.halfwidth
+    def offset(self, theta):
+        """Wrapped offset d = (theta - anchor + pi) mod 2 pi - pi of an angle from _angle."""
+        return (theta - self.anchor + math.pi) % TWO_PI - math.pi
+
+    def shape(self, d):
+        """g, g' and g'' at the wrapped offset d: a float, or an array left unmodified.
+
+        One formula for both: on an array the augmented operators work in
+        place on the fresh intermediates, in the order of the plain
+        expressions, so both give the same bits.
+        """
+        h, tilt = self.halfwidth, self.tilt
+        xi = d / h
         inside = abs(xi) < 1.0
-        xi = xi * inside
+        xi *= inside
         one = 1.0 - xi * xi
         psi = one**3
-        psi1 = -6.0 * xi * one * one
-        psi2 = one * (30.0 * xi * xi - 6.0)
-        lin = self.value + self.tilt * d
-        g = lin * psi
-        g1 = self.tilt * psi + lin * psi1 / self.halfwidth
-        g2 = 2.0 * self.tilt * psi1 / self.halfwidth + lin * psi2 / self.halfwidth**2
-        return g * inside, g1 * inside, g2 * inside
+        psi1 = -6.0 * xi
+        psi1 *= one
+        psi1 *= one
+        psi2 = 30.0 * xi
+        psi2 *= xi
+        psi2 -= 6.0
+        psi2 *= one
+        lin = tilt * d
+        lin += self.value
+        # g' = tilt psi + lin psi' / h
+        g1 = lin * psi1
+        g1 /= h
+        g1 += tilt * psi
+        # g = lin psi
+        g = psi
+        g *= lin
+        # g'' = 2 tilt psi' / h + lin psi'' / h^2
+        g2 = psi2
+        g2 *= lin
+        g2 /= h**2
+        psi1 *= 2.0 * tilt
+        psi1 /= h
+        g2 += psi1
+        g *= inside
+        g1 *= inside
+        g2 *= inside
+        return g, g1, g2
+
+    def derivs(self, theta):
+        """g, g' and g'' at an angle: a float, or an array of angles."""
+        return self.shape(self.offset(_angle(theta)))
 
 
 class RadialOval(OvalCurve):
@@ -412,13 +452,16 @@ class RadialOval(OvalCurve):
         self.bumps = tuple(bumps)
         self.center = base.center
         self._center = base._center
-        r, r1, r2 = self.grid_derivs
-        if np.any(r <= 0.0):
-            raise ConvexityViolation("perturbed radius is not positive everywhere")
-        self.convexity_margin = float(np.min(r * r + 2.0 * r1 * r1 - r * r2))
-        if self.convexity_margin <= 0.0:
+        # A numerator that overflows is nan or -inf, and is refused like a
+        # non-positive one, without numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, r1, r2 = self.grid_derivs
+            if np.any(r <= 0.0):
+                raise ConvexityViolation("perturbed radius is not positive everywhere")
+            self.convexity_margin = float(np.min(r * r + 2.0 * r1 * r1 - r * r2))
+        if not self.convexity_margin > 0.0:
             raise ConvexityViolation(
-                f"curvature changes sign (min numerator {self.convexity_margin:.3e})"
+                f"curvature numerator is not positive (min {self.convexity_margin:.3e})"
             )
 
     def radius_derivs(self, theta):
@@ -426,44 +469,75 @@ class RadialOval(OvalCurve):
         r, r1, r2 = self.base.radius_derivs(theta)
         scalar = isinstance(theta, float)
         for bump in self.bumps:
-            # A float angle outside a bump's support skips the call.
-            if scalar and abs((theta - bump.anchor + math.pi) % TWO_PI - math.pi) >= bump.halfwidth:
+            # bump.offset(theta), inline: on a float the call would cost
+            # more than the wrap.  A float outside the support skips the shape.
+            d = (theta - bump.anchor + math.pi) % TWO_PI - math.pi
+            if scalar and abs(d) >= bump.halfwidth:
                 continue
-            g, g1, g2 = bump.derivs(theta)
+            g, g1, g2 = bump.shape(d)
             r, r1, r2 = r + g, r1 + g1, r2 + g2
         return r, r1, r2
 
     def _evaluate_grid(self) -> np.ndarray:
-        """The base's cached grid plus each bump, evaluated on the grid points of its support.
+        """The base's cached grid plus each bump's shape, added in place on the grid points of its support.
 
         A bump adds an exact zero outside its support, so the sums equal
         radius_derivs on the whole grid (up to the sign of a zero).
         """
         grid = self.base.grid_derivs.copy()
         for bump in self.bumps:
-            for cells in _support_cells(bump):
-                grid[:, cells] += bump.derivs(_SCAN_ANGLES[cells])
+            first, count = _support_range(bump)
+            offsets = _support_offsets(self.base, bump, first, count)
+            # The range wraps past 2 pi after its first `head` indices.
+            head = min(count, SCAN_GRID - first)
+            pieces = [(slice(first, first + head), offsets[:head])]
+            if count > head:
+                pieces.append((slice(0, count - head), offsets[head:]))
+            for cells, d in pieces:
+                for row, part in zip(grid[:, cells], bump.shape(d)):
+                    row += part
         return grid
 
 
-def _support_cells(bump: RadialBump) -> tuple[slice, ...]:
-    """Slices of the SCAN_GRID indices that cover a bump's support, two where it wraps past 2 pi.
+def _support_range(bump: RadialBump) -> tuple[int, int]:
+    """The SCAN_GRID indices that cover a bump's support: the first, in [0, SCAN_GRID), and their count.
 
-    The index range is widened by a grid step at each end, far beyond the
-    rounding of the bump's wrapped offset, so it misses no grid angle of the
-    support.  Beyond |anchor| = 1e6 that rounding grows, and the whole grid
-    is used.
+    The indices run on from the first one modulo SCAN_GRID, so the range
+    wraps past 2 pi where first + count > SCAN_GRID.  It is widened by a
+    grid step at each end, far beyond the rounding of the bump's wrapped
+    offset, so it misses no grid angle of the support.  Beyond |anchor| =
+    1e6 that rounding grows, and the whole grid is used.
     """
     if abs(bump.anchor) > 1e6:
-        return (slice(None),)
+        return 0, SCAN_GRID
     first = math.floor((bump.anchor - bump.halfwidth) / _SCAN_STEP) - 1
     count = math.floor((bump.anchor + bump.halfwidth) / _SCAN_STEP) + 2 - first
     if count >= SCAN_GRID:
-        return (slice(None),)
-    first %= SCAN_GRID
-    if first + count <= SCAN_GRID:
-        return (slice(first, first + count),)
-    return slice(first, SCAN_GRID), slice(0, first + count - SCAN_GRID)
+        return 0, SCAN_GRID
+    return first % SCAN_GRID, count
+
+
+def _support_offsets(base: EllipseOval, bump: RadialBump, first: int, count: int) -> np.ndarray:
+    """The bump's wrapped offsets on the grid index range (first, count) of _support_range, read-only.
+
+    The base keeps each anchor's offsets on the last range it wrapped, and
+    a range inside it is a slice.  The candidate tables of one synthesis
+    share their base and are built widest first, so each anchor is wrapped
+    once per synthesis.
+    """
+    cache = base.__dict__.setdefault("_grid_offsets", {})
+    if bump.anchor in cache:
+        first0, offsets = cache[bump.anchor]
+        skip = (first - first0) % SCAN_GRID
+        if skip + count <= len(offsets):
+            return offsets[skip:skip + count]
+    angles = _SCAN_ANGLES[first:first + count]
+    if first + count > SCAN_GRID:
+        angles = np.concatenate([angles, _SCAN_ANGLES[:first + count - SCAN_GRID]])
+    offsets = bump.offset(angles)
+    offsets.setflags(write=False)
+    cache[bump.anchor] = first, offsets
+    return offsets
 
 
 def _axis_index(direction: str) -> int:

@@ -622,6 +622,26 @@ def test_start_that_overflows_is_config_error(tmp_path, capsys, speed, record_ta
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [1e200, 1e155])
+def test_radial_table_that_overflows_is_config_error(tmp_path, capsys, value):
+    # The bump's curvature numerator overflows to nan on the scan grid.  The
+    # table used to be accepted, and iterate failed only at its first chord
+    # step (exit 2, four extrema of coordinate 0); it is now refused when it
+    # is built: exit 1, nothing written, no overflow warning.
+    table = {"kind": "radial", "base": {"kind": "ellipse", "semi_axes": [2.0, 1.0]},
+             "bumps": [[1.0, value, 0.0, 0.5]]}
+    doc = {"oval": {"table": table, "start": 0.9, "steps": 10}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["oval", "iterate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "config error: ConvexityViolation: " in err
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
 # Non-resonant axes for each signature the property below draws from.
 PROPERTY_GEOMETRIES = [([1, 1], [2.0, 1.0]), ([2, 1], [3.0, 2.0, 1.0]), ([1, 2], [3.0, 2.0, 1.0]),
                        ([2, 2], [4.0, 3.0, 2.0, 1.0]), ([3, 0], [3.0, 2.0, 1.0])]

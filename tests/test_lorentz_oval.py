@@ -1,8 +1,17 @@
+import contextlib
+import io
+import json
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from pebilliards import errors
 from pebilliards import lorentz_oval as lo
 from pebilliards.billiard import run_orbit
 from pebilliards.errors import (
@@ -12,6 +21,7 @@ from pebilliards.errors import (
     NoConvergence,
     ZeroSlope,
 )
+from pebilliards.cli import main
 from pebilliards.pecore import Ellipsoid, RayState, Signature
 
 CIRCLE = lo.EllipseOval.axis_aligned(1.0, 1.0)
@@ -469,37 +479,135 @@ def test_cached_grid_equals_full_grid_sum(table):
 
 def test_radial_table_is_evaluated_on_the_grid_once(monkeypatch):
     # Building a table and scanning both coordinates for extrema evaluates
-    # the base on the whole grid once and each bump once on the grid cells
-    # of its support: the wrapping bump on two slices, no cell twice.
+    # the base on the whole grid once and each bump's shape once on the grid
+    # offsets of its support: the wrapping bump on two slices, no cell twice.
     grid_calls = []
-    base_derivs, bump_derivs = lo.EllipseOval.radius_derivs, lo.RadialBump.derivs
+    base_derivs, bump_shape = lo.EllipseOval.radius_derivs, lo.RadialBump.shape
     bumps = _wrap_bump_table().bumps
 
     def record(fn, owner):
-        def wrapper(self, theta):
-            if isinstance(theta, np.ndarray):
-                grid_calls.append((owner(self), theta.copy()))
-            return fn(self, theta)
+        def wrapper(self, arg):
+            if isinstance(arg, np.ndarray):
+                grid_calls.append((owner(self), arg.copy()))
+            return fn(self, arg)
 
         return wrapper
 
     monkeypatch.setattr(lo.EllipseOval, "radius_derivs", record(base_derivs, lambda _: "base"))
-    monkeypatch.setattr(lo.RadialBump, "derivs", record(bump_derivs, lambda b: b.anchor))
+    monkeypatch.setattr(lo.RadialBump, "shape", record(bump_shape, lambda b: b.anchor))
     curve = lo.RadialOval(lo.EllipseOval(TILTED.form, TILTED.center), bumps)
     curve.coordinate_extrema(0)
     curve.coordinate_extrema(1)
     grid = np.linspace(0.0, 2 * np.pi, lo.SCAN_GRID, endpoint=False)
     assert [len(ts) for owner, ts in grid_calls if owner == "base"] == [lo.SCAN_GRID]
     for bump in curve.bumps:
-        angles = np.concatenate([ts for owner, ts in grid_calls if owner == bump.anchor])
-        assert len(angles) == len(np.unique(angles)) < lo.SCAN_GRID
-        inside = np.abs(bump_derivs(bump, grid)[0]) > 0.0
-        assert set(grid[inside]) <= set(angles)
+        offsets = np.concatenate([d for owner, d in grid_calls if owner == bump.anchor])
+        assert len(offsets) == len(np.unique(offsets)) < lo.SCAN_GRID
+        grid_offsets = (grid - bump.anchor + np.pi) % (2 * np.pi) - np.pi
+        inside = np.abs(bump_shape(bump, grid_offsets)[0]) > 0.0
+        assert set(grid_offsets[inside]) <= set(offsets)
     assert sum(owner == curve.bumps[0].anchor for owner, _ in grid_calls) == 2
     n_calls = len(grid_calls)
     curve.coordinate_extrema(0)
     lo.chord_step(curve, 1.0, lo.VERTICAL)
     assert len(grid_calls) == n_calls
+
+
+def test_synthesis_wraps_grid_offsets_once_per_anchor(monkeypatch):
+    # The candidate tables of one synthesis share their base, which keeps
+    # each anchor's offsets on the grid range of its widest support: a
+    # square's 4 anchors are wrapped once each, not once per bump of every
+    # candidate (48).
+    offset_calls, candidates = [], []
+    offset, evaluate = lo.RadialBump.offset, lo.RadialOval._evaluate_grid
+
+    def record_offset(self, theta):
+        if isinstance(theta, np.ndarray):
+            offset_calls.append((self.anchor, len(theta)))
+        return offset(self, theta)
+
+    def record_candidate(self):
+        candidates.append(self)
+        return evaluate(self)
+
+    monkeypatch.setattr(lo.RadialBump, "offset", record_offset)
+    monkeypatch.setattr(lo.RadialOval, "_evaluate_grid", record_candidate)
+    curve = lo.build_accelerating_table(RECT, (-1.0, 2.0, -1.0, 2.0))
+    assert len(candidates) == len(lo.SUPPORT_FRACTIONS) == 12
+    assert len(offset_calls) == len({anchor for anchor, _ in offset_calls}) == 4
+    assert {anchor for anchor, _ in offset_calls} == {b.anchor for b in curve.bumps}
+    assert all(not d.flags.writeable for _, d in curve.base._grid_offsets.values())
+
+
+@pytest.mark.parametrize("value", [1e200, 1e155])
+def test_overflowing_curvature_numerator_is_a_convexity_violation(value):
+    # r^2 and r r'' overflow to inf, so the least curvature numerator is
+    # inf - inf = nan: it is refused like a non-positive one, and numpy
+    # warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvexityViolation, match=r"min nan"):
+            lo.RadialOval(ELLIPSE, (lo.RadialBump(1.0, value, 0.0, 0.5),))
+
+
+def _radial_table_doc(base, bumps):
+    """A radial table as the oval commands read it from their config."""
+    return {
+        "kind": "radial",
+        "base": {"kind": "ellipse_form", "form": base.form.tolist(), "center": base.center.tolist()},
+        "bumps": [[b.anchor, b.value, b.tilt, b.halfwidth] for b in bumps],
+    }
+
+
+def _json_numbers(doc):
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _json_numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _json_numbers(v)]
+    return [doc] if isinstance(doc, float | int) and not isinstance(doc, bool) else []
+
+
+def _names_an_error(line):
+    """Whether a `config error:`/`error:` line or an aborted-row comment names a PEBilliardsError."""
+    match = re.fullmatch(r"(?:config error|error|# aborted): (\w+): .*", line)
+    cls = getattr(errors, match.group(1), None) if match else None
+    return isinstance(cls, type) and issubclass(cls, errors.PEBilliardsError)
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=radial_tables(), mode=st.sampled_from(["iterate", "periodic"]),
+       theta=st.floats(0.0, 2 * np.pi, exclude_max=True), n=st.integers(2, 4))
+def test_random_radial_table_through_the_cli_ends_in_a_named_outcome(table, mode, theta, n):
+    # oval iterate or periodic on a random radial table exits 0 with only
+    # finite numbers in its file, 1 with a refused table (nothing written),
+    # or 2 with one line naming the error: on stderr, or for iterate as the
+    # last row of its file.  Never a traceback or a numpy warning.
+    oval = {"table": _radial_table_doc(*table)}
+    oval.update({"start": theta, "steps": 10} if mode == "iterate" else {"half_period": n, "seed_param": theta})
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps({"oval": oval}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["oval", mode, "--config", str(config), "--out", str(out)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        said = err.getvalue().splitlines()
+        event(f"exit {rc}")
+        if said:
+            assert rc in (1, 2) and len(said) == 1 and _names_an_error(said[0]), said
+            assert rc == 2 or not out.exists()
+            return
+        if mode == "periodic":
+            assert rc == 0
+            numbers = _json_numbers(json.loads((out / "polygon.json").read_text()))
+        else:
+            rows = (out / "oval_orbit.csv").read_text().splitlines()[1:]
+            if rc == 2:
+                assert _names_an_error(rows.pop()), rows
+            assert rc in (0, 2)
+            numbers = [float(c) for row in rows for c in row.split(",")]
+        assert numbers and all(np.isfinite(numbers))
 
 
 def test_cached_grid_is_read_only():
