@@ -47,19 +47,17 @@ def _require_on_boundary(x: np.ndarray, ell: Ellipsoid) -> None:
         raise OffBoundary(f"|Ax.x - 1| = {abs(defect):.3e} exceeds boundary tolerance {BOUNDARY_TOL:.1e}")
 
 
-def _chord(x: np.ndarray, v: np.ndarray, Ax: np.ndarray, A: np.ndarray) -> np.ndarray:
+def _chord(x: np.ndarray, v: np.ndarray, Ax: np.ndarray, A: np.ndarray, axv) -> np.ndarray:
     """Exit point of the chord from boundary point x along inward v, in the dtype of the arguments.
 
     Uses the closed form t* = -2 (Ax.v) / (Av.v), exact on the boundary since
     Ax.x = 1 and A is positive definite, then re-projects the endpoint onto
-    the boundary with one Newton step along v to absorb rounding.
+    the boundary with one Newton step along v to absorb rounding.  `axv` is
+    Ax.v, which every caller has already computed for its chord test.
     (ndarray.dot sums in the same order as @, with less call overhead on
-    these short vectors.)
+    these short vectors.)  Pure arithmetic: the caller decides whether the
+    chord is allowed (_refused_chords).
     """
-    axv = Ax.dot(v)
-    scale = np.sqrt(x.dot(x) * v.dot(v))
-    if not -np.inf < axv < 0.0 or abs(axv) < GRAZING_TOL * scale:
-        raise NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
     y = x + (-2.0 * axv / (A * v).dot(v)) * v
     Ay = A * y
     return y + ((1.0 - Ay.dot(y)) / (2.0 * Ay.dot(v))) * v
@@ -69,12 +67,43 @@ def _reflect(v: np.ndarray, Ax: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Flip the metric-normal component of v at the boundary point with conormal Ax.
 
     The normal is n = e Ax.  As e = +-1, <n,n> = Ax.n and <v,n> = v.Ax exactly.
+    Pure arithmetic: the caller decides whether the normal is allowed
+    (_null_normals).
     """
     n = e * Ax
-    nn = Ax.dot(n)
-    if abs(nn) <= NULL_NORMAL_TOL * n.dot(n):
-        raise NullNormal(f"<n,n> = {float(nn):.3e} is null within tolerance")
-    return v - (2.0 * v.dot(Ax) / nn) * n
+    return v - (2.0 * v.dot(Ax) / Ax.dot(n)) * n
+
+
+def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarray:
+    """Chord test, row-wise over the last axis: True where the chord from x along v is refused.
+
+    `axv` holds Ax.v per row.  A chord is refused unless -inf < Ax.v < 0 and
+    |Ax.v| >= GRAZING_TOL |x||v|: outward, grazing and non-finite chords (NaN
+    compares False with every bound) all fail it.
+    """
+    scale = np.sqrt((xs * xs).sum(-1) * (vs * vs).sum(-1))
+    return ~(np.isfinite(axv) & (axv < 0.0)) | (abs(axv) < GRAZING_TOL * scale)
+
+
+def _null_normals(Axs: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Normal test, row-wise over the last axis: True where n = e Ax is light-like within tolerance.
+
+    |<n,n>| <= NULL_NORMAL_TOL |n|^2, with <n,n> = sum e_i Ax_i^2 and |n|^2 =
+    sum Ax_i^2 (as e_i = +-1, each term equals Ax_i n_i and n_i^2 exactly).
+    A NaN <n,n> passes it.
+    """
+    sq = Axs * Axs
+    return abs(sq @ e) <= NULL_NORMAL_TOL * sq.sum(-1)
+
+
+def _not_inward(axv) -> NotInward:
+    """The error for a chord refused with Ax.v = axv."""
+    return NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
+
+
+def _null_normal(Ax: np.ndarray, e: np.ndarray) -> NullNormal:
+    """The error for a null normal at the boundary point with conormal Ax."""
+    return NullNormal(f"<n,n> = {float(Ax.dot(e * Ax)):.3e} is null within tolerance")
 
 
 def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
@@ -83,7 +112,11 @@ def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
         raise ValueError(f"ray dimension {r.dim} != ellipsoid dimension {ell.dim}")
     _require_on_boundary(r.x, ell)
     A = ell.shape_diag
-    return RayState(_chord(r.x, r.v, A * r.x, A), r.v)
+    Ax = A * r.x
+    axv = Ax.dot(r.v)
+    if _refused_chords(r.x, r.v, axv):
+        raise _not_inward(axv)
+    return RayState(_chord(r.x, r.v, Ax, A, axv), r.v)
 
 
 def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -100,6 +133,8 @@ def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     vax = r.v.dot(Ax)
     if not 0.0 < abs(vax) < np.inf:
         raise NotInward(f"v.Ax = {vax:.3e}: velocity is tangent to the boundary or not finite")
+    if _null_normals(Ax, sig.e):
+        raise _null_normal(Ax, sig.e)
     return RayState(r.x, _reflect(r.v, Ax, sig.e))
 
 
@@ -154,7 +189,7 @@ def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signatu
     if xs.ndim != 2 or xs.shape != vs.shape or xs.shape[1] != ell.dim:
         raise ValueError("phase arrays must both have shape (N, dim)")
     w = _wedge(xs, vs)
-    return sig.e * vs * vs + np.sum(w * w / d, axis=2)
+    return sig.e * vs * vs + (w * w / d).sum(axis=2)
 
 
 def pseudo_norm_defect(vs: np.ndarray, fs: np.ndarray, sig: Signature) -> np.ndarray:
@@ -213,14 +248,21 @@ def run_orbit(
     drown the drift being measured in cancellation noise.
 
     The loop only steps, with the single-step API's chord and reflection
-    kernel.  H, every F_k and, with `fam`, Q's coefficients are then
-    evaluated for all rows at once, and the per-row core of
-    confocal.tangency_parameters solves each row.  A row is recorded only
-    when its state, H and every F_k are finite (else NonFinite) and its
+    kernel: it decides nothing, and stops early only once Ax.v is not < 0
+    (NaN included), where no chord exists.  All decisions are made after it,
+    over the stepped rows.  The two abort tests are row-wise predicates that
+    the single-step API applies to its one row: bounce k fails when the chord
+    test refuses row k - 1 (NotInward) or the normal test row k (NullNormal),
+    the chord first.  A run that fails on a grazing chord or on a finite,
+    tiny <n,n> may step on up to n_bounces, so it never costs more than a
+    clean run of that length.  H, every F_k and, with `fam`, Q's
+    coefficients are then evaluated for all rows at once, and the per-row
+    core of confocal.tangency_parameters solves each row.  A row is recorded
+    only when its state, H and every F_k are finite (else NonFinite) and its
     tangency parameters, if asked for, are solved (else RootIsolationFailure).
-    A failed step or row k >= 1 ends the record before row k, with the reason
-    and abort_bounce = k.  A failed row 0, resonant axes, or a start off the
-    boundary or not pointing inward raise before the first bounce.
+    A failed bounce or row k >= 1 ends the record before row k, with the
+    reason and abort_bounce = k.  A failed row 0, resonant axes, or a start
+    off the boundary or not pointing inward raise before the first bounce.
     """
     if n_bounces < 1:
         raise ValueError("bounce count must be >= 1")
@@ -239,23 +281,36 @@ def run_orbit(
     xs[0], vs[0] = x, v
     Ax = A * x
 
-    failure = None
     rows = n_bounces + 1
-    for k in range(1, n_bounces + 1):
-        try:
-            x = _chord(x, v, Ax, A)
+    with np.errstate(all="ignore"):
+        for k in range(1, n_bounces + 1):
+            axv = Ax.dot(v)
+            if not axv < 0.0:
+                rows = k
+                break
+            x = _chord(x, v, Ax, A, axv)
             Ax = A * x
             v = _reflect(v, Ax, e)
-        except (NotInward, NullNormal) as exc:
-            failure, rows = exc, k
-            break
-        xs[k], vs[k] = x, v
+            xs[k], vs[k] = x, v
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = np.sum(A * xs[:rows] * vs[:rows], axis=1).astype(float)
+        # Bounce b + 1 takes the chord from row b and reflects at row b + 1.
+        # Each list ends in a sentinel at index `taken`, the first bounce not
+        # stepped: one past the last, or the chord the loop stopped at (Ax.v
+        # not < 0, so refused).  axvs are H's unrounded values.
+        Axs = A * xs[:rows]
+        axvs = (Axs * vs[:rows]).sum(1)
+        taken = rows - 1
+        chord = _refused_chords(xs[:taken], vs[:taken], axvs[:taken]).tolist() + [True]
+        normal = _null_normals(Axs[1:], e).tolist() + [True]
+        b = min(chord.index(True), normal.index(True))
+        failure = None
+        if b < n_bounces:
+            failure = _not_inward(Axs[b].dot(vs[b])) if chord[b] else _null_normal(Axs[b + 1], e)
+            rows = b + 1
+        h = axvs[:rows].astype(float)
         f = integrals_batch(xs[:rows], vs[:rows], ell, sig).astype(float)
         xs, vs = xs[:rows].astype(float), vs[:rows].astype(float)
-    finite = np.isfinite(np.column_stack([xs, vs, h, f])).all(axis=1)
+    finite = np.isfinite(np.concatenate((xs, vs, h[:, None], f), axis=1)).all(axis=1)
     if not finite.all():
         rows = int(np.argmin(finite))
         failure = NonFinite(f"not finite at bounce {rows}: H = {h[rows]}, F = {f[rows].tolist()}")
@@ -318,7 +373,7 @@ def sample_null_ray(
         if axv > 0.0:
             v = -v
             axv = -axv
-        if axv >= -GRAZING_TOL * float(np.linalg.norm(x) * np.linalg.norm(v)):
+        if _refused_chords(x, v, axv):
             continue
         return RayState(x, v)
     raise NotInward(f"rejection sampling exhausted after {NULL_RAY_TRIES} tries")

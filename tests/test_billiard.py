@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pebilliards.billiard import (
@@ -16,9 +16,11 @@ from pebilliards.billiard import (
 from pebilliards import billiard, confocal, pecore
 from pebilliards.confocal import ConfocalFamily
 from pebilliards.errors import (
+    NonFinite,
     NotInward,
     NullNormal,
     OffBoundary,
+    PEBilliardsError,
     ResonantAxes,
     RootIsolationFailure,
 )
@@ -576,3 +578,201 @@ def test_integrals_batch_keeps_longdouble():
     assert integrals_batch(xs.tolist(), vs.astype(np.float32), ell, sig).dtype == np.float64
     scale = np.maximum(1.0, np.abs(f64))
     assert np.all(np.abs(fld.astype(float) - f64) <= 1e-14 * scale)
+
+
+def _stepwise_record(r: RayState, n_bounces: int, ell: Ellipsoid, sig: Signature):
+    """The recorder with its abort tests inside the loop, a test oracle.
+
+    Every bounce tests its chord before stepping and its normal before
+    reflecting, and stops at the first failure; H, F_k and the finiteness
+    check then run over the completed rows.  Returns (xs, vs, h, f, reason,
+    bounce), or raises what run_orbit raises before the first bounce.
+    """
+    billiard._integral_denominators(ell, sig)
+    billiard._require_on_boundary(r.x, ell)
+    ax_v = float(ell.conormal(r.x) @ r.v)
+    if not -np.inf < ax_v < 0.0:
+        raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
+    ld = np.longdouble
+    A, e = (1.0 / ell.a2).astype(ld), sig.e.astype(ld)
+    x, v = r.x.astype(ld), r.v.astype(ld)
+    xs, vs = [x], [v]
+    failure = None
+    with np.errstate(all="ignore"):
+        for _ in range(n_bounces):
+            Ax = A * x
+            axv = Ax.dot(v)
+            scale = np.sqrt(x.dot(x) * v.dot(v))
+            if not -np.inf < axv < 0.0 or abs(axv) < billiard.GRAZING_TOL * scale:
+                failure = NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
+                break
+            y = x + (-2.0 * axv / (A * v).dot(v)) * v
+            Ay = A * y
+            x = y + ((1.0 - Ay.dot(y)) / (2.0 * Ay.dot(v))) * v
+            Ax = A * x
+            n = e * Ax
+            nn = Ax.dot(n)
+            if abs(nn) <= billiard.NULL_NORMAL_TOL * n.dot(n):
+                failure = NullNormal(f"<n,n> = {float(nn):.3e} is null within tolerance")
+                break
+            v = v - (2.0 * v.dot(Ax) / nn) * n
+            xs.append(x)
+            vs.append(v)
+        xs, vs = np.array(xs), np.array(vs)
+        h = np.sum(A * xs * vs, axis=1).astype(float)
+        f = integrals_batch(xs, vs, ell, sig).astype(float)
+        xs, vs = xs.astype(float), vs.astype(float)
+    rows = len(xs)
+    finite = np.isfinite(np.column_stack([xs, vs, h, f])).all(axis=1)
+    if not finite.all():
+        rows = int(np.argmin(finite))
+        failure = NonFinite(f"not finite at bounce {rows}: H = {h[rows]}, F = {f[rows].tolist()}")
+    if failure is not None and rows == 0:
+        raise failure
+    reason = None if failure is None else f"{type(failure).__name__}: {failure}"
+    bounce = None if failure is None else rows
+    return xs[:rows], vs[:rows], h[:rows], f[:rows], reason, bounce
+
+
+def _outcome(run, *args):
+    """A run's result, or the type and message of what it raised."""
+    try:
+        return run(*args)
+    except PEBilliardsError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(start: RayState, n_bounces: int, ell: Ellipsoid, sig: Signature):
+    want = _outcome(_stepwise_record, start, n_bounces, ell, sig)
+    got = _outcome(run_orbit, start, n_bounces, ell, sig)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    xs, vs, h, f, reason, bounce = want
+    assert isinstance(got, billiard.OrbitRecord)
+    for mine, theirs in ((got.xs, xs), (got.vs, vs), (got.h, h), (got.f, f)):
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    assert (got.abort_reason, got.abort_bounce) == (reason, bounce)
+
+
+def _backwards(x_end, w, ell: Ellipsoid, sig: Signature, bounces: int) -> RayState:
+    """A start whose orbit reaches the boundary point x_end at bounce `bounces`.
+
+    w is the velocity arriving at x_end.  The map is run backwards with the
+    single-step API: the chord back along -w gives the previous bounce point,
+    and reflection there (an involution) the velocity that arrived at it.
+    """
+    x, w = np.asarray(x_end, dtype=float), np.asarray(w, dtype=float)
+    for k in range(bounces):
+        x = advance_to_boundary(RayState(x, -w), ell).x
+        if k < bounces - 1:
+            w = reflect(RayState(x, w), ell, sig).v
+    return RayState(x, w)
+
+
+def _null_normal_point(ell: Ellipsoid, sig: Signature, c: np.ndarray, nudge: float) -> np.ndarray:
+    """A boundary point whose normal is light-like, or nearly so with `nudge` != 0.
+
+    x_i = lam a_i^2 c_i with the space-like and time-like blocks of c of equal
+    Euclidean norm gives sum e_i x_i^2 / a_i^4 = 0; lam puts x on the boundary.
+    """
+    c = np.array(c, dtype=float)
+    c[: sig.p] *= (1.0 + nudge) / np.linalg.norm(c[: sig.p])
+    c[sig.p :] /= np.linalg.norm(c[sig.p :])
+    x = ell.a2 * c
+    return x / np.sqrt(ell.shape_diag @ (x * x))
+
+
+def _circle_grazing_start() -> tuple[Ellipsoid, RayState]:
+    """Lorentz circle of radius 20 and a start whose second chord grazes.
+
+    The first chord lands where <n,n> = 2e-10 |n|^2, just above the null-normal
+    cutoff, so reflection multiplies |v| by about 1e10 while |Ax.v| stays
+    fixed: the second chord has |Ax.v| ~ 2.5e-13 |x||v|, below GRAZING_TOL.
+    """
+    radius, theta = 20.0, np.pi / 4 - 1e-10
+    start = RayState((-radius * np.cos(theta), radius * np.sin(theta)), (1.0, 0.0))
+    return Ellipsoid((radius, radius)), start
+
+
+SQRT2_CIRCLE = Ellipsoid((np.sqrt(2.0), np.sqrt(2.0)))
+
+#: Starts whose orbits fail after one or more clean bounces, one row per reason.
+LATE_ABORT_STARTS = [
+    (SQRT2_CIRCLE, _backwards((1.0, 1.0), (1.0, 0.3), SQRT2_CIRCLE, LORENTZ, 2), "NullNormal", 2),
+    (SQRT2_CIRCLE, _backwards((1.0, 1.0), (1.0, 0.3), SQRT2_CIRCLE, LORENTZ, 5), "NullNormal", 5),
+    (*_circle_grazing_start(), "NotInward", 2),
+]
+
+
+@pytest.mark.parametrize("ell, start, reason, bounce", LATE_ABORT_STARTS)
+def test_run_orbit_aborts_after_clean_bounces(ell, start, reason, bounce):
+    # The verdict after the loop names the first failing bounce, not the
+    # bounce where the loop stopped stepping, and agrees with the oracle.
+    rec = run_orbit(start, 50, ell, LORENTZ)
+    assert rec.abort_reason.startswith(f"{reason}: ")
+    assert rec.abort_bounce == bounce and len(rec.xs) == bounce
+    _assert_same_outcome(start, 50, ell, LORENTZ)
+    # The single-step map applies the same tests to its one row and fails
+    # at the same bounce.
+    state = start
+    for _ in range(bounce - 1):
+        state = billiard_map(state, ell, LORENTZ)
+    with pytest.raises((NotInward, NullNormal)) as exc:
+        billiard_map(state, ell, LORENTZ)
+    assert type(exc.value).__name__ == reason
+
+
+def test_a_bounce_failing_both_tests_fails_on_its_chord(monkeypatch):
+    # The grazing start's first chord is refused; make every normal null as
+    # well.  The chord is tested first, as when stepping.
+    landed = billiard_map(RayState((0.0, 1.0), (1.0, -1.0)), ELLIPSE, LORENTZ)
+    monkeypatch.setattr(billiard, "_null_normals", lambda Axs, e: np.ones(len(Axs), dtype=bool))
+    rec = run_orbit(ABORT_STARTS[0][1], 5, ELLIPSE, LORENTZ)
+    assert rec.abort_reason.startswith("NotInward: ") and rec.abort_bounce == 1
+    # From a start with a transversal chord only the normal test fails.
+    rec = run_orbit(landed, 5, ELLIPSE, LORENTZ)
+    assert rec.abort_reason.startswith("NullNormal: ") and rec.abort_bounce == 1
+
+
+#: Signatures of the equivalence property, with and without null directions.
+ORBIT_SIGNATURES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 0)]
+
+
+@st.composite
+def orbit_starts(draw):
+    """A geometry, a start and a bounce count, some aimed at the null-normal set."""
+    p, q = draw(st.sampled_from(ORBIT_SIGNATURES))
+    sig, d = Signature(p, q), p + q
+    size = draw(st.sampled_from([1.0, 30.0]))
+    ell = Ellipsoid(tuple(size * a for a in draw(st.lists(st.floats(0.5, 4.0), min_size=d, max_size=d, unique=True))))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).map(np.array)
+    s, w = draw(unit), draw(unit)
+    blocks = [s[:p], w[:p]] + ([s[p:], w[p:]] if q else [])
+    assume(min(np.linalg.norm(block) for block in blocks) > 1e-3)
+    kind = draw(st.sampled_from(["random", "null", "aimed"] if q else ["random"]))
+    if kind == "null":
+        w = np.concatenate([w[:p] / np.linalg.norm(w[:p]), w[p:] / np.linalg.norm(w[p:])])
+    if kind == "aimed":
+        nudge = draw(st.sampled_from([0.0, 0.0, 1e-10, 1e-9, 3e-9]))
+        x_end = _null_normal_point(ell, sig, s, nudge)
+        if ell.conormal(x_end) @ w < 0.0:
+            w = -w
+        try:
+            start = _backwards(x_end, w, ell, sig, draw(st.integers(1, 4)))
+        except PEBilliardsError:
+            assume(False)
+    else:
+        x = np.array(ell.a) * s / np.linalg.norm(s)
+        start = RayState(x, w if ell.conormal(x) @ w < 0.0 else -w)
+    return ell, sig, start, draw(st.integers(1, 40))
+
+
+@given(orbit_starts())
+@settings(max_examples=300, deadline=None)
+def test_run_orbit_equals_the_stepwise_oracle(case):
+    # Deciding grazing chords and null normals after the loop records the
+    # same rows, bit for bit, and the same abort reason and bounce as
+    # deciding them at every bounce.
+    ell, sig, start, n_bounces = case
+    _assert_same_outcome(start, n_bounces, ell, sig)

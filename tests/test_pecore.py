@@ -2,7 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pebilliards import billiard, cli, confocal, lorentz_oval, pecore, verify
@@ -64,6 +64,8 @@ def test_inner_dimension_mismatch():
     finite,
 )
 @settings(max_examples=200, deadline=None)
+@example(u=[0.0, 0.0, 0.0], v=[4.5397627119952924e-159, 0.0, 0.0], w=[4.5397627119952924e-159, 0.0, 0.0], a=0.0, b=159.0)
+@example(u=[0.0, 2.685577394887027e-163, 0.0], v=[0.0, 0.0, 0.0], w=[0.0, 315.0, 0.0], a=1.7464290157146691e-156, b=0.0)
 def test_inner_symmetric_bilinear(u, v, w, a, b):
     sig = Signature(2, 1)
     u, v, w = np.array(u), np.array(v), np.array(w)
@@ -72,10 +74,13 @@ def test_inner_symmetric_bilinear(u, v, w, a, b):
     right = a * inner(u, w, sig) + b * inner(v, w, sig)
     # Each side rounds at most five times along every term, so they differ by
     # at most ~10 eps times the size of the summed terms (not of the result,
-    # which can cancel to nearly zero), plus underflow in subnormal products.
+    # which can cancel to nearly zero), plus underflow in subnormal products:
+    # a subnormal u*w or v*w on the right rounds by up to eta/2, scaled by |a|
+    # or |b|, and a subnormal a*u or b*v on the left, scaled by |w|.
     terms = abs(a) * np.sum(np.abs(u * w)) + abs(b) * np.sum(np.abs(v * w))
     eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    assert abs(left - right) <= 16 * eps * terms + 32 * eta
+    underflow = 32 * eta * (1 + abs(a) + abs(b) + np.sum(np.abs(w)))
+    assert abs(left - right) <= 16 * eps * terms + underflow
 
 
 def test_euclidean_signature_is_dot_product():
