@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -418,7 +419,7 @@ def cmd_oval(cfg: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
         _fail(f"{type(exc).__name__}: {exc}")
     rebuilt = lorentz_oval.polygon_from_parameter(
         curve,
-        float(lorentz_oval.polygon_params(curve, poly)[-1]),
+        lorentz_oval.polygon_params(curve, poly)[-1],
         poly.half_period,
     )
     v_formula = lorentz_oval.acceleration_factor(rebuilt)
@@ -464,23 +465,19 @@ def cmd_family_plot(cfg: dict, out_dir: Path) -> int:
             lines.append(f"{idx},{_fmt(lam)},pole-skipped,,,")
             continue
         c1, c2 = float(q.c[0]), float(q.c[1])
+        # Samples from math, one at a time: numpy's array cos and cosh round by CPU.
+        sx, sy = math.sqrt(abs(c1)), math.sqrt(abs(c2))
         if c1 > 0 and c2 > 0:
-            ts = np.linspace(0.0, 2.0 * np.pi, points)
-            xs = np.sqrt(c1) * np.cos(ts)
-            ys = np.sqrt(c2) * np.sin(ts)
-            for x, y in zip(xs, ys):
-                lines.append(f"{idx},{_fmt(lam)},ok,0,{_fmt(x)},{_fmt(y)}")
+            for t in np.linspace(0.0, 2.0 * np.pi, points).tolist():
+                lines.append(f"{idx},{_fmt(lam)},ok,0,{_fmt(sx * math.cos(t))},{_fmt(sy * math.sin(t))}")
         elif c1 * c2 < 0:
-            ts = np.linspace(-3.0, 3.0, points)
-            for branch in (0, 1):
-                sign = 1.0 if branch == 0 else -1.0
-                if c1 > 0:
-                    xs = sign * np.sqrt(c1) * np.cosh(ts)
-                    ys = np.sqrt(-c2) * np.sinh(ts)
-                else:
-                    xs = np.sqrt(-c1) * np.sinh(ts)
-                    ys = sign * np.sqrt(c2) * np.cosh(ts)
-                for x, y in zip(xs, ys):
+            ts = np.linspace(-3.0, 3.0, points).tolist()
+            for branch, sign in ((0, 1.0), (1, -1.0)):
+                for t in ts:
+                    if c1 > 0:
+                        x, y = sign * sx * math.cosh(t), sy * math.sinh(t)
+                    else:
+                        x, y = sx * math.sinh(t), sign * sy * math.cosh(t)
                     lines.append(f"{idx},{_fmt(lam)},ok,{branch},{_fmt(x)},{_fmt(y)}")
         else:
             lines.append(f"{idx},{_fmt(lam)},empty,,,")

@@ -26,25 +26,30 @@ Conventions
 
 Evaluation
 ----------
-* A curve's radius, points, tangents and slopes take one angle as a Python
-  float and then compute on floats with the math module, or an array of
-  angles and then compute with numpy.  Each formula is written once for
-  both; only cos and sin are chosen by type.
-* The SCAN_GRID angles and their cos and sin are module constants.  Each
-  curve evaluates r, r', r'' on them once (`grid_derivs`, read-only), and
-  both the extremum scan and a radial table's convexity check read that
-  array.  A radial table copies its base ellipse's grid, so the candidate
-  tables of one synthesis share one base evaluation.
+* Floats in, floats out: a curve's radius, points, tangents and slopes take
+  one angle as a Python float and return floats (a point or a tangent as an
+  (x, y) tuple), computed with the math module.  A caller with several
+  angles loops over them.
+* The one array is the SCAN_GRID: its angles, and their cos and sin taken
+  with math once at import, are module constants.  Each curve evaluates
+  r, r', r'' on them once (`grid_derivs`, read-only), and both the extremum
+  scan and a radial table's convexity check read that array.  A radial
+  table copies its base ellipse's grid, so the candidate tables of one
+  synthesis share one base evaluation.  The grid is built only from
+  + - * /, sqrt and math, which round alike on every CPU that numpy
+  dispatches to, so its entries equal the float path's at the same angles.
+  An ellipse's radius (sqrt chosen by type) and a bump's shape are the only
+  formulas written for both a float and the grid.
 * A bump is its wrapped offset d from the anchor (`RadialBump.offset`) and
-  its shape g, g', g'' at d (`RadialBump.shape`), one formula for a float
-  and an array.  A float angle wraps each offset once, for the support
-  test and the shape.  On the grid a bump is evaluated only on the index
-  range that covers its support (two slices where it wraps past 2 pi),
-  and its shape is added there in place: outside its support a bump adds
-  an exact zero, so the sums equal the whole-grid ones.  The offsets on
-  that range are kept read-only on the base ellipse, per anchor, and a
-  narrower range is a slice of them, so the candidate tables of one
-  synthesis wrap each vertex's offsets once, not once per candidate.
+  its shape g, g', g'' at d (`RadialBump.shape`).  A float angle wraps each
+  offset once, for the support test and the shape.  On the grid a bump is
+  evaluated only on the index range that covers its support (two slices
+  where it wraps past 2 pi), and its shape is added there in place:
+  outside its support a bump adds an exact zero, so the sums equal the
+  whole-grid ones.  The offsets on that range are kept read-only on the
+  base ellipse, per anchor, and a narrower range is a slice of them, so the
+  candidate tables of one synthesis wrap each vertex's offsets once, not
+  once per candidate.
 * An ellipse's chord partner is the other root of its quadratic in the free
   coordinate, and its coordinate-k extrema lie along +-M^-1 e_k: both closed
   form.  Other curves solve both by one guarded Newton iteration
@@ -84,8 +89,9 @@ TWO_PI = 2.0 * math.pi
 #: The SCAN_GRID angles i * 2 pi / SCAN_GRID, their spacing, cosines and sines.
 _SCAN_ANGLES = _readonly(np.linspace(0.0, TWO_PI, SCAN_GRID, endpoint=False))
 _SCAN_STEP = TWO_PI / SCAN_GRID
-_SCAN_COS = _readonly(np.cos(_SCAN_ANGLES))
-_SCAN_SIN = _readonly(np.sin(_SCAN_ANGLES))
+# From math, one angle at a time: numpy's array cos and sin round by CPU.
+_SCAN_COS = _readonly(np.array([math.cos(t) for t in _SCAN_ANGLES.tolist()]))
+_SCAN_SIN = _readonly(np.array([math.sin(t) for t in _SCAN_ANGLES.tolist()]))
 
 #: Step (radians) below which the guarded Newton root solve stops.
 ROOT_XTOL = 1e-14
@@ -114,30 +120,11 @@ def signed_angle_gap(a: float, b: float) -> float:
     return math.pi if d == -math.pi else d
 
 
-def _angle(theta):
-    """A scalar angle as a Python float, anything else as a float array."""
-    if isinstance(theta, (float, int)):
-        return float(theta)
-    return np.asarray(theta, dtype=float)
-
-
 def _cos_sin(theta):
-    """Cosine and sine of an angle from _angle: math on a float, numpy on an array.
-
-    On the scan grid itself they are the module constants.
-    """
-    if isinstance(theta, float):
-        return math.cos(theta), math.sin(theta)
+    """Cosine and sine of a float angle from math; on the scan grid itself, the module constants."""
     if theta is _SCAN_ANGLES:
         return _SCAN_COS, _SCAN_SIN
-    return np.cos(theta), np.sin(theta)
-
-
-def _pair(x, y):
-    """Two coordinates as a tuple of floats, or stacked on a last axis of size 2."""
-    if isinstance(x, float):
-        return x, y
-    return np.stack([x, y], axis=-1)
+    return math.cos(theta), math.sin(theta)
 
 
 def _guarded_newton(fdf, lo: float, hi: float, t: float, rising: bool, what: str) -> float:
@@ -179,9 +166,10 @@ class OvalCurve:
 
     Subclasses provide radius_derivs; everything else (points, slopes,
     chord partners) lives here.  radius_derivs, point, velocity and slope
-    take one angle as a Python float (np.float64 included) and return
-    floats (a point or velocity as an (x, y) tuple), or an array of angles
-    and return arrays.
+    take one angle as a Python float and return floats (a point or velocity
+    as an (x, y) tuple).  The only array is grid_derivs, on the SCAN_GRID
+    angles; a subclass whose radius_derivs does not take the grid itself
+    overrides _evaluate_grid.
     """
 
     center: np.ndarray
@@ -193,28 +181,21 @@ class OvalCurve:
         """Radius and its first two angle derivatives."""
         raise NotImplementedError
 
-    def point(self, theta):
-        theta = _angle(theta)
-        c, s = _cos_sin(theta)
+    def point(self, theta: float) -> tuple[float, float]:
+        c, s = math.cos(theta), math.sin(theta)
         r, _, _ = self.radius_derivs(theta)
-        return _pair(self._center[0] + r * c, self._center[1] + r * s)
+        return self._center[0] + r * c, self._center[1] + r * s
 
-    def _tangent(self, theta):
-        theta = _angle(theta)
-        c, s = _cos_sin(theta)
+    def velocity(self, theta: float) -> tuple[float, float]:
+        """Tangent d/dtheta of the parameterization, components (x', y')."""
+        c, s = math.cos(theta), math.sin(theta)
         r, r1, _ = self.radius_derivs(theta)
         return r1 * c - r * s, r1 * s + r * c
 
-    def velocity(self, theta):
-        """Tangent d/dtheta of the parameterization, components (x', y')."""
-        return _pair(*self._tangent(theta))
-
-    def slope(self, theta):
+    def slope(self, theta: float) -> float:
         """Signed dy/dx of the tangent line at the given parameter."""
-        dx, dy = self._tangent(theta)
-        if isinstance(dx, float) and dx == 0.0:
-            return math.copysign(math.inf, dy)
-        return dy / dx
+        dx, dy = self.velocity(theta)
+        return dy / dx if dx != 0.0 else math.copysign(math.inf, dy)
 
     @functools.cached_property
     def grid_derivs(self) -> np.ndarray:
@@ -339,14 +320,17 @@ class EllipseOval(OvalCurve):
         return cls(np.diag([1.0 / a**2, 1.0 / b**2]), center)
 
     def radius_derivs(self, theta):
-        c, s = _cos_sin(_angle(theta))
+        """r, r' and r'' at a float angle, or as arrays on the SCAN_GRID angles themselves."""
+        c, s = _cos_sin(theta)
         m00, m01, m11 = self._m
         q = m00 * c * c + 2.0 * m01 * c * s + m11 * s * s
         q1 = 2.0 * ((m11 - m00) * c * s + m01 * (c * c - s * s))
         q2 = 2.0 * ((m11 - m00) * (c * c - s * s) - 4.0 * m01 * c * s)
-        r = q**-0.5
-        r1 = -0.5 * q**-1.5 * q1
-        r2 = 0.75 * q**-2.5 * q1 * q1 - 0.5 * q**-1.5 * q2
+        # r = q^-1/2; the higher powers are products, which round alike on every CPU.
+        r = 1.0 / (np.sqrt(q) if theta is _SCAN_ANGLES else math.sqrt(q))
+        r3 = r * r * r
+        r1 = -0.5 * r3 * q1
+        r2 = 0.75 * (r3 * r * r) * q1 * q1 - 0.5 * r3 * q2
         return r, r1, r2
 
     def coordinate_extrema(self, axis: int) -> tuple[float, float]:
@@ -391,7 +375,7 @@ class RadialBump:
             object.__setattr__(self, name, float(getattr(self, name)))
 
     def offset(self, theta):
-        """Wrapped offset d = (theta - anchor + pi) mod 2 pi - pi of an angle from _angle."""
+        """Wrapped offset d = (theta - anchor + pi) mod 2 pi - pi of an array of angles."""
         return (theta - self.anchor + math.pi) % TWO_PI - math.pi
 
     def shape(self, d):
@@ -406,7 +390,7 @@ class RadialBump:
         inside = abs(xi) < 1.0
         xi *= inside
         one = 1.0 - xi * xi
-        psi = one**3
+        psi = one * one * one
         psi1 = -6.0 * xi
         psi1 *= one
         psi1 *= one
@@ -435,10 +419,6 @@ class RadialBump:
         g2 *= inside
         return g, g1, g2
 
-    def derivs(self, theta):
-        """g, g' and g'' at an angle: a float, or an array of angles."""
-        return self.shape(self.offset(_angle(theta)))
-
 
 class RadialOval(OvalCurve):
     """Base ellipse plus localized radial bumps; verified strictly convex.
@@ -464,18 +444,15 @@ class RadialOval(OvalCurve):
                 f"curvature numerator is not positive (min {self.convexity_margin:.3e})"
             )
 
-    def radius_derivs(self, theta):
-        theta = _angle(theta)
+    def radius_derivs(self, theta: float) -> tuple[float, float, float]:
         r, r1, r2 = self.base.radius_derivs(theta)
-        scalar = isinstance(theta, float)
         for bump in self.bumps:
-            # bump.offset(theta), inline: on a float the call would cost
-            # more than the wrap.  A float outside the support skips the shape.
+            # bump.offset(theta), inline: the call would cost more than the
+            # wrap.  An angle outside the support skips the shape.
             d = (theta - bump.anchor + math.pi) % TWO_PI - math.pi
-            if scalar and abs(d) >= bump.halfwidth:
-                continue
-            g, g1, g2 = bump.shape(d)
-            r, r1, r2 = r + g, r1 + g1, r2 + g2
+            if abs(d) < bump.halfwidth:
+                g, g1, g2 = bump.shape(d)
+                r, r1, r2 = r + g, r1 + g1, r2 + g2
         return r, r1, r2
 
     def _evaluate_grid(self) -> np.ndarray:
@@ -615,10 +592,10 @@ class NullPolygon:
         return self.points.shape[0] // 2
 
 
-def polygon_params(curve: OvalCurve, poly: NullPolygon) -> np.ndarray:
+def polygon_params(curve: OvalCurve, poly: NullPolygon) -> list[float]:
     """Curve parameters of the polygon vertices (angles about the center)."""
-    rel = poly.points - curve.center
-    return np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
+    cx, cy = curve._center
+    return [math.atan2(y - cy, x - cx) % TWO_PI for x, y in poly.points.tolist()]
 
 
 def acceleration_factor(poly: NullPolygon) -> float:
@@ -626,10 +603,10 @@ def acceleration_factor(poly: NullPolygon) -> float:
 
     Product of the even-position slopes over the odd-position ones, signed.
     """
-    t = np.array(poly.slopes)
-    if np.any(t == 0.0) or not np.all(np.isfinite(t)):
+    t = poly.slopes
+    if not all(s != 0.0 and math.isfinite(s) for s in t):
         raise ZeroSlope("acceleration factor needs finite non-zero slopes")
-    return float(np.prod(t[1::2]) / np.prod(t[0::2]))
+    return math.prod(t[1::2]) / math.prod(t[0::2])
 
 
 def simulate_speed(curve: OvalCurve, poly: NullPolygon) -> float:
@@ -644,7 +621,7 @@ def simulate_speed(curve: OvalCurve, poly: NullPolygon) -> float:
     for j in range(1, m + 1):
         dir_in = HORIZONTAL if j % 2 == 1 else VERTICAL
         arrival = params[j % m]
-        speed *= speed_factor(float(curve.slope(arrival)), dir_in)
+        speed *= speed_factor(curve.slope(arrival), dir_in)
     return speed
 
 
@@ -657,14 +634,13 @@ def simulate_periods(curve: OvalCurve, poly: NullPolygon, periods: int) -> tuple
     if periods < 1:
         raise ValueError("periods must be >= 1")
     params = polygon_params(curve, poly)
-    theta = float(params[0])
-    start = theta
+    theta = start = params[0]
     speed = 1.0
     legs = 2 * poly.half_period * periods
     for leg in range(legs):
         direction = HORIZONTAL if leg % 2 == 0 else VERTICAL
         theta = chord_step(curve, theta, direction)
-        speed *= speed_factor(float(curve.slope(theta)), direction)
+        speed *= speed_factor(curve.slope(theta), direction)
     return speed, abs(signed_angle_gap(theta, start))
 
 
@@ -681,15 +657,13 @@ def _chain_derivative(curve: OvalCurve, params) -> float:
 
     A chord step keeps one coordinate X, X(t') = X(t), so dt'/dt = X'(t) / X'(t').
     """
-    vel = curve.velocity(np.asarray(params, dtype=float))
-    steps = np.arange(len(params) - 1)
-    axes = steps % 2  # vertical chords keep coordinate 0
-    return float(np.prod(vel[steps, axes] / vel[steps + 1, axes]))
+    vel = [curve.velocity(t) for t in params]
+    # Step j keeps coordinate j % 2: vertical chords keep coordinate 0.
+    return math.prod(vel[j][j % 2] / vel[j + 1][j % 2] for j in range(len(params) - 1))
 
 
 def _null_polygon(curve: OvalCurve, params: list[float]) -> NullPolygon:
-    ts = np.array(params)
-    return NullPolygon(curve.point(ts), tuple(float(t) for t in curve.slope(ts)))
+    return NullPolygon([curve.point(t) for t in params], tuple(curve.slope(t) for t in params))
 
 
 def polygon_from_parameter(curve: OvalCurve, fixed_param: float, n: int) -> NullPolygon:
@@ -774,36 +748,35 @@ def build_accelerating_table(points, slopes) -> RadialOval:
     check.
     """
     pts = np.asarray(points, dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    NullPolygon(pts, tuple(slopes))  # validates the alternating-null-chord shape
+    slopes = [float(t) for t in slopes]
+    NullPolygon(pts, slopes)  # validates the alternating-null-chord shape
 
-    if np.any(slopes == 0.0) or not np.all(np.isfinite(slopes)):
+    if not all(t != 0.0 and math.isfinite(t) for t in slopes):
         raise ZeroSlope("target slopes must be finite and non-zero")
 
     center = pts.mean(axis=0)
-    rel = pts - center
-    scale = max(1.0, float(np.max(np.abs(rel))))
+    rel = (pts - center).tolist()
+    scale = max(1.0, max(abs(c) for p in rel for c in p))
     axis_tol = 1e-9 * scale
 
     ratios = []
     for (du, dw), t in zip(rel, slopes):
         if abs(du) > axis_tol and abs(dw) > axis_tol:
-            if np.sign(t) != -np.sign(du * dw):
+            if (t > 0.0) == (du * dw > 0.0):
                 raise InfeasibleSlopes(
                     f"slope {t} at offset ({du:.3g}, {dw:.3g}) cannot lie on a convex curve"
                 )
             ratios.append(abs(t) * abs(dw) / abs(du))
-    k = float(np.exp(np.mean(np.log(ratios)))) if ratios else 1.0
+    k = math.exp(math.fsum(map(math.log, ratios)) / len(ratios)) if ratios else 1.0
 
-    weights = rel[:, 0] ** 2 + rel[:, 1] ** 2 / k
-    p_coeff = float(np.sum(weights) / np.sum(weights**2))
-    base = EllipseOval.axis_aligned(np.sqrt(1.0 / p_coeff), np.sqrt(k / p_coeff), center)
+    weights = [du * du + dw * dw / k for du, dw in rel]
+    p_coeff = math.fsum(weights) / math.fsum(w * w for w in weights)
+    base = EllipseOval.axis_aligned(math.sqrt(1.0 / p_coeff), math.sqrt(k / p_coeff), center)
 
-    thetas = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
-    radii = np.hypot(rel[:, 0], rel[:, 1])
-    order = np.argsort(thetas)
-    gaps = {}
+    thetas = [math.atan2(dw, du) % TWO_PI for du, dw in rel]
     m = len(thetas)
+    order = sorted(range(m), key=thetas.__getitem__)
+    gaps = {}
     for pos, idx in enumerate(order):
         before = thetas[order[pos - 1]]
         after = thetas[order[(pos + 1) % m]]
@@ -812,9 +785,9 @@ def build_accelerating_table(points, slopes) -> RadialOval:
         gaps[idx] = min(gap_prev, gap_next)
 
     anchors = []
-    for j in range(m):
-        theta_j, r_j, t_j = float(thetas[j]), float(radii[j]), float(slopes[j])
-        c, s = np.cos(theta_j), np.sin(theta_j)
+    for j, ((du, dw), theta_j, t_j) in enumerate(zip(rel, thetas, slopes)):
+        r_j = math.hypot(du, dw)
+        c, s = math.cos(theta_j), math.sin(theta_j)
         denom = t_j * c - s
         if abs(denom) <= 1e-12 * (1.0 + abs(t_j)):
             raise InfeasibleSlopes(f"target slope at vertex {j + 1} points along the radius")

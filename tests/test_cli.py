@@ -701,3 +701,72 @@ def test_no_source_file_imports_scipy():
     sources = sorted(SRC.rglob("*.py"))
     assert sources
     assert [p.name for p in sources if importing.search(p.read_text())] == []
+
+
+#: Runs the [command, name, config] entries of the JSON file argv[1] through
+#: cli.main, each into argv[2]/<name>, and prints each name and exit code.  A
+#: table "synth" is the table.json that the entry named synth wrote.
+RUN_ROUND = """
+import json, sys
+from pathlib import Path
+from pebilliards.cli import main
+
+out = Path(sys.argv[2])
+for command, name, doc in json.loads(Path(sys.argv[1]).read_text()):
+    if doc.get("oval", {}).get("table") == "synth":
+        doc["oval"]["table"] = json.loads((out / "synth" / "table.json").read_text())
+    config = out / f"{name}.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    print(name, main([*command, "--config", str(config), "--out", str(out / name)]))
+"""
+
+
+def _supported_dispatch_targets():
+    """The CPU targets, beyond numpy's baseline, that numpy dispatches to on this host."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # The README's oval, family-plot and commute examples, plus periodic and
+    # iterate on the synthesized table and on an ellipse whose chord map has
+    # period 3, write the same bytes under numpy's default dispatch as with
+    # every dispatch target this host supports disabled: what a CPU without
+    # them would compute.
+    targets = _supported_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no target beyond its baseline on this host")
+    period_3 = {"kind": "ellipse_form", "form": [[0.25, -0.25], [-0.25, 1.0]], "center": [0.3, -0.2]}
+    family = {"lambdas": [-6.0, -4.0, -2.0, 0.0, 0.5, 2.0, 6.0], "points": 256}
+    entries = [
+        [["oval", "synth"], "synth", {"oval": {"polygon": SQUARE}}],
+        [["oval", "periodic"], "periodic-synth", {"oval": {"table": "synth", "half_period": 2, "seed_param": 5.45}}],
+        [["oval", "iterate"], "iterate-synth", {"oval": {"table": "synth", "start": 0.9, "steps": 10}}],
+        [["oval", "periodic"], "periodic-ellipse", {"oval": {"table": period_3, "half_period": 3, "seed_param": 0.7}}],
+        [["oval", "iterate"], "iterate-ellipse", {"oval": {"table": ELLIPSE, "start": 0.9273, "steps": 10}}],
+        [["family-plot"], "family-plot", {"signature": [1, 1], "axes": [2.0, 1.0], "family": family}],
+        [["commute"], "commute", {**COMMUTE, "samples": 2000}],
+    ]
+    round_file = tmp_path / "round.json"
+    round_file.write_text(json.dumps(entries), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    runs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}):
+        out = tmp_path / f"run{len(runs)}"
+        out.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_ROUND, str(round_file), str(out)],
+            env={**env, **extra}, capture_output=True, text=True, check=True,
+        )
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((done.stdout, files))
+    (said, files), (reduced_said, reduced_files) = runs
+    assert said == "".join(f"{name} 0\n" for _, name, _ in entries)
+    assert reduced_said == said
+    assert len(files) == 2 * len(entries) + 1  # a config and an output each; synth writes two
+    assert files.keys() == reduced_files.keys()
+    assert [str(p) for p in files if files[p] != reduced_files[p]] == []

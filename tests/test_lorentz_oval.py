@@ -205,8 +205,7 @@ def test_chain_rule_derivative_matches_central_difference():
 
 def test_build_table_circle_case():
     curve = lo.build_accelerating_table(RECT, (-1.0, 1.0, -1.0, 1.0))
-    ts = np.linspace(0, 2 * np.pi, 256)
-    r, _, _ = curve.radius_derivs(ts)
+    r = [curve.radius_derivs(t)[0] for t in np.linspace(0, 2 * np.pi, 256).tolist()]
     assert np.allclose(r, np.sqrt(2.0), atol=1e-12)
     poly = lo.polygon_from_parameter(curve, angle_of(curve, (1.0, -1.0)), 2)
     assert lo.acceleration_factor(poly) == pytest.approx(1.0, abs=1e-12)
@@ -217,12 +216,12 @@ def test_build_table_v4_closed_loop():
     curve = lo.build_accelerating_table(RECT, slopes)
     poly = lo.NullPolygon(RECT, slopes)
     params = lo.polygon_params(curve, poly)
-    pts = np.asarray(curve.point(params))
+    pts = np.array([curve.point(t) for t in params])
     assert np.max(np.abs(pts - RECT)) <= 1e-8
-    got_slopes = np.array([float(curve.slope(t)) for t in params])
+    got_slopes = np.array([curve.slope(t) for t in params])
     assert np.max(np.abs(got_slopes - np.array(slopes))) <= 1e-8
     assert curve.convexity_margin > 0  # least curvature numerator on the 4096-point grid
-    rebuilt = lo.polygon_from_parameter(curve, float(params[-1]), 2)
+    rebuilt = lo.polygon_from_parameter(curve, params[-1], 2)
     assert lo.acceleration_factor(rebuilt) == pytest.approx(4.0, abs=1e-10)
     assert lo.simulate_speed(curve, rebuilt) == pytest.approx(4.0, abs=1e-8)
 
@@ -331,40 +330,41 @@ def _wrap_bump_table():
     return lo.RadialOval(TILTED, bumps)
 
 
-def _sample_angles(curve):
-    # 1.1 and 4.0 lie outside every bump of _wrap_bump_table, where a scalar
-    # angle skips the bump.
-    ts = [0.3, 1.1, 2.7, 4.0, 5.5]
-    for bump in getattr(curve, "bumps", ()):
-        a, h = bump.anchor, bump.halfwidth
-        ts += [a, a + h / 2, a - h / 3, a + h - 1e-9, a + h + 1e-9, a - h + 1e-9, a - h - 1e-9]
-    ts += [0.0, 1e-4, 2 * np.pi - 1e-4, 2 * np.pi - 8e-4]
-    return [lo.wrap_angle(t) for t in ts]
-
-
-def _assert_within_4_ulp(scalar, array):
-    """Normwise: every component within 4 ulp of the largest component."""
-    assert all(type(v) is float for v in scalar)
-    ulp = np.spacing(max(abs(v) for v in scalar))
-    for v, w in zip(scalar, array):
-        assert abs(v - float(w[0])) <= 4 * ulp
-
-
-@pytest.mark.parametrize("curve", [ELLIPSE, TILTED, _wrap_bump_table()], ids=["axis", "tilted", "radial"])
+@pytest.mark.parametrize(
+    "curve",
+    [ELLIPSE, TILTED, _wrap_bump_table(), lo.build_accelerating_table(RECT, (-1.0, 2.0, -1.0, 2.0))],
+    ids=["axis", "tilted", "radial", "synthesized"],
+)
 def test_float_path_matches_array_path(curve):
-    for t in _sample_angles(curve):
-        for scalar_t in (t, np.float64(t)):
-            one = np.array([t])
-            _assert_within_4_ulp(curve.radius_derivs(scalar_t), curve.radius_derivs(one))
-            _assert_within_4_ulp(curve.point(scalar_t), curve.point(one).T)
-            _assert_within_4_ulp(curve.velocity(scalar_t), curve.velocity(one).T)
+    # The scan grid is the one array computation: at every grid angle the
+    # float path gives the same bits (np.array_equal: up to the sign of a
+    # zero) as grid_derivs, and point() as the grid's r, cos and sin.
+    ts = lo._SCAN_ANGLES.tolist()
+    derivs = [curve.radius_derivs(t) for t in ts]
+    assert all(type(v) is float for row in derivs for v in row)
+    assert np.array_equal(np.array(derivs).T, curve.grid_derivs)
+    r = curve.grid_derivs[0]
+    x, y = zip(*(curve.point(t) for t in ts))
+    assert np.array_equal(x, curve.center[0] + r * lo._SCAN_COS)
+    assert np.array_equal(y, curve.center[1] + r * lo._SCAN_SIN)
+
+
+def _radius_array(curve, ts):
+    """r on an array of angles, from the ellipse's form and every bump's shape on the whole array."""
+    base = curve.base or curve
+    c, s = np.cos(ts), np.sin(ts)
+    (m00, m01), (_, m11) = base.form
+    r = (m00 * c * c + 2.0 * m01 * c * s + m11 * s * s) ** -0.5
+    for bump in getattr(curve, "bumps", ()):
+        r = r + bump.shape(bump.offset(ts))[0]
+    return r
 
 
 def _bisection_partner(curve, theta, axis):
     """The chord partner by plain bisection, on the arc between the coordinate
     extrema of a dense array scan (no Newton, no cached library extrema)."""
     ts = np.linspace(0.0, 2 * np.pi, 20000, endpoint=False)
-    coord = curve.point(ts)[:, axis]
+    coord = curve.center[axis] + _radius_array(curve, ts) * (np.cos(ts) if axis == 0 else np.sin(ts))
     t_lo, t_hi = sorted((float(ts[np.argmin(coord)]), float(ts[np.argmax(coord)])))
     lo_, hi_ = (t_hi, t_lo + 2 * np.pi) if t_lo < theta < t_hi else (t_lo, t_hi)
     target = curve.point(theta)[axis]
@@ -425,7 +425,7 @@ def test_random_radial_table_chord_steps(table, thetas, offsets):
     except ConvexityViolation:
         event("not strictly convex")
         return
-    scale = max(1.0, float(np.max(np.abs(curve.point(np.linspace(0.0, 2 * np.pi, 64))))))
+    scale = max(1.0, max(abs(c) for t in np.linspace(0.0, 2 * np.pi, 64).tolist() for c in curve.point(t)))
     for axis, direction in ((0, lo.VERTICAL), (1, lo.HORIZONTAL)):
         t_lo, t_hi = extrema[axis]
         near = [lo.wrap_angle(t + d) for t in extrema[axis] for d in offsets]
@@ -445,11 +445,10 @@ def test_random_radial_table_chord_steps(table, thetas, offsets):
 
 
 def _full_grid_sum(base, bumps):
-    """r, r', r'' on the SCAN_GRID angles as the base plus every bump's derivs on the whole grid."""
-    ts = np.linspace(0.0, 2 * np.pi, lo.SCAN_GRID, endpoint=False)
-    total = np.array(base.radius_derivs(ts))
+    """r, r', r'' on the SCAN_GRID angles as the base plus every bump's shape on the whole grid."""
+    total = np.array(base.radius_derivs(lo._SCAN_ANGLES))
     for bump in bumps:
-        total = total + np.array(bump.derivs(ts))
+        total = total + np.array(bump.shape(bump.offset(lo._SCAN_ANGLES)))
     return total
 
 
