@@ -23,6 +23,7 @@ undefined there and orbit runs abort with a recorded reason.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,6 +333,22 @@ def run_orbit(
     return OrbitRecord(xs[:rows], vs[:rows], h[:rows], f[:rows], tangs, reason, bounce)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a.b of two float64 vectors, summed left to right on Python floats.
+
+    numpy's float64 @ and norm call BLAS, whose kernel (and rounding) is
+    chosen per CPU; this sum rounds alike everywhere.
+    """
+    total = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        total += x * y
+    return total
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 def sample_null_ray(
     ell: Ellipsoid,
     sig: Signature,
@@ -342,7 +359,8 @@ def sample_null_ray(
     The base point is area-weighted on the boundary (sphere sampling with a
     rejection correction for the axis scaling); the direction puts a unit
     Euclidean vector in each metric block so that <v,v> = 0 exactly, with the
-    sign fixed to point inward.  Deterministic for a fixed seed.
+    sign fixed to point inward.  Deterministic for a fixed seed, on every
+    CPU: norms and Ax.v are summed on Python floats (_dot).
     """
     if sig.p < 1 or sig.q < 1:
         raise ValueError("null directions need p >= 1 and q >= 1")
@@ -354,22 +372,22 @@ def sample_null_ray(
 
     for _ in range(NULL_RAY_TRIES):
         s = rng.standard_normal(d)
-        nrm = float(np.linalg.norm(s))
+        nrm = _norm(s)
         if nrm == 0.0:
             continue
         s /= nrm
         # Surface-area weight of the sphere-to-ellipsoid map is prop. to |D^-1 s|.
-        if rng.uniform() > float(np.linalg.norm(s / a)) * amin:
+        if rng.uniform() > _norm(s / a) * amin:
             continue
         x = a * s
 
         alpha = rng.standard_normal(sig.p)
         beta = rng.standard_normal(sig.q)
-        na, nb = float(np.linalg.norm(alpha)), float(np.linalg.norm(beta))
+        na, nb = _norm(alpha), _norm(beta)
         if na == 0.0 or nb == 0.0:
             continue
         v = np.concatenate([alpha / na, beta / nb])
-        axv = float(ell.conormal(x) @ v)
+        axv = _dot(ell.conormal(x), v)
         if axv > 0.0:
             v = -v
             axv = -axv

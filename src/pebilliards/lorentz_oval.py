@@ -10,6 +10,9 @@ Conventions
 -----------
 * Curves are parameterized by the angle about an interior center point and
   must be polar graphs about it: point(t) = center + r(t) (cos t, sin t).
+* A chord direction is the coordinate it keeps: VERTICAL = 0 (a vertical
+  chord keeps x) and HORIZONTAL = 1.  Directions alternate, so chord step j
+  of a walk has direction j % 2.
 * `oval_map` applies a vertical chord step followed by a horizontal one.
 * A closed null polygon P_1 .. P_{2n} stores its vertices so that the chord
   P_1 -> P_2 is horizontal and directions alternate; the closing chord
@@ -38,18 +41,20 @@ Evaluation
   synthesis share one base evaluation.  The grid is built only from
   + - * /, sqrt and math, which round alike on every CPU that numpy
   dispatches to, so its entries equal the float path's at the same angles.
-  An ellipse's radius (sqrt chosen by type) and a bump's shape are the only
-  formulas written for both a float and the grid.
+  An ellipse's radius (cos, sin and sqrt chosen once, by whether the angle
+  is the grid) and a bump's shape are the only formulas written for both a
+  float and the grid.
 * A bump is its wrapped offset d from the anchor (`RadialBump.offset`) and
-  its shape g, g', g'' at d (`RadialBump.shape`).  A float angle wraps each
-  offset once, for the support test and the shape.  On the grid a bump is
-  evaluated only on the index range that covers its support (two slices
-  where it wraps past 2 pi), and its shape is added there in place:
-  outside its support a bump adds an exact zero, so the sums equal the
-  whole-grid ones.  The offsets on that range are kept read-only on the
-  base ellipse, per anchor, and a narrower range is a slice of them, so the
-  candidate tables of one synthesis wrap each vertex's offsets once, not
-  once per candidate.
+  its shape g, g', g'' at d (`RadialBump.shape`), one clipped formula per
+  quantity.  A float angle wraps each offset once, for the support test, and
+  only an offset inside the support reaches the shape.  On the grid the
+  shape clips d / halfwidth to [-1, 1], so outside its support a bump adds
+  an exact zero.  It is evaluated only on the index range that covers its
+  support (two slices where it wraps past 2 pi) and added there in place,
+  and the sums equal the whole-grid ones.  The offsets on that range are
+  kept read-only on the base ellipse, per anchor, and a narrower range is a
+  slice of them, so the candidate tables of one synthesis wrap each vertex's
+  offsets once, not once per candidate.
 * An ellipse's chord partner is the other root of its quadratic in the free
   coordinate, and its coordinate-k extrema lie along +-M^-1 e_k: both closed
   form.  Other curves solve both by one guarded Newton iteration
@@ -75,8 +80,9 @@ from .errors import (
 )
 from .pecore import Ellipsoid, _readonly
 
-VERTICAL = "vertical"
-HORIZONTAL = "horizontal"
+#: Chord directions, as the coordinate a chord keeps: a vertical chord keeps x.
+VERTICAL = 0
+HORIZONTAL = 1
 
 #: Angular distance to a coordinate extremum below which a chord is degenerate.
 DEGENERATE_TOL = 1e-9
@@ -118,13 +124,6 @@ def signed_angle_gap(a: float, b: float) -> float:
     """Signed circular difference a - b reduced to (-pi, pi]."""
     d = (float(a) - float(b) + math.pi) % TWO_PI - math.pi
     return math.pi if d == -math.pi else d
-
-
-def _cos_sin(theta):
-    """Cosine and sine of a float angle from math; on the scan grid itself, the module constants."""
-    if theta is _SCAN_ANGLES:
-        return _SCAN_COS, _SCAN_SIN
-    return math.cos(theta), math.sin(theta)
 
 
 def _guarded_newton(fdf, lo: float, hi: float, t: float, rising: bool, what: str) -> float:
@@ -223,7 +222,8 @@ class OvalCurve:
         grid_derivs) must change sign in exactly two cells, else the curve
         is not strictly convex; each cell's root is then solved by the
         guarded Newton on the first and second derivatives, seeded by the
-        secant of the scan.
+        secant of the scan.  The cache keeps the coordinate's values at both
+        extrema next to them, for chord_partner.
         """
         cache = self.__dict__.setdefault("_extrema_cache", {})
         if axis not in cache:
@@ -254,8 +254,9 @@ class OvalCurve:
                         fdf, lo, lo + _SCAN_STEP, seed, d0 < 0.0, f"extremum of coordinate {axis}"
                     )
                 )
-            cache[axis] = tuple(sorted(wrap_angle(t) for t in roots))
-        return cache[axis]
+            angles = tuple(sorted(wrap_angle(t) for t in roots))
+            cache[axis] = angles, tuple(self._coordinate_derivs(t, axis)[0] for t in angles)
+        return cache[axis][0]
 
     def chord_partner(self, theta: float, axis: int) -> float:
         """Parameter of the other point of the curve with the same coordinate `axis`.
@@ -268,10 +269,7 @@ class OvalCurve:
         ensures; the result is not wrapped.
         """
         t_lo, t_hi = self.coordinate_extrema(axis)
-        ends = self.__dict__.setdefault("_extremum_coords", {})
-        if axis not in ends:
-            ends[axis] = (self._coordinate_derivs(t_lo, axis)[0], self._coordinate_derivs(t_hi, axis)[0])
-        x_lo, x_hi = ends[axis]
+        x_lo, x_hi = self._extrema_cache[axis][1]
         target = self._coordinate_derivs(theta, axis)[0]
         if t_lo < theta < t_hi:
             lo, hi, flo, fhi = t_hi, t_lo + TWO_PI, x_hi - target, x_lo - target
@@ -321,13 +319,16 @@ class EllipseOval(OvalCurve):
 
     def radius_derivs(self, theta):
         """r, r' and r'' at a float angle, or as arrays on the SCAN_GRID angles themselves."""
-        c, s = _cos_sin(theta)
+        if theta is _SCAN_ANGLES:
+            c, s, sqrt = _SCAN_COS, _SCAN_SIN, np.sqrt
+        else:
+            c, s, sqrt = math.cos(theta), math.sin(theta), math.sqrt
         m00, m01, m11 = self._m
         q = m00 * c * c + 2.0 * m01 * c * s + m11 * s * s
         q1 = 2.0 * ((m11 - m00) * c * s + m01 * (c * c - s * s))
         q2 = 2.0 * ((m11 - m00) * (c * c - s * s) - 4.0 * m01 * c * s)
         # r = q^-1/2; the higher powers are products, which round alike on every CPU.
-        r = 1.0 / (np.sqrt(q) if theta is _SCAN_ANGLES else math.sqrt(q))
+        r = 1.0 / sqrt(q)
         r3 = r * r * r
         r1 = -0.5 * r3 * q1
         r2 = 0.75 * (r3 * r * r) * q1 * q1 - 0.5 * r3 * q2
@@ -358,8 +359,10 @@ class RadialBump:
     """Compactly supported radial perturbation (value + tilt) at one angle.
 
     g(t) = (value + tilt * d) * psi(d / halfwidth) with d the wrapped offset
-    from anchor and psi(xi) = (1 - xi^2)^3; so g(anchor) = value and
-    g'(anchor) = tilt.
+    from anchor and psi(xi) = (1 - xi^2)^3 on |xi| <= 1, zero beyond; so
+    g(anchor) = value and g'(anchor) = tilt.  `shape` evaluates g, g', g''
+    at a float offset inside the support, or at an array of offsets with xi
+    clipped to [-1, 1].
     """
 
     anchor: float
@@ -379,45 +382,24 @@ class RadialBump:
         return (theta - self.anchor + math.pi) % TWO_PI - math.pi
 
     def shape(self, d):
-        """g, g' and g'' at the wrapped offset d: a float, or an array left unmodified.
+        """g, g' and g'' at the wrapped offset d: a float inside the support, or an array.
 
-        One formula for both: on an array the augmented operators work in
-        place on the fresh intermediates, in the order of the plain
-        expressions, so both give the same bits.
+        A float must lie inside the support (|d| < halfwidth), as
+        RadialOval.radius_derivs tests first.  On an array xi = d / halfwidth
+        is clipped to [-1, 1], so psi, psi' and psi'' are exact zeros outside
+        the support; inside it the clip changes nothing, and both give the
+        same bits.
         """
         h, tilt = self.halfwidth, self.tilt
         xi = d / h
-        inside = abs(xi) < 1.0
-        xi *= inside
+        if isinstance(xi, np.ndarray):
+            xi = np.minimum(np.maximum(xi, -1.0), 1.0)
         one = 1.0 - xi * xi
         psi = one * one * one
-        psi1 = -6.0 * xi
-        psi1 *= one
-        psi1 *= one
-        psi2 = 30.0 * xi
-        psi2 *= xi
-        psi2 -= 6.0
-        psi2 *= one
-        lin = tilt * d
-        lin += self.value
-        # g' = tilt psi + lin psi' / h
-        g1 = lin * psi1
-        g1 /= h
-        g1 += tilt * psi
-        # g = lin psi
-        g = psi
-        g *= lin
-        # g'' = 2 tilt psi' / h + lin psi'' / h^2
-        g2 = psi2
-        g2 *= lin
-        g2 /= h**2
-        psi1 *= 2.0 * tilt
-        psi1 /= h
-        g2 += psi1
-        g *= inside
-        g1 *= inside
-        g2 *= inside
-        return g, g1, g2
+        psi1 = -6.0 * xi * one * one
+        psi2 = (30.0 * xi * xi - 6.0) * one
+        lin = tilt * d + self.value
+        return lin * psi, tilt * psi + lin * psi1 / h, 2.0 * tilt * psi1 / h + lin * psi2 / h**2
 
 
 class RadialOval(OvalCurve):
@@ -517,27 +499,20 @@ def _support_offsets(base: EllipseOval, bump: RadialBump, first: int, count: int
     return offsets
 
 
-def _axis_index(direction: str) -> int:
-    if direction == VERTICAL:
-        return 0  # vertical chords share the first coordinate
-    if direction == HORIZONTAL:
-        return 1
-    raise ValueError(f"direction must be '{VERTICAL}' or '{HORIZONTAL}', got {direction!r}")
-
-
-def chord_step(curve: OvalCurve, theta: float, direction: str) -> float:
+def chord_step(curve: OvalCurve, theta: float, direction: int) -> float:
     """Parameter of the second intersection of the coordinate line through theta.
 
     Raises DegenerateChord at coordinate extrema; otherwise the curve's
     chord_partner solves for the other intersection (closed form on an
     ellipse, a guarded Newton solve on other curves).
     """
-    axis = _axis_index(direction)
-    t_lo, t_hi = curve.coordinate_extrema(axis)
+    if direction not in (VERTICAL, HORIZONTAL):
+        raise ValueError(f"direction must be VERTICAL (0) or HORIZONTAL (1), got {direction!r}")
+    t_lo, t_hi = curve.coordinate_extrema(direction)
     theta = wrap_angle(theta)
     if min(abs(signed_angle_gap(theta, t_lo)), abs(signed_angle_gap(theta, t_hi))) < DEGENERATE_TOL:
-        raise DegenerateChord(f"parameter {theta} is at a coordinate-{axis} extremum")
-    return wrap_angle(curve.chord_partner(theta, axis))
+        raise DegenerateChord(f"parameter {theta} is at a coordinate-{direction} extremum")
+    return wrap_angle(curve.chord_partner(theta, direction))
 
 
 def oval_map(curve: OvalCurve, theta: float) -> float:
@@ -545,10 +520,10 @@ def oval_map(curve: OvalCurve, theta: float) -> float:
     return chord_step(curve, chord_step(curve, theta, VERTICAL), HORIZONTAL)
 
 
-def speed_factor(t: float, dir_in: str) -> float:
+def speed_factor(t: float, dir_in: int) -> float:
     """Signed speed multiplier of one reflection at a point of slope t."""
     if dir_in not in (VERTICAL, HORIZONTAL):
-        raise ValueError(f"dir_in must be '{VERTICAL}' or '{HORIZONTAL}', got {dir_in!r}")
+        raise ValueError(f"dir_in must be VERTICAL (0) or HORIZONTAL (1), got {dir_in!r}")
     t = float(t)
     if t == 0.0 or not math.isfinite(t):
         raise ZeroSlope(f"cannot reflect across slope {t}")
@@ -619,9 +594,7 @@ def simulate_speed(curve: OvalCurve, poly: NullPolygon) -> float:
     m = poly.points.shape[0]
     speed = 1.0
     for j in range(1, m + 1):
-        dir_in = HORIZONTAL if j % 2 == 1 else VERTICAL
-        arrival = params[j % m]
-        speed *= speed_factor(curve.slope(arrival), dir_in)
+        speed *= speed_factor(curve.slope(params[j % m]), j % 2)
     return speed
 
 
@@ -636,11 +609,10 @@ def simulate_periods(curve: OvalCurve, poly: NullPolygon, periods: int) -> tuple
     params = polygon_params(curve, poly)
     theta = start = params[0]
     speed = 1.0
-    legs = 2 * poly.half_period * periods
-    for leg in range(legs):
-        direction = HORIZONTAL if leg % 2 == 0 else VERTICAL
-        theta = chord_step(curve, theta, direction)
-        speed *= speed_factor(curve.slope(theta), direction)
+    # Leg j runs horizontal when j is odd, from P_1 -> P_2 on.
+    for j in range(1, 2 * poly.half_period * periods + 1):
+        theta = chord_step(curve, theta, j % 2)
+        speed *= speed_factor(curve.slope(theta), j % 2)
     return speed, abs(signed_angle_gap(theta, start))
 
 
@@ -648,7 +620,7 @@ def _walk(curve: OvalCurve, s: float, n: int) -> list[float]:
     """Parameters visited by the 2n chord steps of oval_map^n from s."""
     params = [s]
     for j in range(2 * n):
-        params.append(chord_step(curve, params[-1], VERTICAL if j % 2 == 0 else HORIZONTAL))
+        params.append(chord_step(curve, params[-1], j % 2))
     return params[1:]
 
 

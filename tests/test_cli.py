@@ -731,14 +731,13 @@ def _supported_dispatch_targets():
 
 
 def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
-    # The README's oval, family-plot and commute examples, plus periodic and
+    # The README's oval, family-plot and commute examples, periodic and
     # iterate on the synthesized table and on an ellipse whose chord map has
-    # period 3, write the same bytes under numpy's default dispatch as with
-    # every dispatch target this host supports disabled: what a CPU without
-    # them would compute.
-    targets = _supported_dispatch_targets()
-    if not targets:
-        pytest.skip("numpy dispatches to no target beyond its baseline on this host")
+    # period 3, and a sampled light-like simulate write the same bytes under
+    # numpy's default dispatch as with every dispatch target this host
+    # supports disabled (what a CPU without them would compute), each with a
+    # different OpenBLAS kernel.  Seed 9's start would depend on the kernel
+    # if sample_null_ray summed through BLAS.
     period_3 = {"kind": "ellipse_form", "form": [[0.25, -0.25], [-0.25, 1.0]], "center": [0.3, -0.2]}
     family = {"lambdas": [-6.0, -4.0, -2.0, 0.0, 0.5, 2.0, 6.0], "points": 256}
     entries = [
@@ -749,13 +748,15 @@ def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
         [["oval", "iterate"], "iterate-ellipse", {"oval": {"table": ELLIPSE, "start": 0.9273, "steps": 10}}],
         [["family-plot"], "family-plot", {"signature": [1, 1], "axes": [2.0, 1.0], "family": family}],
         [["commute"], "commute", {**COMMUTE, "samples": 2000}],
+        [["simulate"], "simulate-null", simulate_doc(bounces=100, seed=9)],
     ]
     round_file = tmp_path / "round.json"
     round_file.write_text(json.dumps(entries), encoding="utf-8")
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    reduced = {"NPY_DISABLE_CPU_FEATURES": " ".join(_supported_dispatch_targets()), "OPENBLAS_CORETYPE": "Prescott"}
     runs = []
-    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}):
+    for extra in ({"OPENBLAS_CORETYPE": "Haswell"}, reduced):
         out = tmp_path / f"run{len(runs)}"
         out.mkdir()
         done = subprocess.run(
@@ -767,6 +768,6 @@ def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     (said, files), (reduced_said, reduced_files) = runs
     assert said == "".join(f"{name} 0\n" for _, name, _ in entries)
     assert reduced_said == said
-    assert len(files) == 2 * len(entries) + 1  # a config and an output each; synth writes two
+    assert len(files) == 2 * len(entries) + 2  # a config and an output each; synth and simulate write two
     assert files.keys() == reduced_files.keys()
     assert [str(p) for p in files if files[p] != reduced_files[p]] == []

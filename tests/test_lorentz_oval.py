@@ -99,6 +99,17 @@ def test_speed_factor():
         lo.speed_factor(0.0, lo.HORIZONTAL)
 
 
+@pytest.mark.parametrize("direction", ["vertical", "horizontal", 2, -1, 0.5, None])
+def test_bad_direction_is_refused(direction):
+    # A direction is the axis its chord keeps, VERTICAL (0) or HORIZONTAL (1);
+    # anything else is a ValueError, not a chord along some other axis.
+    assert (lo.VERTICAL, lo.HORIZONTAL) == (0, 1)
+    with pytest.raises(ValueError, match="must be VERTICAL"):
+        lo.chord_step(TILTED, 1.0, direction)
+    with pytest.raises(ValueError, match="must be VERTICAL"):
+        lo.speed_factor(2.0, direction)
+
+
 def test_acceleration_factor_examples():
     circle_rect = lo.NullPolygon(RECT, (-1.0, 1.0, -1.0, 1.0))
     assert lo.acceleration_factor(circle_rect) == pytest.approx(1.0)
