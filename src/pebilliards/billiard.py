@@ -5,7 +5,10 @@ of the velocity flips sign while the tangential part is kept.  With the
 outward conormal covector nu = Ax (componentwise x_i / a_i^2) the metric
 normal vector is n_i = e_i nu_i and the reflection is
 
-    u = v - 2 (<v,n> / <n,n>) n .
+    v' = v - 2 (<v,n> / <n,n>) n .
+
+The step kernel computes in u = x / a, w = v / a, where the ellipsoid is the
+unit sphere (_chord, _reflect).
 
 Reflection preserves the squared pseudo-norm and flips the sign of Ax.v, so
 the quantity H(x, v) = Ax.v is invariant along orbits (negative for inward
@@ -48,31 +51,32 @@ def _require_on_boundary(x: np.ndarray, ell: Ellipsoid) -> None:
         raise OffBoundary(f"|Ax.x - 1| = {abs(defect):.3e} exceeds boundary tolerance {BOUNDARY_TOL:.1e}")
 
 
-def _chord(x: np.ndarray, v: np.ndarray, Ax: np.ndarray, A: np.ndarray, axv) -> np.ndarray:
-    """Exit point of the chord from boundary point x along inward v, in the dtype of the arguments.
+def _chord(u: np.ndarray, w: np.ndarray, uw) -> np.ndarray:
+    """Exit point of the chord from u along inward w on the unit sphere, in the dtype of the arguments.
 
-    Uses the closed form t* = -2 (Ax.v) / (Av.v), exact on the boundary since
-    Ax.x = 1 and A is positive definite, then re-projects the endpoint onto
-    the boundary with one Newton step along v to absorb rounding.  `axv` is
-    Ax.v, which every caller has already computed for its chord test.
-    (ndarray.dot sums in the same order as @, with less call overhead on
-    these short vectors.)  Pure arithmetic: the caller decides whether the
-    chord is allowed (_refused_chords).
+    In u = x / a, w = v / a the ellipsoid is the sphere u.u = 1 and the
+    chord's far end is y = u - (2 u.w / w.w) w.  One Newton step along w
+    re-projects y onto the sphere to absorb rounding; as y.w = -u.w on the
+    exact chord, the step is (y.y - 1) / (2 u.w).  `uw` is u.w = Ax.v, which
+    every caller has already computed for its chord test.  (ndarray.dot sums
+    in the same order as @, with less call overhead on these short vectors.)
+    Pure arithmetic: the caller decides whether the chord is allowed
+    (_refused_chords).
     """
-    y = x + (-2.0 * axv / (A * v).dot(v)) * v
-    Ay = A * y
-    return y + ((1.0 - Ay.dot(y)) / (2.0 * Ay.dot(v))) * v
+    y = u - (2.0 * uw / w.dot(w)) * w
+    return y + ((y.dot(y) - 1.0) / (2.0 * uw)) * w
 
 
-def _reflect(v: np.ndarray, Ax: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Flip the metric-normal component of v at the boundary point with conormal Ax.
+def _reflect(u: np.ndarray, w: np.ndarray, E: np.ndarray, wu) -> np.ndarray:
+    """Flip the metric-normal component of w at the sphere point u; E = e / a^2.
 
-    The normal is n = e Ax.  As e = +-1, <n,n> = Ax.n and <v,n> = v.Ax exactly.
-    Pure arithmetic: the caller decides whether the normal is allowed
-    (_null_normals).
+    With m = E u, the normal n = e Ax has <v,n> = w.u and <n,n> = u.m, so
+    v - 2 (<v,n> / <n,n>) n reads w - 2 (w.u / u.m) m.  `wu` is w.u; the
+    reflected w' has w'.u = -w.u, the next chord's u.w.  Pure arithmetic:
+    the caller decides whether the normal is allowed (_null_normals).
     """
-    n = e * Ax
-    return v - (2.0 * v.dot(Ax) / Ax.dot(n)) * n
+    m = E * u
+    return w - (2.0 * wu / u.dot(m)) * m
 
 
 def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarray:
@@ -103,8 +107,20 @@ def _not_inward(axv) -> NotInward:
 
 
 def _null_normal(Ax: np.ndarray, e: np.ndarray) -> NullNormal:
-    """The error for a null normal at the boundary point with conormal Ax."""
+    """The error for a null normal at the boundary point with conormal Ax.
+
+    <n,n> is a cancelling sum, whose leading digits depend on the precision.
+    The recorder passes the conormal of its row rounded to double precision,
+    so it reports <n,n> as the single-step API, which computes in double
+    precision, does.
+    """
     return NullNormal(f"<n,n> = {float(Ax.dot(e * Ax)):.3e} is null within tolerance")
+
+
+def _on_sphere(r: RayState, ell: Ellipsoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The semi-axes a (from a^2, as the recorder takes them) and (u, w) = (x / a, v / a)."""
+    a = np.sqrt(ell.a2)
+    return a, r.x / a, r.v / a
 
 
 def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
@@ -112,12 +128,11 @@ def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
     if r.dim != ell.dim:
         raise ValueError(f"ray dimension {r.dim} != ellipsoid dimension {ell.dim}")
     _require_on_boundary(r.x, ell)
-    A = ell.shape_diag
-    Ax = A * r.x
-    axv = Ax.dot(r.v)
-    if _refused_chords(r.x, r.v, axv):
-        raise _not_inward(axv)
-    return RayState(_chord(r.x, r.v, Ax, A, axv), r.v)
+    a, u, w = _on_sphere(r, ell)
+    uw = u.dot(w)
+    if _refused_chords(r.x, r.v, uw):
+        raise _not_inward(uw)
+    return RayState(a * _chord(u, w, uw), r.v)
 
 
 def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -130,13 +145,14 @@ def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     if r.dim != ell.dim or ell.dim != sig.dim:
         raise ValueError("ray, ellipsoid, and signature dimensions must agree")
     _require_on_boundary(r.x, ell)
+    a, u, w = _on_sphere(r, ell)
+    wu = w.dot(u)
+    if not 0.0 < abs(wu) < np.inf:
+        raise NotInward(f"v.Ax = {wu:.3e}: velocity is tangent to the boundary or not finite")
     Ax = ell.conormal(r.x)
-    vax = r.v.dot(Ax)
-    if not 0.0 < abs(vax) < np.inf:
-        raise NotInward(f"v.Ax = {vax:.3e}: velocity is tangent to the boundary or not finite")
     if _null_normals(Ax, sig.e):
         raise _null_normal(Ax, sig.e)
-    return RayState(r.x, _reflect(r.v, Ax, sig.e))
+    return RayState(r.x, a * _reflect(u, w, sig.e / ell.a2, wu))
 
 
 def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -249,14 +265,16 @@ def run_orbit(
     drown the drift being measured in cancellation noise.
 
     The loop only steps, with the single-step API's chord and reflection
-    kernel: it decides nothing, and stops early only once Ax.v is not < 0
-    (NaN included), where no chord exists.  All decisions are made after it,
-    over the stepped rows.  The two abort tests are row-wise predicates that
-    the single-step API applies to its one row: bounce k fails when the chord
-    test refuses row k - 1 (NotInward) or the normal test row k (NullNormal),
-    the chord first.  A run that fails on a grazing chord or on a finite,
-    tiny <n,n> may step on up to n_bounces, so it never costs more than a
-    clean run of that length.  H, every F_k and, with `fam`, Q's
+    kernel, in (u, w) = (x / a, v / a) on the unit sphere; each reflection's
+    w.u, negated, is the next chord's u.w = Ax.v.  Rows are stored as x = a u,
+    v = a w.  The loop decides nothing, and stops early only once u.w is not
+    < 0 (NaN included), where no chord exists.  All decisions are made after
+    it, over the stepped rows.  The two abort tests are row-wise predicates
+    that the single-step API applies to its one row: bounce k fails when the
+    chord test refuses row k - 1 (NotInward) or the normal test row k
+    (NullNormal), the chord first.  A run that fails on a grazing chord or on
+    a finite, tiny <n,n> may step on up to n_bounces, so it never costs more
+    than a clean run of that length.  H, every F_k and, with `fam`, Q's
     coefficients are then evaluated for all rows at once, and the per-row
     core of confocal.tangency_parameters solves each row.  A row is recorded
     only when its state, H and every F_k are finite (else NonFinite) and its
@@ -273,40 +291,43 @@ def run_orbit(
     if not -np.inf < ax_v < 0.0:
         raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
 
-    ld = np.longdouble
-    A = (1.0 / ell.a2).astype(ld)
-    e = sig.e.astype(ld)
-    xs = np.empty((n_bounces + 1, ell.dim), dtype=ld)
-    vs = np.empty_like(xs)
-    x, v = r.x.astype(ld), r.v.astype(ld)
-    xs[0], vs[0] = x, v
-    Ax = A * x
+    # The loop steps (u, w) = (x / a, v / a) on the unit sphere.  a, E = e / a^2
+    # and the verdict's A = 1 / a^2 are taken in extended precision from a^2,
+    # so the orbit reflects off the ellipsoid whose F_k are measured.
+    a2 = ell.a2.astype(np.longdouble)
+    a, E, A = np.sqrt(a2), sig.e / a2, 1.0 / a2
+    us = np.empty((n_bounces + 1, ell.dim), dtype=np.longdouble)
+    ws = np.empty_like(us)
+    u, w = r.x / a, r.v / a
+    us[0], ws[0] = u, w
+    uw = u.dot(w)
 
     rows = n_bounces + 1
     with np.errstate(all="ignore"):
         for k in range(1, n_bounces + 1):
-            axv = Ax.dot(v)
-            if not axv < 0.0:
+            if not uw < 0.0:
                 rows = k
                 break
-            x = _chord(x, v, Ax, A, axv)
-            Ax = A * x
-            v = _reflect(v, Ax, e)
-            xs[k], vs[k] = x, v
+            u = _chord(u, w, uw)
+            wu = w.dot(u)
+            w = _reflect(u, w, E, wu)
+            us[k], ws[k] = u, w
+            uw = -wu
+        xs, vs = a * us[:rows], a * ws[:rows]
 
         # Bounce b + 1 takes the chord from row b and reflects at row b + 1.
         # Each list ends in a sentinel at index `taken`, the first bounce not
-        # stepped: one past the last, or the chord the loop stopped at (Ax.v
+        # stepped: one past the last, or the chord the loop stopped at (u.w
         # not < 0, so refused).  axvs are H's unrounded values.
-        Axs = A * xs[:rows]
-        axvs = (Axs * vs[:rows]).sum(1)
+        Axs = A * xs
+        axvs = (Axs * vs).sum(1)
         taken = rows - 1
         chord = _refused_chords(xs[:taken], vs[:taken], axvs[:taken]).tolist() + [True]
-        normal = _null_normals(Axs[1:], e).tolist() + [True]
+        normal = _null_normals(Axs[1:], sig.e).tolist() + [True]
         b = min(chord.index(True), normal.index(True))
         failure = None
         if b < n_bounces:
-            failure = _not_inward(Axs[b].dot(vs[b])) if chord[b] else _null_normal(Axs[b + 1], e)
+            failure = _not_inward(Axs[b].dot(vs[b])) if chord[b] else _null_normal(ell.conormal(xs[b + 1]), sig.e)
             rows = b + 1
         h = axvs[:rows].astype(float)
         f = integrals_batch(xs[:rows], vs[:rows], ell, sig).astype(float)

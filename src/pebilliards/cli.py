@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -282,6 +283,26 @@ def _initial_state(init: dict, ell: Ellipsoid, sig: Signature, seed: int) -> Ray
     return RayState(x, v)
 
 
+class _Reprs(dict):
+    """Texts of floats by value; a value not held is formatted on lookup."""
+
+    def __missing__(self, value: float) -> str:
+        return repr(value)
+
+
+def _orbit_lines(free: np.ndarray, conserved: np.ndarray) -> list[str]:
+    """CSV rows `index,free...,conserved...`, each cell the repr of its float (_fmt's text).
+
+    The conserved columns (H and every F_k) hold a few distinct values down
+    an orbit, so each distinct non-zero value is formatted once.  Zeros are
+    formatted per cell: 0.0 and -0.0 are one dict key but two texts.
+    """
+    rows = conserved.tolist()
+    text = _Reprs((c, repr(c)) for c in set(itertools.chain.from_iterable(rows)) if c)
+    get = text.__getitem__
+    return [",".join([str(i), *map(repr, x), *map(get, c)]) for i, (x, c) in enumerate(zip(free.tolist(), rows))]
+
+
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     ell, sig = _geometry(cfg)
 
@@ -308,17 +329,12 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         + [f"F{i + 1}" for i in range(dim)]
         + [f"lam{i + 1}" for i in range(lam_count)]
     )
-    lines = [",".join(header)]
-    # repr of the Python floats from tolist() is the text of _fmt on each cell.
-    table = np.column_stack([record.xs, record.vs, record.h, record.f]).tolist()
-    for idx, cells in enumerate(table):
-        row = [str(idx), *map(repr, cells)]
-        if record.tangency:
-            lams = record.tangency[idx].lambdas[:lam_count]
-            row += [_fmt(c) for c in lams] + [""] * (lam_count - len(lams))
-        lines.append(",".join(row))
-
-    _write_lines(out_dir / "orbit.csv", lines)
+    lines = _orbit_lines(np.column_stack([record.xs, record.vs]), np.column_stack([record.h, record.f]))
+    if lam_count:
+        for idx, ts in enumerate(record.tangency):
+            lams = [_fmt(c) for c in ts.lambdas[:lam_count]]
+            lines[idx] = ",".join([lines[idx], *lams] + [""] * (lam_count - len(lams)))
+    _write_lines(out_dir / "orbit.csv", [",".join(header), *lines])
     summary = {
         "bounces_requested": cfg["bounces"],
         "bounces_completed": record.bounce_count,

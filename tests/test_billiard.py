@@ -32,6 +32,7 @@ from pebilliards.pecore import (
     classify_vector,
     inner,
 )
+from pebilliards.verify import drift_report
 
 LORENTZ = Signature(1, 1)
 ELLIPSE = Ellipsoid((2.0, 1.0))
@@ -580,13 +581,32 @@ def test_integrals_batch_keeps_longdouble():
     assert np.all(np.abs(fld.astype(float) - f64) <= 1e-14 * scale)
 
 
+#: Semi-axes of the null-orbit conservation survey, per signature (p, q).
+NULL_AXES = {(2, 1): (3.0, 2.0, 1.0), (2, 2): (4.0, 3.0, 2.0, 1.0), (3, 1): (4.0, 3.0, 2.0, 1.0), (1, 1): (2.0, 1.0)}
+
+
+@pytest.mark.parametrize("p, q", NULL_AXES)
+def test_null_orbits_conserve_every_integral(p, q):
+    # A reduced conservation survey: 40 sampled light-like orbits of 1000
+    # bounces per signature keep H and every F_k within 1e-9.
+    sig, ell = Signature(p, q), Ellipsoid(NULL_AXES[p, q])
+    drifts = {}
+    for seed in range(40):
+        report = drift_report(run_orbit(sample_null_ray(ell, sig, seed), 1000, ell, sig))
+        assert report.aborted is None
+        drifts[seed] = max(report.h_drift, *report.f_drift)
+    assert max(drifts.values()) <= 1e-9, {seed: d for seed, d in drifts.items() if d > 1e-9}
+
+
 def _stepwise_record(r: RayState, n_bounces: int, ell: Ellipsoid, sig: Signature):
     """The recorder with its abort tests inside the loop, a test oracle.
 
-    Every bounce tests its chord before stepping and its normal before
-    reflecting, and stops at the first failure; H, F_k and the finiteness
-    check then run over the completed rows.  Returns (xs, vs, h, f, reason,
-    bounce), or raises what run_orbit raises before the first bounce.
+    It steps (u, w) = (x / a, v / a) on the unit sphere with the recorder's
+    arithmetic, written out.  Every bounce tests its chord before stepping
+    and its normal before reflecting, both on x = a u and v = a w, and stops
+    at the first failure; H, F_k and the finiteness check then run over the
+    completed rows.  Returns (xs, vs, h, f, reason, bounce), or raises what
+    run_orbit raises before the first bounce.
     """
     billiard._integral_denominators(ell, sig)
     billiard._require_on_boundary(r.x, ell)
@@ -594,31 +614,35 @@ def _stepwise_record(r: RayState, n_bounces: int, ell: Ellipsoid, sig: Signature
     if not -np.inf < ax_v < 0.0:
         raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
     ld = np.longdouble
-    A, e = (1.0 / ell.a2).astype(ld), sig.e.astype(ld)
-    x, v = r.x.astype(ld), r.v.astype(ld)
-    xs, vs = [x], [v]
+    a2 = ell.a2.astype(ld)
+    a, E, A, e = np.sqrt(a2), sig.e / a2, 1.0 / a2, sig.e.astype(ld)
+    u, w = r.x / a, r.v / a
+    us, ws = [u], [w]
+    uw = u.dot(w)
     failure = None
     with np.errstate(all="ignore"):
         for _ in range(n_bounces):
-            Ax = A * x
-            axv = Ax.dot(v)
+            x, v = a * u, a * w
+            axv = (A * x).dot(v)
             scale = np.sqrt(x.dot(x) * v.dot(v))
             if not -np.inf < axv < 0.0 or abs(axv) < billiard.GRAZING_TOL * scale:
                 failure = NotInward(f"Ax.v = {float(axv):.3e} is not inward-transversal")
                 break
-            y = x + (-2.0 * axv / (A * v).dot(v)) * v
-            Ay = A * y
-            x = y + ((1.0 - Ay.dot(y)) / (2.0 * Ay.dot(v))) * v
-            Ax = A * x
+            y = u - (2.0 * uw / w.dot(w)) * w
+            u = y + ((y.dot(y) - 1.0) / (2.0 * uw)) * w
+            Ax = A * (a * u)
             n = e * Ax
-            nn = Ax.dot(n)
-            if abs(nn) <= billiard.NULL_NORMAL_TOL * n.dot(n):
-                failure = NullNormal(f"<n,n> = {float(nn):.3e} is null within tolerance")
+            if abs(Ax.dot(n)) <= billiard.NULL_NORMAL_TOL * n.dot(n):
+                Ax = ell.conormal(a * u)
+                failure = NullNormal(f"<n,n> = {float(Ax.dot(sig.e * Ax)):.3e} is null within tolerance")
                 break
-            v = v - (2.0 * v.dot(Ax) / nn) * n
-            xs.append(x)
-            vs.append(v)
-        xs, vs = np.array(xs), np.array(vs)
+            m = E * u
+            wu = w.dot(u)
+            w = w - (2.0 * wu / u.dot(m)) * m
+            uw = -wu
+            us.append(u)
+            ws.append(w)
+        xs, vs = a * np.array(us), a * np.array(ws)
         h = np.sum(A * xs * vs, axis=1).astype(float)
         f = integrals_batch(xs, vs, ell, sig).astype(float)
         xs, vs = xs.astype(float), vs.astype(float)

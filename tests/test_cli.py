@@ -572,6 +572,46 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
     assert b",\n" in expected  # the short bounce is padded
 
 
+def test_orbit_rows_format_each_cell_as_its_repr():
+    # The conserved columns are formatted once per distinct value; 0.0 and
+    # -0.0 compare equal but keep their own texts, in the free and the
+    # conserved columns alike.
+    from pebilliards.cli import _orbit_lines
+
+    free = np.array([[0.1, -0.0], [0.0, 2.5], [-0.0, 1e-300]])
+    conserved = np.array([[-0.5, 0.0, 3.0], [-0.5, -0.0, 3.0], [-0.5, 0.0, 1.0 / 3.0]])
+    assert _orbit_lines(free, conserved) == [
+        "0,0.1,-0.0,-0.5,0.0,3.0",
+        "1,0.0,2.5,-0.5,-0.0,3.0",
+        "2,-0.0,1e-300,-0.5,0.0,0.3333333333333333",
+    ]
+    assert _orbit_lines(free[:0], conserved[:0]) == []
+
+
+def test_thousand_bounce_orbit_csv_is_the_per_cell_repr_of_its_record(tmp_path, monkeypatch):
+    from pebilliards import billiard
+
+    run_orbit = billiard.run_orbit
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(run_orbit(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(billiard, "run_orbit", recorded)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, simulate_doc(bounces=1000))
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    (rec,) = seen
+    lines = ["index,x1,x2,x3,v1,v2,v3,H,F1,F2,F3"]
+    for k in range(1001):
+        cells = [*rec.xs[k], *rec.vs[k], rec.h[k], *rec.f[k]]
+        lines.append(",".join([str(k)] + [repr(float(c)) for c in cells]))
+    assert (out / "orbit.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    # The conserved columns repeat values, which are formatted once each.
+    assert len(set(rec.f[:, 0].tolist())) < 500
+
+
 def test_mid_orbit_root_isolation_failure_exits_2_with_files(tmp_path, monkeypatch):
     # The README simulate config: the third row's tangency solve (bounce 2)
     # fails, so the record ends before it: rows 0-1, each with its parameters.
