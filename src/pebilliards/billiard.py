@@ -291,9 +291,9 @@ def run_orbit(
     if not -np.inf < ax_v < 0.0:
         raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
 
-    # The loop steps (u, w) = (x / a, v / a) on the unit sphere.  a, E = e / a^2
-    # and the verdict's A = 1 / a^2 are taken in extended precision from a^2,
-    # so the orbit reflects off the ellipsoid whose F_k are measured.
+    # a, E = e / a^2 and the verdict's A = 1 / a^2 are taken in extended
+    # precision from a^2, so the orbit reflects off the ellipsoid whose F_k
+    # are measured (a float64 1 / a^2 is 1e-16 away).
     a2 = ell.a2.astype(np.longdouble)
     a, E, A = np.sqrt(a2), sig.e / a2, 1.0 / a2
     us = np.empty((n_bounces + 1, ell.dim), dtype=np.longdouble)
