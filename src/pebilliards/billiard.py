@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,32 +52,34 @@ def _require_on_boundary(x: np.ndarray, ell: Ellipsoid) -> None:
         raise OffBoundary(f"|Ax.x - 1| = {abs(defect):.3e} exceeds boundary tolerance {BOUNDARY_TOL:.1e}")
 
 
-def _chord(u: np.ndarray, w: np.ndarray, uw) -> np.ndarray:
+def _chord(u: np.ndarray, w: np.ndarray, uw2, out: np.ndarray | None = None) -> np.ndarray:
     """Exit point of the chord from u along inward w on the unit sphere, in the dtype of the arguments.
 
     In u = x / a, w = v / a the ellipsoid is the sphere u.u = 1 and the
     chord's far end is y = u - (2 u.w / w.w) w.  One Newton step along w
     re-projects y onto the sphere to absorb rounding; as y.w = -u.w on the
-    exact chord, the step is (y.y - 1) / (2 u.w).  `uw` is u.w = Ax.v, which
-    every caller has already computed for its chord test.  (ndarray.dot sums
-    in the same order as @, with less call overhead on these short vectors.)
-    Pure arithmetic: the caller decides whether the chord is allowed
+    exact chord, the step is (y.y - 1) / (2 u.w).  `uw2` is 2 u.w = 2 Ax.v,
+    from the u.w every caller has already computed for its chord test.  The
+    exit point is written to `out` if given.  (ndarray.dot sums in the same
+    order as @, with less call overhead on these short vectors.)  Pure
+    arithmetic: the caller decides whether the chord is allowed
     (_refused_chords).
     """
-    y = u - (2.0 * uw / w.dot(w)) * w
-    return y + ((y.dot(y) - 1.0) / (2.0 * uw)) * w
+    y = u - (uw2 / w.dot(w)) * w
+    return np.add(y, ((y.dot(y) - 1.0) / uw2) * w, out=out)
 
 
-def _reflect(u: np.ndarray, w: np.ndarray, E: np.ndarray, wu) -> np.ndarray:
+def _reflect(u: np.ndarray, w: np.ndarray, E: np.ndarray, wu2, out: np.ndarray | None = None) -> np.ndarray:
     """Flip the metric-normal component of w at the sphere point u; E = e / a^2.
 
     With m = E u, the normal n = e Ax has <v,n> = w.u and <n,n> = u.m, so
-    v - 2 (<v,n> / <n,n>) n reads w - 2 (w.u / u.m) m.  `wu` is w.u; the
-    reflected w' has w'.u = -w.u, the next chord's u.w.  Pure arithmetic:
-    the caller decides whether the normal is allowed (_null_normals).
+    v - 2 (<v,n> / <n,n>) n reads w - 2 (w.u / u.m) m.  `wu2` is 2 w.u; the
+    reflected w' has 2 w'.u = -wu2, the next chord's 2 u.w.  The reflected
+    direction is written to `out` if given.  Pure arithmetic: the caller
+    decides whether the normal is allowed (_null_normals).
     """
     m = E * u
-    return w - (2.0 * wu / u.dot(m)) * m
+    return np.subtract(w, (wu2 / u.dot(m)) * m, out=out)
 
 
 def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarray:
@@ -132,7 +135,7 @@ def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
     uw = u.dot(w)
     if _refused_chords(r.x, r.v, uw):
         raise _not_inward(uw)
-    return RayState(a * _chord(u, w, uw), r.v)
+    return RayState(a * _chord(u, w, 2.0 * uw), r.v)
 
 
 def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -152,7 +155,7 @@ def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     Ax = ell.conormal(r.x)
     if _null_normals(Ax, sig.e):
         raise _null_normal(Ax, sig.e)
-    return RayState(r.x, a * _reflect(u, w, sig.e / ell.a2, wu))
+    return RayState(r.x, a * _reflect(u, w, sig.e / ell.a2, 2.0 * wu))
 
 
 def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -160,13 +163,47 @@ def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
     return reflect(advance_to_boundary(r, ell), ell, sig)
 
 
-@functools.lru_cache(maxsize=16)
-def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
-    """Denominator matrix d[k, i] = e_i a_k^2 - e_k a_i^2, infinite on the diagonal.
+class _PairPlan(NamedTuple):
+    """Index plan of the F_k pair terms in one dimension.
 
-    The infinite diagonal drops the i = k term from every pair sum.  Raises
-    ResonantAxes where an off-diagonal entry vanishes.  Cached per geometry
-    (read-only), so run_orbit's start check and its integrals share one.
+    The pairs i < k are numbered p = 0 .. P - 1 in lexicographic order.  Row
+    s of xs.T[x] * vs.T[v] is x_i v_k for s = p and x_k v_i for s = P + p, so
+    M_ik = x_i v_k - x_k v_i is the difference of its two halves.  Entry
+    [j, r] of `pairs` is the number of the pair {r, c} for the j-th column
+    c != r of row r, and entry [j, r, 0] of `offdiag` is the flat index of
+    (r, c) in a dim x dim matrix.
+    """
+
+    x: np.ndarray
+    v: np.ndarray
+    pairs: np.ndarray
+    offdiag: np.ndarray
+
+
+@functools.cache
+def _pair_plan(dim: int) -> _PairPlan:
+    i, k = np.triu_indices(dim, 1)
+    pair = np.zeros((dim, dim), dtype=np.intp)
+    pair[i, k] = pair[k, i] = np.arange(len(i))
+    rows, cols = (a.reshape(dim, dim - 1).T for a in np.nonzero(~np.eye(dim, dtype=bool)))
+    return _PairPlan(np.concatenate((i, k)), np.concatenate((k, i)), pair[rows, cols], (rows * dim + cols)[:, :, None])
+
+
+class _Denominators(NamedTuple):
+    """The denominators d[k, i] = e_i a_k^2 - e_k a_i^2 of the F_k pair terms (read-only)."""
+
+    matrix: np.ndarray  # d[k, i], infinite on the diagonal
+    terms: np.ndarray  # [j, r, 0] = d[r, c] for the j-th column c != r, as _PairPlan orders them
+
+
+@functools.lru_cache(maxsize=16)
+def _integral_denominators(ell: Ellipsoid, sig: Signature) -> _Denominators:
+    """The pair terms' denominators of one geometry, as a matrix and in the order integrals_batch adds them.
+
+    The matrix's infinite diagonal drops the i = k term from a sum over a
+    whole row (verify's wedge form).  Raises ResonantAxes where an
+    off-diagonal entry vanishes.  Cached per geometry, so run_orbit's start
+    check and its integrals share one.
     """
     if ell.dim != sig.dim:
         raise ValueError("ellipsoid and signature dimensions must agree")
@@ -176,13 +213,10 @@ def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
     np.fill_diagonal(d, np.inf)
     if not d.all():
         raise ResonantAxes("some e_i a_k^2 - e_k a_i^2 vanishes; axes are resonant")
+    terms = d.take(_pair_plan(ell.dim).offdiag)
     d.setflags(write=False)
-    return d
-
-
-def _wedge(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """w[:, k, i] = x_i v_k - x_k v_i, antisymmetric in (k, i)."""
-    return vs[:, :, None] * xs[:, None, :] - xs[:, :, None] * vs[:, None, :]
+    terms.setflags(write=False)
+    return _Denominators(d, terms)
 
 
 def integrals(x, v, ell: Ellipsoid, sig: Signature) -> np.ndarray:
@@ -196,17 +230,37 @@ def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signatu
     """Vectorized integrals for arrays of phase points, shape (N, dim) -> (N, dim).
 
     Extended-precision (longdouble) input is evaluated and returned in
-    longdouble; every other input in float64.
+    longdouble; every other input in float64.  Each pair's M_ik^2 is formed
+    once; its terms in rows k and i are M_ik^2 over d[k, i] and over
+    d[i, k] = -d[k, i].  Every row adds its terms in column order, starting
+    from +0, and then e_k v_k^2: the order, and so the rounding and the sign
+    of a zero, of the sum over a whole row of the antisymmetric matrix
+    (x_i v_k - x_k v_i)^2 / d[k, i] with its zero diagonal.
     """
-    d = _integral_denominators(ell, sig)
+    den = _integral_denominators(ell, sig)
     xs, vs = np.asarray(xs), np.asarray(vs)
     dtype = np.longdouble if np.longdouble in (xs.dtype, vs.dtype) else float
     xs = xs.astype(dtype, copy=False)
     vs = vs.astype(dtype, copy=False)
     if xs.ndim != 2 or xs.shape != vs.shape or xs.shape[1] != ell.dim:
         raise ValueError("phase arrays must both have shape (N, dim)")
-    w = _wedge(xs, vs)
-    return sig.e * vs * vs + (w * w / d).sum(axis=2)
+    plan = _pair_plan(ell.dim)
+    half = len(plan.x) // 2
+    # Pairs and rows run along the first axis, so every operation covers
+    # whole contiguous rows of length N.  The large temporaries are reused in
+    # place: on long orbits each new one cost a fresh allocation and its page
+    # faults.  As e_k = +-1, e_k v_k^2 = (v_k^2) e_k exactly.
+    m2 = xs.T.take(plan.x, axis=0)
+    m2 *= vs.T.take(plan.v, axis=0)
+    m2 = np.subtract(m2[:half], m2[half:], out=m2[:half])
+    m2 *= m2
+    terms = m2.take(plan.pairs, axis=0)
+    terms /= den.terms
+    f = np.add.reduce(terms, axis=0, initial=0.0)
+    ev2 = np.multiply(vs.T, vs.T, order="C")
+    ev2 *= sig.e[:, None]
+    f += ev2
+    return f.T
 
 
 def pseudo_norm_defect(vs: np.ndarray, fs: np.ndarray, sig: Signature) -> np.ndarray:
@@ -266,13 +320,14 @@ def run_orbit(
 
     The loop only steps, with the single-step API's chord and reflection
     kernel, in (u, w) = (x / a, v / a) on the unit sphere; each reflection's
-    w.u, negated, is the next chord's u.w = Ax.v.  Rows are stored as x = a u,
-    v = a w.  The loop decides nothing, and stops early only once u.w is not
-    < 0 (NaN included), where no chord exists.  All decisions are made after
-    it, over the stepped rows.  The two abort tests are row-wise predicates
-    that the single-step API applies to its one row: bounce k fails when the
-    chord test refuses row k - 1 (NotInward) or the normal test row k
-    (NullNormal), the chord first.  A run that fails on a grazing chord or on
+    2 w.u, formed once per bounce and negated, is the next chord's 2 u.w =
+    2 Ax.v.  Each step is written straight into its preallocated row, and the
+    rows are returned as x = a u, v = a w.  The loop decides nothing, and
+    stops early only once u.w is not < 0 (NaN included), where no chord
+    exists.  All decisions are made after it, over the stepped rows.  The two
+    abort tests are row-wise predicates that the single-step API applies to
+    its one row: bounce k fails when the chord test refuses row k - 1
+    (NotInward) or the normal test row k (NullNormal), the chord first.  A run that fails on a grazing chord or on
     a finite, tiny <n,n> may step on up to n_bounces, so it never costs more
     than a clean run of that length.  H, every F_k and, with `fam`, Q's
     coefficients are then evaluated for all rows at once, and the per-row
@@ -298,21 +353,19 @@ def run_orbit(
     a, E, A = np.sqrt(a2), sig.e / a2, 1.0 / a2
     us = np.empty((n_bounces + 1, ell.dim), dtype=np.longdouble)
     ws = np.empty_like(us)
-    u, w = r.x / a, r.v / a
-    us[0], ws[0] = u, w
-    uw = u.dot(w)
+    u, w = np.divide(r.x, a, out=us[0]), np.divide(r.v, a, out=ws[0])
+    uw2 = 2.0 * u.dot(w)
 
     rows = n_bounces + 1
     with np.errstate(all="ignore"):
         for k in range(1, n_bounces + 1):
-            if not uw < 0.0:
+            if not uw2 < 0.0:
                 rows = k
                 break
-            u = _chord(u, w, uw)
-            wu = w.dot(u)
-            w = _reflect(u, w, E, wu)
-            us[k], ws[k] = u, w
-            uw = -wu
+            u = _chord(u, w, uw2, out=us[k])
+            wu2 = 2.0 * w.dot(u)
+            w = _reflect(u, w, E, wu2, out=ws[k])
+            uw2 = -wu2
         xs, vs = a * us[:rows], a * ws[:rows]
 
         # Bounce b + 1 takes the chord from row b and reflects at row b + 1.

@@ -293,14 +293,15 @@ class _Reprs(dict):
 def _orbit_lines(free: np.ndarray, conserved: np.ndarray) -> list[str]:
     """CSV rows `index,free...,conserved...`, each cell the repr of its float (_fmt's text).
 
-    The conserved columns (H and every F_k) hold a few distinct values down
-    an orbit, so each distinct non-zero value is formatted once.  Zeros are
-    formatted per cell: 0.0 and -0.0 are one dict key but two texts.
+    The rows are built by column.  The conserved columns (H and every F_k)
+    hold a few distinct values down an orbit, so each distinct non-zero
+    value is formatted once.  Zeros are formatted per cell: 0.0 and -0.0 are
+    one dict key but two texts.
     """
-    rows = conserved.tolist()
-    text = _Reprs((c, repr(c)) for c in set(itertools.chain.from_iterable(rows)) if c)
-    get = text.__getitem__
-    return [",".join([str(i), *map(repr, x), *map(get, c)]) for i, (x, c) in enumerate(zip(free.tolist(), rows))]
+    conserved = conserved.T.tolist()
+    text = _Reprs((c, repr(c)) for c in set(itertools.chain.from_iterable(conserved)) if c)
+    cells = [map(repr, col) for col in free.T.tolist()] + [map(text.__getitem__, col) for col in conserved]
+    return list(map(",".join, zip(map(str, range(len(free))), *cells)))
 
 
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .billiard import OrbitRecord, _integral_denominators, _wedge, integrals_batch
+from .billiard import OrbitRecord, _integral_denominators, integrals_batch
 from .pecore import Ellipsoid, Signature
 
 #: |initial value| above which drift is reported relative rather than absolute.
@@ -36,6 +36,11 @@ FD_STEP = 1e-6
 FREE_FLIGHT_SPAN = 3.0
 
 
+def _wedge(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """w[:, k, i] = x_i v_k - x_k v_i, antisymmetric in (k, i)."""
+    return vs[:, :, None] * xs[:, None, :] - xs[:, :, None] * vs[:, None, :]
+
+
 def moser_gradients_batch(
     xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signature
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +50,7 @@ def moser_gradients_batch(
     derivative of F_k with respect to coordinate i at sample s.  The
     integrals are quadratic forms, so these are exact linear expressions.
     """
-    d = _integral_denominators(ell, sig)
+    d = _integral_denominators(ell, sig).matrix
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
     wd = _wedge(xs, vs) / d

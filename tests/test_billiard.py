@@ -13,7 +13,7 @@ from pebilliards.billiard import (
     run_orbit,
     sample_null_ray,
 )
-from pebilliards import billiard, confocal, pecore
+from pebilliards import billiard, confocal, pecore, verify
 from pebilliards.confocal import ConfocalFamily
 from pebilliards.errors import (
     NonFinite,
@@ -503,7 +503,7 @@ def test_run_orbit_computes_the_integral_denominators_once():
     run_orbit(start, 5, ell, sig)
     info = billiard._integral_denominators.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert not billiard._integral_denominators(ell, sig).flags.writeable
+    assert not any(d.flags.writeable for d in billiard._integral_denominators(ell, sig))
 
 
 def test_run_orbit_refuses_resonant_axes():
@@ -579,6 +579,85 @@ def test_integrals_batch_keeps_longdouble():
     assert integrals_batch(xs.tolist(), vs.astype(np.float32), ell, sig).dtype == np.float64
     scale = np.maximum(1.0, np.abs(f64))
     assert np.all(np.abs(fld.astype(float) - f64) <= 1e-14 * scale)
+
+
+
+def _wedge_integrals(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signature) -> np.ndarray:
+    """Every F_k as a sum over a whole row of the wedge matrix, a test oracle.
+
+    The d x d matrix (x_i v_k - x_k v_i)^2 / d[k, i], with the i = k term
+    dropped by the infinite diagonal of d, is summed over i in column order
+    (numpy's order for these short rows), then e_k v_k^2 is added.
+    """
+    w = verify._wedge(xs, vs)
+    return sig.e * vs * vs + (w * w / billiard._integral_denominators(ell, sig).matrix).sum(axis=2)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+#: The five signatures, and a negative definite one: only there can every
+#: pair term of a row be -0.0 together with e_k v_k^2.
+ORACLE_AXES = {**SIGNATURE_AXES, (0, 2): (2.0, 1.0)}
+
+#: Coordinates of the oracle property: signed zeros, and magnitudes whose
+#: squares and products stay finite in double precision.
+PHASE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1e60, max_value=1e60, allow_subnormal=False),
+)
+
+
+@given(
+    st.sampled_from(list(ORACLE_AXES)),
+    st.sampled_from([np.float64, np.longdouble]),
+    st.integers(1, 5),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_integrals_batch_equals_the_wedge_sum(pq, dtype, rows, data):
+    # Each pair term is formed once and the rows add them in the wedge sum's
+    # order, so values and the signs of zeros are the same bit for bit.
+    sig, ell = Signature(*pq), Ellipsoid(ORACLE_AXES[pq])
+    phase = st.lists(PHASE_ENTRIES, min_size=rows * sig.dim, max_size=rows * sig.dim)
+    xs = np.array(data.draw(phase), dtype=dtype).reshape(rows, sig.dim)
+    vs = np.array(data.draw(phase), dtype=dtype).reshape(rows, sig.dim)
+    _assert_same_bits(integrals_batch(xs, vs, ell, sig), _wedge_integrals(xs, vs, ell, sig))
+
+
+@pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
+def test_integrals_of_a_recorded_orbit_equal_the_wedge_sum(p, q):
+    sig, ell = Signature(p, q), Ellipsoid(SIGNATURE_AXES[(p, q)])
+    if q:
+        start = sample_null_ray(ell, sig, 11)
+    else:
+        x = np.array(ell.a) / np.sqrt(sig.dim)
+        start = RayState(x, -x + 0.1 * np.arange(sig.dim))
+    rec = run_orbit(start, 1000, ell, sig)
+    assert rec.abort_reason is None and len(rec.xs) == 1001
+    for xs, vs in ((rec.xs, rec.vs), (rec.xs.astype(np.longdouble), rec.vs.astype(np.longdouble))):
+        _assert_same_bits(integrals_batch(xs, vs, ell, sig), _wedge_integrals(xs, vs, ell, sig))
+
+
+@given(st.sampled_from(list(SIGNATURE_AXES)), st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrals_batch_overflows_only_where_the_wedge_sum_does(pq, rows, data):
+    # Past double range the pair form need not repeat the wedge sum's nan or
+    # inf.  Every finite value of the wedge sum is kept bit for bit, and the
+    # pair form is finite where the wedge sum is not only where the wedge's
+    # own diagonal term x_k v_k - x_k v_k is inf - inf (the pair form has no
+    # diagonal).
+    sig, ell = Signature(*pq), Ellipsoid(SIGNATURE_AXES[pq])
+    phase = st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=rows * sig.dim, max_size=rows * sig.dim)
+    xs = np.array(data.draw(phase)).reshape(rows, sig.dim)
+    vs = np.array(data.draw(phase)).reshape(rows, sig.dim)
+    got, want = integrals_batch(xs, vs, ell, sig), _wedge_integrals(xs, vs, ell, sig)
+    finite = np.isfinite(want)
+    _assert_same_bits(got[finite], want[finite])
+    assert np.all(np.isinf(xs * vs)[np.isfinite(got) & ~finite])
 
 
 #: Semi-axes of the null-orbit conservation survey, per signature (p, q).

@@ -662,6 +662,15 @@ def test_start_that_overflows_is_config_error(tmp_path, capsys, speed, record_ta
     assert not out.exists()
 
 
+
+def test_overflowing_start_names_its_row(tmp_path, capsys):
+    # The verdict's text is pinned: H and every F_k of row 0 as the recorder
+    # rounds them to double precision, F_k summed from the pair terms.
+    doc = {"signature": [1, 1], "axes": [2.0, 1.0], "initial": {"x": [0.0, 1.0], "v": [1e200, -1e200]},
+           "bounces": 3, "record_tangency": True}
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: NonFinite: not finite at bounce 0: H = -1e+200, F = [inf, -inf]\n"
+
 @pytest.mark.parametrize("value", [1e200, 1e155])
 def test_radial_table_that_overflows_is_config_error(tmp_path, capsys, value):
     # The bump's curvature numerator overflows to nan on the scan grid.  The
@@ -811,3 +820,48 @@ def test_outputs_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     assert len(files) == 2 * len(entries) + 2  # a config and an output each; synth and simulate write two
     assert files.keys() == reduced_files.keys()
     assert [str(p) for p in files if files[p] != reduced_files[p]] == []
+
+
+#: The README's examples in the order its shell lines run them: each entry is
+#: the command, its config file and document, and the directory it writes.
+#: "results/table.json" stands for the table that `oval synth` wrote.
+README_EXAMPLES = [
+    (["simulate"], "sim.json", {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "initial": {"sample_null": True},
+                                "bounces": 1000, "seed": 7, "record_tangency": True}, "simulate"),
+    (["commute"], "comm.json", {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "samples": 10000, "seed": 1}, "commute"),
+    (["oval", "iterate"], "oval.json", {"oval": {"table": {"kind": "ellipse", "semi_axes": [2.0, 1.0]},
+                                                 "start": 0.9273, "steps": 10}}, "oval-iterate"),
+    (["oval", "synth"], "synth.json", {"oval": {"polygon_file": "polygon.json"}}, "oval-synth"),
+    (["oval", "periodic"], "periodic.json", {"oval": {"table": "results/table.json", "half_period": 2,
+                                                      "seed_param": 5.45}}, "oval-periodic"),
+    (["family-plot"], "fam.json", {"signature": [1, 1], "axes": [2.0, 1.0],
+                                   "family": {"lambdas": [-6, -4, -2, 0, 0.5, 2, 6], "points": 256}}, "family-plot"),
+]
+
+#: SHA-256 of every file the README's examples write, per command.
+README_DIGESTS = Path(__file__).with_name("readme_digests.json")
+
+
+def readme_digests(work: Path) -> dict[str, dict[str, str]]:
+    """Runs README_EXAMPLES in `work`, each into its own directory; the SHA-256 of every file written."""
+    polygon = {"points": [[1, 1], [-1, 1], [-1, -1], [1, -1]], "slopes": [-1, 2, -1, 2]}
+    (work / "polygon.json").write_text(json.dumps(polygon), encoding="utf-8")
+    digests = {}
+    for command, config, doc, out in README_EXAMPLES:
+        if doc.get("oval", {}).get("table") == "results/table.json":
+            doc = {"oval": {**doc["oval"], "table": json.loads((work / "oval-synth" / "table.json").read_text())}}
+        assert main([*command, "--config", write_config(work, doc, config), "--out", str(work / out)]) == 0
+        digests[out] = {p.name: sha256(p) for p in sorted((work / out).iterdir())}
+    return digests
+
+
+def test_readme_examples_write_the_committed_bytes(tmp_path):
+    # Any change to these bytes is a change to the paper's answers.  The
+    # simulate example records in x86 long double, so its digests hold only
+    # where long double has a 64-bit significand.
+    want = json.loads(README_DIGESTS.read_text())
+    got = readme_digests(tmp_path)
+    if np.finfo(np.longdouble).nmant != 63:
+        del want["simulate"], got["simulate"]
+    assert got == want, json.dumps(got, indent=1)
+
