@@ -7,8 +7,8 @@ normal vector is n_i = e_i nu_i and the reflection is
 
     v' = v - 2 (<v,n> / <n,n>) n .
 
-The step kernel computes in u = x / a, w = v / a, where the ellipsoid is the
-unit sphere (_chord, _reflect).
+The step kernels compute in u = x / a, w = v / a, where the ellipsoid is the
+unit sphere; they are straight-line code generated per dimension (_kernels).
 
 Reflection preserves the squared pseudo-norm and flips the sign of Ax.v, so
 the quantity H(x, v) = Ax.v is invariant along orbits (negative for inward
@@ -28,12 +28,20 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import confocal
-from .errors import NonFinite, NotInward, NullNormal, OffBoundary, ResonantAxes, RootIsolationFailure
+from .errors import (
+    NonFinite,
+    NotInward,
+    NullNormal,
+    OffBoundary,
+    ResonantAxes,
+    RootIsolationFailure,
+    ZeroDirection,
+)
 from .pecore import BOUNDARY_TOL, Ellipsoid, RayState, Signature
 
 #: Chords with |Ax.v| below this times |x||v| are refused as grazing.
@@ -52,34 +60,69 @@ def _require_on_boundary(x: np.ndarray, ell: Ellipsoid) -> None:
         raise OffBoundary(f"|Ax.x - 1| = {abs(defect):.3e} exceeds boundary tolerance {BOUNDARY_TOL:.1e}")
 
 
-def _chord(u: np.ndarray, w: np.ndarray, uw2, out: np.ndarray | None = None) -> np.ndarray:
-    """Exit point of the chord from u along inward w on the unit sphere, in the dtype of the arguments.
+class _Kernels(NamedTuple):
+    """The straight-line chord and reflection kernels of one dimension (_kernels)."""
 
+    chord: Callable[..., tuple]
+    reflect: Callable[..., tuple]
+
+
+@functools.cache
+def _kernels(dim: int) -> _Kernels:
+    """The chord and reflection kernels on the unit sphere, written out for `dim` coordinates.
+
+    chord(u, w, uw2) is the exit point of the chord from u along inward w.
     In u = x / a, w = v / a the ellipsoid is the sphere u.u = 1 and the
     chord's far end is y = u - (2 u.w / w.w) w.  One Newton step along w
     re-projects y onto the sphere to absorb rounding; as y.w = -u.w on the
-    exact chord, the step is (y.y - 1) / (2 u.w).  `uw2` is 2 u.w = 2 Ax.v,
-    from the u.w every caller has already computed for its chord test.  The
-    exit point is written to `out` if given.  (ndarray.dot sums in the same
-    order as @, with less call overhead on these short vectors.)  Pure
-    arithmetic: the caller decides whether the chord is allowed
-    (_refused_chords).
+    exact chord, the step is (y.y - 1) / (2 u.w).  `uw2` is 2 u.w = 2 Ax.v.
+
+    reflect(u, w, E) flips the metric-normal component of w at the sphere
+    point u, with E = e / a^2.  With m = E u, the normal n = e Ax has
+    <v,n> = w.u and <n,n> = u.m, so v - 2 (<v,n> / <n,n>) n reads
+    w - (2 w.u / u.m) m.  It returns w' and 2 w.u, whose negation 2 w'.u is
+    the next chord's 2 u.w.
+
+    Both take and return tuples of scalars and compute in their type: numpy
+    long double in the recorder, Python floats in the single-step API.  Each
+    dot product is summed left to right from +0, the order of numpy's
+    long-double dot, so the recorder's rows are those of the same arithmetic
+    on arrays.  Pure arithmetic: the callers decide whether a chord or a
+    normal is allowed (_refused_chords, _null_normals).  Built from one
+    template on first use in each dimension; the source depends on `dim`
+    alone.
     """
-    y = u - (uw2 / w.dot(w)) * w
-    return np.add(y, ((y.dot(y) - 1.0) / uw2) * w, out=out)
+    idx = range(dim)
 
+    def each(expr: str) -> str:
+        return ", ".join(expr.format(i=i) for i in idx) + ","
 
-def _reflect(u: np.ndarray, w: np.ndarray, E: np.ndarray, wu2, out: np.ndarray | None = None) -> np.ndarray:
-    """Flip the metric-normal component of w at the sphere point u; E = e / a^2.
+    def dot(p: str, q: str) -> str:
+        # A square is never -0.0, so a sum of squares rounds alike without its +0 start.
+        start = "" if p == q else "0.0 + "
+        return f"({start}" + " + ".join(f"{p}{i} * {q}{i}" for i in idx) + ")"
 
-    With m = E u, the normal n = e Ax has <v,n> = w.u and <n,n> = u.m, so
-    v - 2 (<v,n> / <n,n>) n reads w - 2 (w.u / u.m) m.  `wu2` is 2 w.u; the
-    reflected w' has 2 w'.u = -wu2, the next chord's 2 u.w.  The reflected
-    direction is written to `out` if given.  Pure arithmetic: the caller
-    decides whether the normal is allowed (_null_normals).
-    """
-    m = E * u
-    return np.subtract(w, (wu2 / u.dot(m)) * m, out=out)
+    source = f"""
+def chord(u, w, uw2):
+    {each("u{i}")} = u
+    {each("w{i}")} = w
+    c = uw2 / {dot("w", "w")}
+    {each("y{i}")} = {each("u{i} - c * w{i}")}
+    g = ({dot("y", "y")} - 1.0) / uw2
+    return ({each("y{i} + g * w{i}")})
+
+def reflect(u, w, E):
+    {each("u{i}")} = u
+    {each("w{i}")} = w
+    {each("E{i}")} = E
+    wu2 = 2.0 * {dot("w", "u")}
+    {each("m{i}")} = {each("E{i} * u{i}")}
+    h = wu2 / {dot("u", "m")}
+    return ({each("w{i} - h * m{i}")}), wu2
+"""
+    namespace: dict[str, Any] = {}
+    exec(compile(source, f"<billiard kernels, dim {dim}>", "exec"), namespace)
+    return _Kernels(namespace["chord"], namespace["reflect"])
 
 
 def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarray:
@@ -115,9 +158,9 @@ def _null_normal(Ax: np.ndarray, e: np.ndarray) -> NullNormal:
     <n,n> is a cancelling sum, whose leading digits depend on the precision.
     The recorder passes the conormal of its row rounded to double precision,
     so it reports <n,n> as the single-step API, which computes in double
-    precision, does.
+    precision, does.  The sum runs left to right (_dot), on every CPU alike.
     """
-    return NullNormal(f"<n,n> = {float(Ax.dot(e * Ax)):.3e} is null within tolerance")
+    return NullNormal(f"<n,n> = {_dot(Ax, e * Ax):.3e} is null within tolerance")
 
 
 def _on_sphere(r: RayState, ell: Ellipsoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,15 +170,23 @@ def _on_sphere(r: RayState, ell: Ellipsoid) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
-    """Follow the chord from a boundary point with inward direction to its exit point."""
+    """Follow the chord from a boundary point with inward direction to its exit point.
+
+    Raises NotInward where the chord is refused (_refused_chords), and
+    ZeroDirection where w.w = v.v / a^2 underflows double precision.
+    """
     if r.dim != ell.dim:
         raise ValueError(f"ray dimension {r.dim} != ellipsoid dimension {ell.dim}")
     _require_on_boundary(r.x, ell)
     a, u, w = _on_sphere(r, ell)
-    uw = u.dot(w)
+    uw = _dot(u, w)
     if _refused_chords(r.x, r.v, uw):
         raise _not_inward(uw)
-    return RayState(a * _chord(u, w, 2.0 * uw), r.v)
+    try:
+        y = _kernels(ell.dim).chord(u.tolist(), w.tolist(), 2.0 * uw)
+    except ZeroDivisionError:  # w.w, which the chord divides by, underflows
+        raise ZeroDirection("direction vector's square underflows double precision") from None
+    return RayState(a * np.array(y), r.v)
 
 
 def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -149,13 +200,14 @@ def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
         raise ValueError("ray, ellipsoid, and signature dimensions must agree")
     _require_on_boundary(r.x, ell)
     a, u, w = _on_sphere(r, ell)
-    wu = w.dot(u)
+    wu = _dot(w, u)
     if not 0.0 < abs(wu) < np.inf:
         raise NotInward(f"v.Ax = {wu:.3e}: velocity is tangent to the boundary or not finite")
     Ax = ell.conormal(r.x)
     if _null_normals(Ax, sig.e):
         raise _null_normal(Ax, sig.e)
-    return RayState(r.x, a * _reflect(u, w, sig.e / ell.a2, 2.0 * wu))
+    w, _ = _kernels(ell.dim).reflect(u.tolist(), w.tolist(), (sig.e / ell.a2).tolist())
+    return RayState(r.x, a * np.array(w))
 
 
 def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -318,31 +370,33 @@ def run_orbit(
     where evaluating the quadratic integrals in plain double precision would
     drown the drift being measured in cancellation noise.
 
-    The loop only steps, with the single-step API's chord and reflection
-    kernel, in (u, w) = (x / a, v / a) on the unit sphere; each reflection's
-    2 w.u, formed once per bounce and negated, is the next chord's 2 u.w =
-    2 Ax.v.  Each step is written straight into its preallocated row, and the
-    rows are returned as x = a u, v = a w.  The loop decides nothing, and
-    stops early only once u.w is not < 0 (NaN included), where no chord
-    exists.  All decisions are made after it, over the stepped rows.  The two
-    abort tests are row-wise predicates that the single-step API applies to
-    its one row: bounce k fails when the chord test refuses row k - 1
-    (NotInward) or the normal test row k (NullNormal), the chord first.  A run that fails on a grazing chord or on
-    a finite, tiny <n,n> may step on up to n_bounces, so it never costs more
-    than a clean run of that length.  H, every F_k and, with `fam`, Q's
-    coefficients are then evaluated for all rows at once, and the per-row
-    core of confocal.tangency_parameters solves each row.  A row is recorded
-    only when its state, H and every F_k are finite (else NonFinite) and its
-    tangency parameters, if asked for, are solved (else RootIsolationFailure).
-    A failed bounce or row k >= 1 ends the record before row k, with the
-    reason and abort_bounce = k.  A failed row 0, resonant axes, or a start
-    off the boundary or not pointing inward raise before the first bounce.
+    The loop only steps, calling the single-step API's straight-line chord
+    and reflection kernels (_kernels) on long-double scalars, in (u, w) =
+    (x / a, v / a) on the unit sphere; each reflection's 2 w.u, negated, is
+    the next chord's 2 u.w = 2 Ax.v.  Each step's row is appended to a list,
+    the lists are converted to arrays once after the loop, and the rows are
+    returned as x = a u, v = a w.  The loop decides nothing, and stops early
+    only once u.w is not < 0 (NaN included), where no chord exists.  All
+    decisions are made after it, over the stepped rows.  The two abort tests
+    are row-wise predicates that the single-step API applies to its one row:
+    bounce k fails when the chord test refuses row k - 1 (NotInward) or the
+    normal test row k (NullNormal), the chord first.  A run that fails on a
+    grazing chord or on a finite, tiny <n,n> may step on up to n_bounces, so
+    it never costs more than a clean run of that length.  H, every F_k and,
+    with `fam`, Q's coefficients are then evaluated for all rows at once, and
+    the per-row core of confocal.tangency_parameters solves each row.  A row
+    is recorded only when its state, H and every F_k are finite (else
+    NonFinite) and its tangency parameters, if asked for, are solved (else
+    RootIsolationFailure).  A failed bounce or row k >= 1 ends the record
+    before row k, with the reason and abort_bounce = k.  A failed row 0,
+    resonant axes, or a start off the boundary or not pointing inward raise
+    before the first bounce.
     """
     if n_bounces < 1:
         raise ValueError("bounce count must be >= 1")
     _integral_denominators(ell, sig)
     _require_on_boundary(r.x, ell)
-    ax_v = float(ell.conormal(r.x) @ r.v)
+    ax_v = _dot(ell.conormal(r.x), r.v)
     if not -np.inf < ax_v < 0.0:
         raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
 
@@ -351,22 +405,23 @@ def run_orbit(
     # are measured (a float64 1 / a^2 is 1e-16 away).
     a2 = ell.a2.astype(np.longdouble)
     a, E, A = np.sqrt(a2), sig.e / a2, 1.0 / a2
-    us = np.empty((n_bounces + 1, ell.dim), dtype=np.longdouble)
-    ws = np.empty_like(us)
-    u, w = np.divide(r.x, a, out=us[0]), np.divide(r.v, a, out=ws[0])
+    u, w = r.x / a, r.v / a
     uw2 = 2.0 * u.dot(w)
+    chord, reflect_ = _kernels(ell.dim)
+    u, w, E = tuple(u), tuple(w), tuple(E)
+    us, ws = [u], [w]
 
-    rows = n_bounces + 1
     with np.errstate(all="ignore"):
-        for k in range(1, n_bounces + 1):
+        for _ in range(n_bounces):
             if not uw2 < 0.0:
-                rows = k
                 break
-            u = _chord(u, w, uw2, out=us[k])
-            wu2 = 2.0 * w.dot(u)
-            w = _reflect(u, w, E, wu2, out=ws[k])
+            u = chord(u, w, uw2)
+            w, wu2 = reflect_(u, w, E)
             uw2 = -wu2
-        xs, vs = a * us[:rows], a * ws[:rows]
+            us.append(u)
+            ws.append(w)
+        rows = len(us)
+        xs, vs = a * np.array(us, dtype=np.longdouble), a * np.array(ws, dtype=np.longdouble)
 
         # Bounce b + 1 takes the chord from row b and reflects at row b + 1.
         # Each list ends in a sentinel at index `taken`, the first bounce not

@@ -23,6 +23,7 @@ from pebilliards.errors import (
     PEBilliardsError,
     ResonantAxes,
     RootIsolationFailure,
+    ZeroDirection,
 )
 from pebilliards.pecore import (
     Ellipsoid,
@@ -451,6 +452,15 @@ def test_non_finite_states_are_refused(start, error):
         run_orbit(start, 3, ELLIPSE, LORENTZ)
 
 
+def test_chord_of_a_direction_whose_square_underflows_is_refused():
+    # The single-step chord divides by w.w in double precision, which is 0
+    # here; the recorder steps the same start in extended precision.
+    start = RayState((0.0, 1.0), (1e-200, -1e-200))
+    with pytest.raises(ZeroDirection):
+        advance_to_boundary(start, ELLIPSE)
+    assert run_orbit(start, 3, ELLIPSE, LORENTZ).abort_reason is None
+
+
 def test_run_orbit_rows_match_double_map():
     sig = Signature(2, 1)
     ell = Ellipsoid((3.0, 2.0, 1.0))
@@ -689,7 +699,7 @@ def _stepwise_record(r: RayState, n_bounces: int, ell: Ellipsoid, sig: Signature
     """
     billiard._integral_denominators(ell, sig)
     billiard._require_on_boundary(r.x, ell)
-    ax_v = float(ell.conormal(r.x) @ r.v)
+    ax_v = billiard._dot(ell.conormal(r.x), r.v)
     if not -np.inf < ax_v < 0.0:
         raise NotInward(f"initial Ax.v = {ax_v:.3e} is not inward")
     ld = np.longdouble
@@ -713,7 +723,7 @@ def _stepwise_record(r: RayState, n_bounces: int, ell: Ellipsoid, sig: Signature
             n = e * Ax
             if abs(Ax.dot(n)) <= billiard.NULL_NORMAL_TOL * n.dot(n):
                 Ax = ell.conormal(a * u)
-                failure = NullNormal(f"<n,n> = {float(Ax.dot(sig.e * Ax)):.3e} is null within tolerance")
+                failure = NullNormal(f"<n,n> = {billiard._dot(Ax, sig.e * Ax):.3e} is null within tolerance")
                 break
             m = E * u
             wu = w.dot(u)
@@ -838,8 +848,9 @@ def test_a_bounce_failing_both_tests_fails_on_its_chord(monkeypatch):
     assert rec.abort_reason.startswith("NullNormal: ") and rec.abort_bounce == 1
 
 
-#: Signatures of the equivalence property, with and without null directions.
-ORBIT_SIGNATURES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 0)]
+#: Signatures of the equivalence property, with and without null directions,
+#: in every dimension from 2 to 6.
+ORBIT_SIGNATURES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 0), (3, 2), (4, 2)]
 
 
 @st.composite
@@ -879,3 +890,67 @@ def test_run_orbit_equals_the_stepwise_oracle(case):
     # deciding them at every bounce.
     ell, sig, start, n_bounces = case
     _assert_same_outcome(start, n_bounces, ell, sig)
+
+
+def _dot_left_to_right(p: np.ndarray, q: np.ndarray) -> float:
+    total = 0.0
+    for s, t in zip(p.tolist(), q.tolist()):
+        total += s * t
+    return total
+
+
+def _array_chord(u: np.ndarray, w: np.ndarray, uw2: float) -> np.ndarray:
+    """The chord's exit point on the unit sphere in array arithmetic, a test oracle."""
+    y = u - (uw2 / _dot_left_to_right(w, w)) * w
+    return y + ((_dot_left_to_right(y, y) - 1.0) / uw2) * w
+
+
+def _array_reflect(u: np.ndarray, w: np.ndarray, E: np.ndarray, wu2: float) -> np.ndarray:
+    """The reflected direction at the sphere point u in array arithmetic, a test oracle."""
+    m = E * u
+    return w - (wu2 / _dot_left_to_right(u, m)) * m
+
+
+@st.composite
+def boundary_states(draw):
+    """A geometry of dimension 2 to 6 and a boundary point with an inward direction."""
+    p, q = draw(st.sampled_from(ORBIT_SIGNATURES))
+    sig, d = Signature(p, q), p + q
+    ell = Ellipsoid(tuple(draw(st.lists(st.floats(0.5, 40.0), min_size=d, max_size=d, unique=True))))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d).map(np.array)
+    s, v = draw(unit), draw(unit) * draw(st.sampled_from([1.0, 1e-3, 1e4]))
+    assume(np.linalg.norm(s) > 1e-3 and np.linalg.norm(v) > 1e-6)
+    x = np.array(ell.a) * s / np.linalg.norm(s)
+    return ell, sig, RayState(x, v if ell.conormal(x) @ v < 0.0 else -v)
+
+
+@given(boundary_states())
+@settings(max_examples=300, deadline=None)
+def test_single_step_api_equals_the_array_kernel(case):
+    # The generated kernels on Python floats compute, bit for bit, what the
+    # array arithmetic does with its dot products summed left to right.
+    ell, sig, r = case
+    a = np.sqrt(ell.a2)
+    u, w = r.x / a, r.v / a
+    try:
+        x = advance_to_boundary(r, ell).x
+    except NotInward:
+        assume(False)
+    assert x.tobytes() == (a * _array_chord(u, w, 2.0 * _dot_left_to_right(u, w))).tobytes()
+    try:
+        v = reflect(r, ell, sig).v
+    except NullNormal:
+        assume(False)
+    want = a * _array_reflect(u, w, sig.e / ell.a2, 2.0 * _dot_left_to_right(w, u))
+    assert v.tobytes() == want.tobytes()
+
+
+def test_run_orbit_reuses_the_kernels_of_its_dimension():
+    sig, ell = Signature(2, 1), Ellipsoid((3.0, 2.0, 1.0))
+    start = sample_null_ray(ell, sig, 7)
+    billiard._kernels.cache_clear()
+    first = run_orbit(start, 20, ell, sig)
+    assert billiard._kernels.cache_info()[:2] == (0, 1)  # (hits, misses)
+    second = run_orbit(start, 20, ell, sig)
+    assert billiard._kernels.cache_info()[:2] == (1, 1)
+    assert first.xs.tobytes() == second.xs.tobytes() and first.vs.tobytes() == second.vs.tobytes()

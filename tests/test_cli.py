@@ -745,6 +745,14 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_no_step_kernel():
+    # The step kernels are generated on first use, so importing costs nothing for them.
+    code = "import pebilliards.cli, pebilliards.billiard as b; print(b._kernels.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
+
+
 def test_no_source_file_imports_scipy():
     importing = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
     sources = sorted(SRC.rglob("*.py"))
