@@ -42,7 +42,7 @@ from .errors import (
     RootIsolationFailure,
     ZeroDirection,
 )
-from .pecore import BOUNDARY_TOL, Ellipsoid, RayState, Signature
+from .pecore import BOUNDARY_TOL, Ellipsoid, RayState, Signature, _dot
 
 #: Chords with |Ax.v| below this times |x||v| are refused as grazing.
 GRAZING_TOL = 1e-12
@@ -141,10 +141,11 @@ def _null_normals(Axs: np.ndarray, e: np.ndarray) -> np.ndarray:
 
     |<n,n>| <= NULL_NORMAL_TOL |n|^2, with <n,n> = sum e_i Ax_i^2 and |n|^2 =
     sum Ax_i^2 (as e_i = +-1, each term equals Ax_i n_i and n_i^2 exactly).
-    A NaN <n,n> passes it.
+    <n,n> is summed left to right (_dot), so no verdict depends on the CPU's
+    BLAS kernel.  A NaN <n,n> passes it.
     """
     sq = Axs * Axs
-    return abs(sq @ e) <= NULL_NORMAL_TOL * sq.sum(-1)
+    return abs(_dot(sq, e)) <= NULL_NORMAL_TOL * sq.sum(-1)
 
 
 def _not_inward(axv) -> NotInward:
@@ -218,18 +219,18 @@ def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
 class _PairPlan(NamedTuple):
     """Index plan of the F_k pair terms in one dimension.
 
-    The pairs i < k are numbered p = 0 .. P - 1 in lexicographic order.  Row
-    s of xs.T[x] * vs.T[v] is x_i v_k for s = p and x_k v_i for s = P + p, so
-    M_ik = x_i v_k - x_k v_i is the difference of its two halves.  Entry
-    [j, r] of `pairs` is the number of the pair {r, c} for the j-th column
-    c != r of row r, and entry [j, r, 0] of `offdiag` is the flat index of
-    (r, c) in a dim x dim matrix.
+    The pairs i < k are numbered p = 0 .. P - 1 in lexicographic order; `i`
+    and `k` hold their indices.  Row r of the pair sums runs over the columns
+    c != r in order: entry [j, r] of `cols` is its j-th column c and of
+    `pairs` the number of the pair {r, c}.  Entry [j, r, 0] of `lower` is
+    True where r is the pair's i, that is r < c.
     """
 
-    x: np.ndarray
-    v: np.ndarray
+    i: np.ndarray
+    k: np.ndarray
+    cols: np.ndarray
     pairs: np.ndarray
-    offdiag: np.ndarray
+    lower: np.ndarray
 
 
 @functools.cache
@@ -238,37 +239,32 @@ def _pair_plan(dim: int) -> _PairPlan:
     pair = np.zeros((dim, dim), dtype=np.intp)
     pair[i, k] = pair[k, i] = np.arange(len(i))
     rows, cols = (a.reshape(dim, dim - 1).T for a in np.nonzero(~np.eye(dim, dtype=bool)))
-    return _PairPlan(np.concatenate((i, k)), np.concatenate((k, i)), pair[rows, cols], (rows * dim + cols)[:, :, None])
+    return _PairPlan(i, k, cols, pair[rows, cols], (rows < cols)[:, :, None])
 
 
-class _Denominators(NamedTuple):
-    """The denominators d[k, i] = e_i a_k^2 - e_k a_i^2 of the F_k pair terms (read-only)."""
+def _pair_differences(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """M_p = x_i v_k - x_k v_i for every pair p, shape (P, N), from phase rows of shape (N, dim)."""
+    plan = _pair_plan(xs.shape[1])
+    xt, vt = xs.T, vs.T
+    m = xt.take(plan.i, axis=0)
+    m *= vt.take(plan.k, axis=0)
+    m -= xt.take(plan.k, axis=0) * vt.take(plan.i, axis=0)
+    return m
 
-    matrix: np.ndarray  # d[k, i], infinite on the diagonal
-    terms: np.ndarray  # [j, r, 0] = d[r, c] for the j-th column c != r, as _PairPlan orders them
 
+def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
+    """The denominators d_p = e_i a_k^2 - e_k a_i^2 of the F_k pair terms, in _pair_plan's order.
 
-@functools.lru_cache(maxsize=16)
-def _integral_denominators(ell: Ellipsoid, sig: Signature) -> _Denominators:
-    """The pair terms' denominators of one geometry, as a matrix and in the order integrals_batch adds them.
-
-    The matrix's infinite diagonal drops the i = k term from a sum over a
-    whole row (verify's wedge form).  Raises ResonantAxes where an
-    off-diagonal entry vanishes.  Cached per geometry, so run_orbit's start
-    check and its integrals share one.
+    Raises ResonantAxes where one of them vanishes.
     """
     if ell.dim != sig.dim:
         raise ValueError("ellipsoid and signature dimensions must agree")
-    a2 = ell.a2
-    e = sig.e
-    d = a2[:, None] * e - e[:, None] * a2  # d[k, i]
-    np.fill_diagonal(d, np.inf)
-    if not d.all():
+    plan = _pair_plan(ell.dim)
+    a2, e = ell.a2.tolist(), sig.e.tolist()
+    d = [a2[k] * e[i] - e[k] * a2[i] for i, k in zip(plan.i.tolist(), plan.k.tolist())]
+    if 0.0 in d:
         raise ResonantAxes("some e_i a_k^2 - e_k a_i^2 vanishes; axes are resonant")
-    terms = d.take(_pair_plan(ell.dim).offdiag)
-    d.setflags(write=False)
-    terms.setflags(write=False)
-    return _Denominators(d, terms)
+    return np.array(d)
 
 
 def integrals(x, v, ell: Ellipsoid, sig: Signature) -> np.ndarray:
@@ -282,14 +278,14 @@ def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signatu
     """Vectorized integrals for arrays of phase points, shape (N, dim) -> (N, dim).
 
     Extended-precision (longdouble) input is evaluated and returned in
-    longdouble; every other input in float64.  Each pair's M_ik^2 is formed
-    once; its terms in rows k and i are M_ik^2 over d[k, i] and over
-    d[i, k] = -d[k, i].  Every row adds its terms in column order, starting
+    longdouble; every other input in float64.  Each pair's term
+    q_p = M_p^2 / d_p is formed once; row k adds q_p and row i -q_p, which is
+    M_p^2 / -d_p exactly.  Every row adds its terms in column order, starting
     from +0, and then e_k v_k^2: the order, and so the rounding and the sign
     of a zero, of the sum over a whole row of the antisymmetric matrix
-    (x_i v_k - x_k v_i)^2 / d[k, i] with its zero diagonal.
+    (x_i v_k - x_k v_i)^2 / (e_i a_k^2 - e_k a_i^2) with its zero diagonal.
     """
-    den = _integral_denominators(ell, sig)
+    d = _integral_denominators(ell, sig)
     xs, vs = np.asarray(xs), np.asarray(vs)
     dtype = np.longdouble if np.longdouble in (xs.dtype, vs.dtype) else float
     xs = xs.astype(dtype, copy=False)
@@ -297,18 +293,13 @@ def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signatu
     if xs.ndim != 2 or xs.shape != vs.shape or xs.shape[1] != ell.dim:
         raise ValueError("phase arrays must both have shape (N, dim)")
     plan = _pair_plan(ell.dim)
-    half = len(plan.x) // 2
-    # Pairs and rows run along the first axis, so every operation covers
-    # whole contiguous rows of length N.  The large temporaries are reused in
-    # place: on long orbits each new one cost a fresh allocation and its page
-    # faults.  As e_k = +-1, e_k v_k^2 = (v_k^2) e_k exactly.
-    m2 = xs.T.take(plan.x, axis=0)
-    m2 *= vs.T.take(plan.v, axis=0)
-    m2 = np.subtract(m2[:half], m2[half:], out=m2[:half])
-    m2 *= m2
-    terms = m2.take(plan.pairs, axis=0)
-    terms /= den.terms
+    q = _pair_differences(xs, vs)
+    q *= q
+    q /= d[:, None]
+    terms = q.take(plan.pairs, axis=0)
+    np.negative(terms, out=terms, where=plan.lower)
     f = np.add.reduce(terms, axis=0, initial=0.0)
+    # As e_k = +-1, e_k v_k^2 = (v_k^2) e_k exactly.
     ev2 = np.multiply(vs.T, vs.T, order="C")
     ev2 *= sig.e[:, None]
     f += ev2
@@ -462,18 +453,6 @@ def run_orbit(
     return OrbitRecord(xs[:rows], vs[:rows], h[:rows], f[:rows], tangs, reason, bounce)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b of two float64 vectors, summed left to right on Python floats.
-
-    numpy's float64 @ and norm call BLAS, whose kernel (and rounding) is
-    chosen per CPU; this sum rounds alike everywhere.
-    """
-    total = 0.0
-    for x, y in zip(a.tolist(), b.tolist()):
-        total += x * y
-    return total
-
-
 def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
@@ -489,7 +468,7 @@ def sample_null_ray(
     rejection correction for the axis scaling); the direction puts a unit
     Euclidean vector in each metric block so that <v,v> = 0 exactly, with the
     sign fixed to point inward.  Deterministic for a fixed seed, on every
-    CPU: norms and Ax.v are summed on Python floats (_dot).
+    CPU: norms and Ax.v are summed left to right (_dot).
     """
     if sig.p < 1 or sig.q < 1:
         raise ValueError("null directions need p >= 1 and q >= 1")

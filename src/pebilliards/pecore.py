@@ -36,6 +36,21 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a.b over the last axis, summed left to right from +0.
+
+    numpy's float64 @ and norm call BLAS, whose kernel (and rounding) is
+    chosen per CPU; this sum rounds alike everywhere.  A vector `a` is summed
+    on Python floats, into a float; a stack of rows column by column, into
+    each row's sum in the rows' precision (long double in the recorder).
+    """
+    columns = zip(a.tolist(), b.tolist()) if a.ndim == 1 else zip(a.T, b.T)
+    total = 0.0
+    for p, q in columns:
+        total = total + p * q
+    return total
+
+
 @dataclass(frozen=True)
 class Signature:
     """Metric split (p, q): p diagonal entries +1 followed by q entries -1.
@@ -96,9 +111,9 @@ class Ellipsoid:
         return self.shape_diag * np.asarray(x, dtype=float)
 
     def boundary_defect(self, x: np.ndarray) -> float:
-        """Value of sum x_i^2 / a_i^2 - 1; zero exactly on the boundary."""
+        """Value of sum x_i^2 / a_i^2 - 1, summed left to right (_dot); zero exactly on the boundary."""
         x = np.asarray(x, dtype=float)
-        return float(self.shape_diag @ (x * x) - 1.0)
+        return float(_dot(self.shape_diag, x * x) - 1.0)
 
 
 @dataclass(frozen=True)

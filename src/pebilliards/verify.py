@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .billiard import OrbitRecord, _integral_denominators, integrals_batch
+from .billiard import OrbitRecord, _integral_denominators, _pair_differences, _pair_plan, integrals_batch
 from .pecore import Ellipsoid, Signature
 
 #: |initial value| above which drift is reported relative rather than absolute.
@@ -36,33 +36,31 @@ FD_STEP = 1e-6
 FREE_FLIGHT_SPAN = 3.0
 
 
-def _wedge(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """w[:, k, i] = x_i v_k - x_k v_i, antisymmetric in (k, i)."""
-    return vs[:, :, None] * xs[:, None, :] - xs[:, :, None] * vs[:, None, :]
-
-
 def moser_gradients_batch(
     xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signature
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of every integral at every sample.
 
     Returns (gx, gv), each of shape (N, dim, dim): entry [s, k, i] is the
-    derivative of F_k with respect to coordinate i at sample s.  The
-    integrals are quadratic forms, so these are exact linear expressions.
+    derivative of F_k with respect to coordinate i at sample s.  They are
+    linear in the pair quotients R_ki = M_p / d_p, symmetric in (k, i):
+    for i != k, dF_k/dx_i = 2 R_ki v_k and dF_k/dv_i = -2 R_ki x_k, and
+    dF_k/dx_k = -2 sum_i R_ki v_i, dF_k/dv_k = 2 e_k v_k + 2 sum_i R_ki x_i,
+    each sum over i != k in column order from +0.
     """
-    d = _integral_denominators(ell, sig).matrix
+    d = _integral_denominators(ell, sig)
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    wd = _wedge(xs, vs) / d
-
-    gx = 2.0 * wd * vs[:, :, None]  # d F_k / d x_i, i != k
-    gx_kk = -2.0 * np.sum(wd * vs[:, None, :], axis=2)
-    idx = np.arange(ell.dim)
-    gx[:, idx, idx] = gx_kk
-
-    gv = -2.0 * wd * xs[:, :, None]  # d F_k / d v_i, i != k
-    gv_kk = 2.0 * sig.e * vs + 2.0 * np.sum(wd * xs[:, None, :], axis=2)
-    gv[:, idx, idx] = gv_kk
+    plan = _pair_plan(ell.dim)
+    r = (_pair_differences(xs, vs) / d[:, None]).take(plan.pairs, axis=0)  # [j, k]: R_kc, c the j-th column != k
+    xt, vt = xs.T, vs.T
+    k = np.arange(ell.dim)
+    gx = np.empty((len(xs), ell.dim, ell.dim))
+    gv = np.empty_like(gx)
+    gx[:, k, plan.cols] = np.moveaxis(2.0 * r * vt, -1, 0)
+    gv[:, k, plan.cols] = np.moveaxis(-2.0 * r * xt, -1, 0)
+    gx[:, k, k] = -2.0 * np.add.reduce(r * vt.take(plan.cols, axis=0), axis=0, initial=0.0).T
+    gv[:, k, k] = 2.0 * sig.e * vs + 2.0 * np.add.reduce(r * xt.take(plan.cols, axis=0), axis=0, initial=0.0).T
     return gx, gv
 
 

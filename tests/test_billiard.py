@@ -505,21 +505,16 @@ def test_run_orbit_non_finite_row_ends_the_record(monkeypatch):
     assert len(rec.tangency) == 2 and np.all(np.isfinite(rec.f))
 
 
-def test_run_orbit_computes_the_integral_denominators_once():
-    # The start check and the integrals after the loop share one matrix.
-    sig, ell = Signature(2, 1), Ellipsoid((3.0, 2.0, 1.0))
-    start = sample_null_ray(ell, sig, 8)
-    billiard._integral_denominators.cache_clear()
-    run_orbit(start, 5, ell, sig)
-    info = billiard._integral_denominators.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert not any(d.flags.writeable for d in billiard._integral_denominators(ell, sig))
-
-
 def test_run_orbit_refuses_resonant_axes():
     # The Euclidean circle has no quadratic integrals F_k; the start is refused.
     with pytest.raises(ResonantAxes):
         run_orbit(RayState((1.0, 0.0), (-0.8, 0.6)), 10, Ellipsoid((1.0, 1.0)), Signature(2, 0))
+
+
+def test_run_orbit_checks_the_axes_before_the_start():
+    # A start that is off the boundary of resonant axes is refused for the axes.
+    with pytest.raises(ResonantAxes):
+        run_orbit(RayState((0.5, 0.0), (-0.8, 0.6)), 10, Ellipsoid((1.0, 1.0)), Signature(2, 0))
 
 
 #: Semi-axes for each of the five signatures the suite covers.
@@ -592,6 +587,18 @@ def test_integrals_batch_keeps_longdouble():
 
 
 
+def _wedge(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """w[:, k, i] = x_i v_k - x_k v_i, antisymmetric in (k, i)."""
+    return vs[:, :, None] * xs[:, None, :] - xs[:, :, None] * vs[:, None, :]
+
+
+def _wedge_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
+    """d[k, i] = e_i a_k^2 - e_k a_i^2, with an infinite diagonal that drops the i = k terms."""
+    d = ell.a2[:, None] * sig.e - sig.e[:, None] * ell.a2
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
 def _wedge_integrals(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signature) -> np.ndarray:
     """Every F_k as a sum over a whole row of the wedge matrix, a test oracle.
 
@@ -599,8 +606,23 @@ def _wedge_integrals(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signat
     dropped by the infinite diagonal of d, is summed over i in column order
     (numpy's order for these short rows), then e_k v_k^2 is added.
     """
-    w = verify._wedge(xs, vs)
-    return sig.e * vs * vs + (w * w / billiard._integral_denominators(ell, sig).matrix).sum(axis=2)
+    w = _wedge(xs, vs)
+    return sig.e * vs * vs + (w * w / _wedge_denominators(ell, sig)).sum(axis=2)
+
+
+def _wedge_gradients(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signature):
+    """The gradients (gx, gv) of every F_k from the wedge matrix, a test oracle.
+
+    wd[k, i] = w[k, i] / d[k, i] is zero on the diagonal; the derivatives by
+    the own coordinate k are sums over whole rows of wd.
+    """
+    wd = _wedge(xs, vs) / _wedge_denominators(ell, sig)
+    idx = np.arange(sig.dim)
+    gx = 2.0 * wd * vs[:, :, None]
+    gx[:, idx, idx] = -2.0 * np.sum(wd * vs[:, None, :], axis=2)
+    gv = -2.0 * wd * xs[:, :, None]
+    gv[:, idx, idx] = 2.0 * sig.e * vs + 2.0 * np.sum(wd * xs[:, None, :], axis=2)
+    return gx, gv
 
 
 def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -668,6 +690,29 @@ def test_integrals_batch_overflows_only_where_the_wedge_sum_does(pq, rows, data)
     finite = np.isfinite(want)
     _assert_same_bits(got[finite], want[finite])
     assert np.all(np.isinf(xs * vs)[np.isfinite(got) & ~finite])
+
+
+#: The five signatures and two more, for every dimension up to verify.MAX_SWEEP_DIM.
+GRADIENT_AXES = {**SIGNATURE_AXES, (3, 2): (5.0, 4.0, 3.0, 2.0, 1.0), (4, 2): (6.0, 5.0, 4.0, 3.0, 2.0, 1.0)}
+
+
+@given(st.sampled_from(list(GRADIENT_AXES)), st.integers(1, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_moser_gradients_equal_the_wedge_form(pq, rows, data):
+    # The pair quotients R_ki equal the wedge's w[k, i] / d[k, i] in value,
+    # and each row sum adds the same terms in the same order.  Only the sign
+    # of an exact zero may differ: w[i, k] = x_k v_i - x_i v_k is +0, not -0,
+    # where the two products are equal, so R_ki and the wedge's quotient can
+    # be zeros of opposite sign.  np.array_equal compares values, in which
+    # -0.0 == 0.0; brackets.json keeps |{F_j, F_k}| and its argmax only.
+    sig, ell = Signature(*pq), Ellipsoid(GRADIENT_AXES[pq])
+    phase = st.lists(PHASE_ENTRIES, min_size=rows * sig.dim, max_size=rows * sig.dim)
+    xs = np.array(data.draw(phase)).reshape(rows, sig.dim)
+    vs = np.array(data.draw(phase)).reshape(rows, sig.dim)
+    got, want = verify.moser_gradients_batch(xs, vs, ell, sig), _wedge_gradients(xs, vs, ell, sig)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (rows, sig.dim, sig.dim)
+        assert np.array_equal(g, w)
 
 
 #: Semi-axes of the null-orbit conservation survey, per signature (p, q).
@@ -834,6 +879,22 @@ def test_run_orbit_aborts_after_clean_bounces(ell, start, reason, bounce):
     with pytest.raises((NotInward, NullNormal)) as exc:
         billiard_map(state, ell, LORENTZ)
     assert type(exc.value).__name__ == reason
+
+
+#: A light-like conormal in 16 dimensions, signature (8, 8): summed left to
+#: right, its <n,n> is exactly 0; OpenBLAS's ddot, which sums 16 entries in
+#: several accumulators, gives 3.886e-16.
+NULL_ROW_16 = np.array(
+    [0.22, 0.75, 0.57, 0.38, 0.54, 0.9, 0.94, 0.42, 0.61, 0.39, 0.63, 0.4, 0.45, 0.9, 0.3, 1.0286884854026508]
+)
+
+
+def test_the_null_normal_test_sums_left_to_right(monkeypatch):
+    # With a zero tolerance only an exactly cancelling <n,n> is null, so the
+    # verdict shows the order of the sum, which is the same on every CPU.
+    monkeypatch.setattr(billiard, "NULL_NORMAL_TOL", 0.0)
+    assert pecore._dot(NULL_ROW_16 * NULL_ROW_16, Signature(8, 8).e) == 0.0
+    assert billiard._null_normals(NULL_ROW_16, Signature(8, 8).e)
 
 
 def test_a_bounce_failing_both_tests_fails_on_its_chord(monkeypatch):

@@ -135,6 +135,15 @@ def test_commute_pass_and_tolerance_failure(tmp_path):
     assert main(["commute", "--config", path, "--out", str(out), "--debug-flip-metric"]) == 3
 
 
+def test_commute_on_resonant_axes_is_config_error(tmp_path, capsys):
+    # The Euclidean circle has no quadratic integrals F_k: exit 1, nothing written.
+    path = write_config(tmp_path, {"signature": [2, 0], "axes": [1.0, 1.0], "samples": 10, "seed": 1})
+    out = tmp_path / "out"
+    assert main(["commute", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ResonantAxes: ")
+    assert not out.exists()
+
+
 def test_simulate_degeneracy_quarantine(tmp_path):
     # This start runs straight into a boundary point whose normal is
     # light-like: the orbit aborts and the run is quarantined.

@@ -163,3 +163,14 @@ def test_no_public_function_takes_a_tolerance():
     ]
     assert len(dict(_public_functions())) > 50
     assert found == []
+
+
+def test_boundary_defect_sums_left_to_right():
+    # Summed left to right from +0 on every CPU.  OpenBLAS's ddot, which
+    # fuses the multiply-adds, gives 3.888371846727523e-10 at this point.
+    ell = Ellipsoid((1.0, 2.0, 3.0))
+    x = np.array([-0.47545378, -1.0376812, -2.13136886])
+    total = 0.0
+    for s, xi in zip(ell.shape_diag.tolist(), x.tolist()):
+        total += s * (xi * xi)
+    assert ell.boundary_defect(x) == total - 1.0 == 3.888369626281474e-10
