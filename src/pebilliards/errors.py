@@ -54,7 +54,15 @@ class NoConvergence(PEBilliardsError):
 
 
 class ConvexityViolation(PEBilliardsError):
-    """A constructed curve failed the strict-convexity check."""
+    """A constructed curve failed the strict-convexity check.
+
+    margin_index is the scan-grid index where a radial table's curvature
+    numerator is least, or None where the check computed no numerator.
+    """
+
+    def __init__(self, message: str, margin_index: int | None = None):
+        super().__init__(message)
+        self.margin_index = margin_index
 
 
 class InfeasibleSlopes(PEBilliardsError):

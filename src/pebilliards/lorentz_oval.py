@@ -41,9 +41,11 @@ Evaluation
   synthesis share one base evaluation.  The grid is built only from
   + - * /, sqrt and math, which round alike on every CPU that numpy
   dispatches to, so its entries equal the float path's at the same angles.
+  A synthesis therefore skips, unbuilt, a candidate whose float-path
+  curvature numerator at one scan angle is at most the best margin so far.
   An ellipse's radius (cos, sin and sqrt chosen once, by whether the angle
-  is the grid) and a bump's shape are the only formulas written for both a
-  float and the grid.
+  is the grid), a bump's shape and the curvature numerator are the only
+  formulas written for both a float and the grid.
 * A bump is its wrapped offset d from the anchor (`RadialBump.offset`) and
   its shape g, g', g'' at d (`RadialBump.shape`), one clipped formula per
   quantity.  A float angle wraps each offset once, for the support test, and
@@ -68,6 +70,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -402,11 +405,15 @@ class RadialBump:
         return lin * psi, tilt * psi + lin * psi1 / h, 2.0 * tilt * psi1 / h + lin * psi2 / h**2
 
 
+def _curvature_numerator(r, r1, r2):
+    return r * r + 2.0 * r1 * r1 - r * r2
+
+
 class RadialOval(OvalCurve):
     """Base ellipse plus localized radial bumps; verified strictly convex.
 
-    convexity_margin is the least curvature numerator r^2 + 2 r'^2 - r r''
-    over the SCAN_GRID angles, read from grid_derivs.
+    convexity_margin is the least r^2 + 2 r'^2 - r r'' on the SCAN_GRID and
+    margin_index its first index, also on a refused table's ConvexityViolation.
     """
 
     def __init__(self, base: EllipseOval, bumps: tuple[RadialBump, ...] = ()):
@@ -418,12 +425,14 @@ class RadialOval(OvalCurve):
         # non-positive one, without numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             r, r1, r2 = self.grid_derivs
+            numerator = _curvature_numerator(r, r1, r2)
+            self.convexity_margin = float(np.min(numerator))
+            self.margin_index = int(np.argmin(numerator))
             if np.any(r <= 0.0):
-                raise ConvexityViolation("perturbed radius is not positive everywhere")
-            self.convexity_margin = float(np.min(r * r + 2.0 * r1 * r1 - r * r2))
+                raise ConvexityViolation("perturbed radius is not positive everywhere", self.margin_index)
         if not self.convexity_margin > 0.0:
             raise ConvexityViolation(
-                f"curvature numerator is not positive (min {self.convexity_margin:.3e})"
+                f"curvature numerator is not positive (min {self.convexity_margin:.3e})", self.margin_index
             )
 
     def radius_derivs(self, theta: float) -> tuple[float, float, float]:
@@ -713,11 +722,14 @@ def build_accelerating_table(points, slopes) -> RadialOval:
     A base axis-aligned ellipse is fitted through the vertices about their
     centroid; each vertex then gets a localized radial bump whose value and
     tilt solve the through-point and slope conditions.  Bump supports exclude
-    the neighboring vertices, so the per-vertex 2x2 systems stay decoupled;
-    among the candidate support widths the one with the largest curvature
-    margin wins.  Raises InfeasibleSlopes when the sign pattern cannot be
-    convex and ConvexityViolation when every candidate fails the curvature
-    check.
+    the neighboring vertices, so the per-vertex 2x2 systems stay decoupled.
+    Of the candidate support widths, in SUPPORT_FRACTIONS order, the first
+    with the largest curvature margin wins.  A candidate is not built if its
+    float-path numerator is at most the best margin so far at the scan angle
+    of least numerator of any candidate built before it, refused ones too:
+    its margin, the least numerator on the grid, equal to the float path's,
+    could not be larger (a nan never skips).  Raises InfeasibleSlopes when
+    the sign pattern cannot be convex, ConvexityViolation when all fail.
     """
     pts = np.asarray(points, dtype=float)
     slopes = [float(t) for t in slopes]
@@ -768,22 +780,25 @@ def build_accelerating_table(points, slopes) -> RadialOval:
         anchors.append((theta_j, r_j - rb, r1_req - rb1, gaps[j]))
 
     best: RadialOval | None = None
-    best_margin = 0.0
+    best_margin, probes = 0.0, []  # probes: each built candidate's least-numerator scan angle
     for fraction in SUPPORT_FRACTIONS:
         bumps = tuple(
             RadialBump(theta_j, value, tilt, min(fraction * gap, MAX_BUMP_HALFWIDTH))
             for theta_j, value, tilt, gap in anchors
         )
+        unbuilt = SimpleNamespace(base=base, bumps=bumps)  # all that radius_derivs reads
+        if any(_curvature_numerator(*RadialOval.radius_derivs(unbuilt, t)) <= best_margin for t in probes):
+            continue
         try:
             candidate = RadialOval(base, bumps)
-        except ConvexityViolation:
+        except ConvexityViolation as exc:
+            probes.append(float(_SCAN_ANGLES[exc.margin_index]))
             continue
+        probes.append(float(_SCAN_ANGLES[candidate.margin_index]))
         if candidate.convexity_margin > best_margin:
             best, best_margin = candidate, candidate.convexity_margin
     if best is None:
-        raise ConvexityViolation(
-            "no candidate bump support keeps the curve strictly convex"
-        )
+        raise ConvexityViolation("no candidate bump support keeps the curve strictly convex")
     return best
 
 

@@ -170,20 +170,21 @@ def _check_dim(u: np.ndarray, n: int, name: str) -> np.ndarray:
 
 
 def inner(u, v, sig: Signature) -> float:
-    """Indefinite inner product sum_i e_i u_i v_i for the given signature."""
+    """Indefinite inner product sum_i e_i u_i v_i for the given signature, summed left to right (_dot)."""
     u = _check_dim(u, sig.dim, "u")
     v = _check_dim(v, sig.dim, "v")
-    return float(np.sum(sig.e * u * v))
+    return _dot(sig.e * u, v)
 
 
 def classify_vector(v, sig: Signature) -> VectorType:
     """Classify a non-zero direction as spacelike, timelike, or lightlike.
 
     Lightlike means |<v,v>| <= LIGHTLIKE_TOL * |v|^2 in the auxiliary
-    Euclidean norm, so the decision is scale-invariant.
+    Euclidean norm, so the decision is scale-invariant.  Both sums run left
+    to right (_dot), so the verdict does not depend on the CPU's BLAS.
     """
     v = _check_dim(v, sig.dim, "v")
-    nrm2 = float(v @ v)
+    nrm2 = _dot(v, v)
     if nrm2 == 0.0:
         raise ZeroDirection("cannot classify the zero vector")
     q = inner(v, v, sig)

@@ -1,14 +1,17 @@
 import contextlib
+import functools
 import io
 import json
 import re
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pebilliards import errors
@@ -252,6 +255,24 @@ def test_radial_oval_convexity_violation():
         )
 
 
+@pytest.mark.parametrize(
+    "bump, message",
+    [
+        (lo.RadialBump(anchor=0.5, value=0.0, tilt=2.5, halfwidth=0.3), r"curvature numerator is not positive \(min "),
+        (lo.RadialBump(anchor=0.5, value=-1.5, tilt=0.0, halfwidth=0.3), r"perturbed radius is not positive everywhere$"),
+    ],
+    ids=["numerator", "radius"],
+)
+def test_convexity_violation_carries_the_least_numerator_index(bump, message):
+    # Either refusal names the first scan index where r^2 + 2 r'^2 - r r''
+    # is least, as a built table does; the message is unchanged.
+    with pytest.raises(ConvexityViolation, match=message) as refusal:
+        lo.RadialOval(CIRCLE, (bump,))
+    r, r1, r2 = _full_grid_sum(CIRCLE, (bump,))
+    assert refusal.value.margin_index == np.argmin(r * r + 2.0 * r1 * r1 - r * r2)
+    assert ConvexityViolation("no index").margin_index is None
+
+
 def test_null_polygon_validation():
     with pytest.raises(ValueError):
         lo.NullPolygon(np.array([[1, 1], [0, 0], [-1, -1], [0, 0]]), (1.0,) * 4)
@@ -341,6 +362,16 @@ def _wrap_bump_table():
     return lo.RadialOval(TILTED, bumps)
 
 
+def _assert_float_path_matches_grid(radius_derivs, grid):
+    """radius_derivs at every scan angle, and the curvature numerator from it, equal the grid's (up to a zero's sign)."""
+    derivs = [radius_derivs(t) for t in lo._SCAN_ANGLES.tolist()]
+    assert all(type(v) is float for row in derivs for v in row)
+    assert np.array_equal(np.array(derivs).T, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerator = [lo._curvature_numerator(*row) for row in derivs]
+        assert np.array_equal(numerator, lo._curvature_numerator(*grid), equal_nan=True)
+
+
 @pytest.mark.parametrize(
     "curve",
     [ELLIPSE, TILTED, _wrap_bump_table(), lo.build_accelerating_table(RECT, (-1.0, 2.0, -1.0, 2.0))],
@@ -351,9 +382,7 @@ def test_float_path_matches_array_path(curve):
     # float path gives the same bits (np.array_equal: up to the sign of a
     # zero) as grid_derivs, and point() as the grid's r, cos and sin.
     ts = lo._SCAN_ANGLES.tolist()
-    derivs = [curve.radius_derivs(t) for t in ts]
-    assert all(type(v) is float for row in derivs for v in row)
-    assert np.array_equal(np.array(derivs).T, curve.grid_derivs)
+    _assert_float_path_matches_grid(curve.radius_derivs, curve.grid_derivs)
     r = curve.grid_derivs[0]
     x, y = zip(*(curve.point(t) for t in ts))
     assert np.array_equal(x, curve.center[0] + r * lo._SCAN_COS)
@@ -420,6 +449,25 @@ def radial_tables(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(table=radial_tables())
+def test_float_path_matches_array_path_on_random_tables(table):
+    # A synthesis skips a candidate on its float-path curvature numerator at
+    # one scan angle, which bounds the candidate's margin only because it is
+    # the grid's value there.  An unbuilt table, refused or not, has the
+    # same two paths: RadialOval's methods read only its base and bumps.
+    base, bumps = table
+    unbuilt = SimpleNamespace(base=base, bumps=bumps)
+    grid = lo.RadialOval._evaluate_grid(unbuilt)
+    _assert_float_path_matches_grid(functools.partial(lo.RadialOval.radius_derivs, unbuilt), grid)
+    try:
+        curve = lo.RadialOval(base, bumps)
+    except ConvexityViolation:
+        event("not strictly convex")
+        return
+    assert np.array_equal(curve.grid_derivs, grid)
+
+
+@settings(max_examples=60, deadline=None)
 @given(table=radial_tables(), thetas=st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=1, max_size=6),
        offsets=st.lists(st.sampled_from([0.0, 1e-10, -1e-10, 2e-9, -2e-9, 1e-6, -1e-6, 1e-3]), max_size=4))
 def test_random_radial_table_chord_steps(table, thetas, offsets):
@@ -469,22 +517,26 @@ def test_cached_grid_equals_full_grid_sum(table):
     # Each bump is evaluated only on the grid cells of its support; outside
     # it a bump adds an exact zero, so every entry equals the full-grid sum
     # (np.array_equal: equal bits, up to the sign of a zero).  The
-    # convexity verdict and margin follow from the same values.
+    # convexity verdict, margin and margin index follow from the same
+    # values; a refused table's error carries the index too.
     base, bumps = table
     want = _full_grid_sum(base, bumps)
     r, r1, r2 = want
-    margin = float(np.min(r * r + 2.0 * r1 * r1 - r * r2))
+    numerator = r * r + 2.0 * r1 * r1 - r * r2
+    margin = float(np.min(numerator))
     if np.any(r <= 0.0) or margin <= 0.0:
         event("not strictly convex")
-        with pytest.raises(ConvexityViolation):
+        with pytest.raises(ConvexityViolation) as refusal:
             lo.RadialOval(base, bumps)
+        assert refusal.value.margin_index == np.argmin(numerator)
         return
     if any(not b.halfwidth <= b.anchor <= 2 * np.pi - b.halfwidth for b in bumps):
         event("a support straddles 0 = 2 pi")
     curve = lo.RadialOval(base, bumps)
     assert curve.grid_derivs.shape == (3, lo.SCAN_GRID)
     assert np.array_equal(curve.grid_derivs, want)
-    assert curve.convexity_margin == margin
+    assert curve.convexity_margin == margin == numerator[curve.margin_index]
+    assert curve.margin_index == np.argmin(numerator)
 
 
 def test_radial_table_is_evaluated_on_the_grid_once(monkeypatch):
@@ -527,7 +579,7 @@ def test_synthesis_wraps_grid_offsets_once_per_anchor(monkeypatch):
     # The candidate tables of one synthesis share their base, which keeps
     # each anchor's offsets on the grid range of its widest support: a
     # square's 4 anchors are wrapped once each, not once per bump of every
-    # candidate (48).
+    # candidate built.  The bound skips all but 4 of the 12 candidates.
     offset_calls, candidates = [], []
     offset, evaluate = lo.RadialBump.offset, lo.RadialOval._evaluate_grid
 
@@ -543,10 +595,69 @@ def test_synthesis_wraps_grid_offsets_once_per_anchor(monkeypatch):
     monkeypatch.setattr(lo.RadialBump, "offset", record_offset)
     monkeypatch.setattr(lo.RadialOval, "_evaluate_grid", record_candidate)
     curve = lo.build_accelerating_table(RECT, (-1.0, 2.0, -1.0, 2.0))
-    assert len(candidates) == len(lo.SUPPORT_FRACTIONS) == 12
+    assert len(lo.SUPPORT_FRACTIONS) == 12 and 1 <= len(candidates) <= 4
+    assert curve in candidates
     assert len(offset_calls) == len({anchor for anchor, _ in offset_calls}) == 4
     assert {anchor for anchor, _ in offset_calls} == {b.anchor for b in curve.bumps}
     assert all(not d.flags.writeable for _, d in curve.base._grid_offsets.values())
+
+
+def _exhaustive_table(points, slopes):
+    """The oracle of the synthesis's bound: each candidate built alone, the first largest margin wins.
+
+    With one support fraction there is no earlier candidate, so nothing is
+    skipped; the setup (base, anchors and their errors) is the library's.
+    """
+    tables, refusal = [], None
+    for fraction in lo.SUPPORT_FRACTIONS:
+        with mock.patch.object(lo, "SUPPORT_FRACTIONS", (fraction,)):
+            try:
+                tables.append(lo.build_accelerating_table(points, slopes))
+            except ConvexityViolation as exc:
+                refusal = exc
+    if not tables:
+        raise refusal
+    return max(tables, key=lambda table: table.convexity_margin)  # the first of equal maxima
+
+
+@st.composite
+def null_polygons(draw):
+    """Points and slopes of a random alternating null 4-gon, which is a rectangle.
+
+    The slopes are the side ratio with the signs a convex curve allows about
+    the centroid, each scaled by a factor in [2^-0.5, 2^0.5], so that about
+    a third of the draws give a table; a tenth get any signs.
+    """
+    cx, cy = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    hx, hy = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+    points = [(cx + hx, cy + hy), (cx - hx, cy + hy), (cx - hx, cy - hy), (cx + hx, cy - hy)]
+    signs = [-1.0, 1.0, -1.0, 1.0]
+    if draw(st.integers(0, 9)) == 0:
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4))
+    return points, [s * hy / hx * 2.0 ** draw(st.floats(-0.5, 0.5)) for s in signs]
+
+
+def _synthesis_outcome(build, points, slopes):
+    try:
+        table = build(points, slopes)
+    except (errors.PEBilliardsError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(b.anchor, b.value, b.tilt, b.halfwidth) for b in table.bumps], table.convexity_margin
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygon=null_polygons())
+@example(polygon=(RECT.tolist(), [-1.0, 1.0, -1.0, 1.0]))
+@example(polygon=(RECT.tolist(), [-1.0, 2.0, -1.0, 2.0]))
+def test_synthesis_bound_keeps_the_exhaustive_table(polygon):
+    # A candidate whose float-path numerator at an earlier candidate's
+    # least-numerator angle is at most the best margin has a margin no
+    # larger, so skipping it keeps the table (same bumps and margin) and,
+    # when no candidate is convex, the error of building every one.
+    got = _synthesis_outcome(lo.build_accelerating_table, *polygon)
+    want = _synthesis_outcome(_exhaustive_table, *polygon)
+    event("table" if isinstance(got[1], float) else got[0])
+    assert got == want
 
 
 @pytest.mark.parametrize("value", [1e200, 1e155])

@@ -174,3 +174,22 @@ def test_boundary_defect_sums_left_to_right():
     for s, xi in zip(ell.shape_diag.tolist(), x.tolist()):
         total += s * (xi * xi)
     assert ell.boundary_defect(x) == total - 1.0 == 3.888369626281474e-10
+
+
+def test_classify_vector_sums_left_to_right(monkeypatch):
+    # |v|^2 and <v,v> are summed left to right from +0 on every CPU.  Here
+    # OpenBLAS's ddot gives |v|^2 = 6.01146246397207, an ulp below the
+    # left-to-right sum; with the tolerance between the two ratios the
+    # verdict follows the left-to-right sum.
+    sig, v = Signature(2, 1), np.array([1.22, 1.2318, 1.73370448])
+    nrm2 = 0.0
+    for vi in v.tolist():
+        nrm2 += vi * vi
+    q = 1.22 * 1.22 + 1.2318 * 1.2318 - 1.73370448 * 1.73370448
+    tol = 2.6662280179278953e-09
+    assert nrm2 == 6.011462463972071 and q == 1.6027929650164197e-08
+    assert tol * 6.01146246397207 < q <= tol * nrm2
+    monkeypatch.setattr(pecore, "LIGHTLIKE_TOL", tol)
+    assert classify_vector(v, sig) is VectorType.LIGHTLIKE
+    monkeypatch.setattr(pecore, "LIGHTLIKE_TOL", np.nextafter(tol, 0.0))
+    assert classify_vector(v, sig) is VectorType.SPACELIKE
