@@ -8,7 +8,10 @@ normal vector is n_i = e_i nu_i and the reflection is
     v' = v - 2 (<v,n> / <n,n>) n .
 
 The step kernels compute in u = x / a, w = v / a, where the ellipsoid is the
-unit sphere; they are straight-line code generated per dimension (_kernels).
+unit sphere; they are straight-line code generated per dimension (_kernels):
+a chord and a reflection for the single-step API, and a walk that takes a
+whole orbit's bounces for the recorder, built from the same chord and
+reflection source.
 
 Reflection preserves the squared pseudo-norm and flips the sign of Ax.v, so
 the quantity H(x, v) = Ax.v is invariant along orbits (negative for inward
@@ -28,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from textwrap import indent
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -61,15 +65,16 @@ def _require_on_boundary(x: np.ndarray, ell: Ellipsoid) -> None:
 
 
 class _Kernels(NamedTuple):
-    """The straight-line chord and reflection kernels of one dimension (_kernels)."""
+    """The straight-line chord, reflection and walk kernels of one dimension (_kernels)."""
 
     chord: Callable[..., tuple]
     reflect: Callable[..., tuple]
+    walk: Callable[..., None]
 
 
 @functools.cache
 def _kernels(dim: int) -> _Kernels:
-    """The chord and reflection kernels on the unit sphere, written out for `dim` coordinates.
+    """The chord, reflection and walk kernels on the unit sphere, written out for `dim` coordinates.
 
     chord(u, w, uw2) is the exit point of the chord from u along inward w.
     In u = x / a, w = v / a the ellipsoid is the sphere u.u = 1 and the
@@ -83,46 +88,77 @@ def _kernels(dim: int) -> _Kernels:
     w - (2 w.u / u.m) m.  It returns w' and 2 w.u, whose negation 2 w'.u is
     the next chord's 2 u.w.
 
-    Both take and return tuples of scalars and compute in their type: numpy
-    long double in the recorder, Python floats in the single-step API.  Each
-    dot product is summed left to right from +0, the order of numpy's
-    long-double dot, so the recorder's rows are those of the same arithmetic
-    on arrays.  Pure arithmetic: the callers decide whether a chord or a
-    normal is allowed (_refused_chords, _null_normals).  Built from one
-    template on first use in each dimension; the source depends on `dim`
-    alone.
+    walk(u, w, uw2, E, n, us, ws) takes up to n bounces from (u, w), each a
+    chord and then a reflection, and stops early where u.w is not < 0 (NaN
+    included), where no chord exists.  Each bounce extends the flat lists
+    `us` and `ws` by its row of u and of w; it returns nothing.  Its loop
+    body is the same two snippets of source that make up chord and reflect,
+    so the three compute alike, bit for bit.
+
+    All take scalars and compute in their type: numpy long double in the
+    recorder, Python floats in the single-step API.  Each dot product is
+    summed left to right from +0, the order of numpy's long-double dot, so
+    the recorder's rows are those of the same arithmetic on arrays.  Pure
+    arithmetic: the callers decide whether a chord or a normal is allowed
+    (_refused_chords, _null_normals).  Built from one template on first use
+    in each dimension; the source depends on `dim` alone.
     """
     idx = range(dim)
 
     def each(expr: str) -> str:
         return ", ".join(expr.format(i=i) for i in idx) + ","
 
+    def lines(expr: str) -> str:
+        return "\n".join(expr.format(i=i) for i in idx)
+
     def dot(p: str, q: str) -> str:
         # A square is never -0.0, so a sum of squares rounds alike without its +0 start.
         start = "" if p == q else "0.0 + "
         return f"({start}" + " + ".join(f"{p}{i} * {q}{i}" for i in idx) + ")"
 
+    u, w, E = each("u{i}"), each("w{i}"), each("E{i}")
+    # The chord's exit point u from u, w and uw2 = 2 u.w.
+    chord_step = f"""\
+c = uw2 / {dot("w", "w")}
+{lines("y{i} = u{i} - c * w{i}")}
+g = ({dot("y", "y")} - 1.0) / uw2
+{lines("u{i} = y{i} + g * w{i}")}"""
+    # The reflected direction w at u, and wu2 = 2 w.u from the direction before it.
+    reflect_step = f"""\
+wu2 = 2.0 * {dot("w", "u")}
+{lines("m{i} = E{i} * u{i}")}
+h = wu2 / {dot("u", "m")}
+{lines("w{i} = w{i} - h * m{i}")}"""
+    bounce = f"{chord_step}\n{reflect_step}"
     source = f"""
 def chord(u, w, uw2):
-    {each("u{i}")} = u
-    {each("w{i}")} = w
-    c = uw2 / {dot("w", "w")}
-    {each("y{i}")} = {each("u{i} - c * w{i}")}
-    g = ({dot("y", "y")} - 1.0) / uw2
-    return ({each("y{i} + g * w{i}")})
+    {u} = u
+    {w} = w
+{indent(chord_step, "    ")}
+    return ({u})
 
 def reflect(u, w, E):
-    {each("u{i}")} = u
-    {each("w{i}")} = w
-    {each("E{i}")} = E
-    wu2 = 2.0 * {dot("w", "u")}
-    {each("m{i}")} = {each("E{i} * u{i}")}
-    h = wu2 / {dot("u", "m")}
-    return ({each("w{i} - h * m{i}")}), wu2
+    {u} = u
+    {w} = w
+    {E} = E
+{indent(reflect_step, "    ")}
+    return ({w}), wu2
+
+def walk(u, w, uw2, E, n, us, ws):
+    {u} = u
+    {w} = w
+    {E} = E
+    for _ in range(n):
+        if not uw2 < 0.0:
+            break
+{indent(bounce, "        ")}
+        uw2 = -wu2
+        us.extend(({u}))
+        ws.extend(({w}))
 """
     namespace: dict[str, Any] = {}
     exec(compile(source, f"<billiard kernels, dim {dim}>", "exec"), namespace)
-    return _Kernels(namespace["chord"], namespace["reflect"])
+    return _Kernels(namespace["chord"], namespace["reflect"], namespace["walk"])
 
 
 def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarray:
@@ -361,27 +397,28 @@ def run_orbit(
     where evaluating the quadratic integrals in plain double precision would
     drown the drift being measured in cancellation noise.
 
-    The loop only steps, calling the single-step API's straight-line chord
-    and reflection kernels (_kernels) on long-double scalars, in (u, w) =
-    (x / a, v / a) on the unit sphere; each reflection's 2 w.u, negated, is
-    the next chord's 2 u.w = 2 Ax.v.  Each step's row is appended to a list,
-    the lists are converted to arrays once after the loop, and the rows are
-    returned as x = a u, v = a w.  The loop decides nothing, and stops early
-    only once u.w is not < 0 (NaN included), where no chord exists.  All
-    decisions are made after it, over the stepped rows.  The two abort tests
-    are row-wise predicates that the single-step API applies to its one row:
-    bounce k fails when the chord test refuses row k - 1 (NotInward) or the
-    normal test row k (NullNormal), the chord first.  A run that fails on a
-    grazing chord or on a finite, tiny <n,n> may step on up to n_bounces, so
-    it never costs more than a clean run of that length.  H, every F_k and,
-    with `fam`, Q's coefficients are then evaluated for all rows at once, and
-    the per-row core of confocal.tangency_parameters solves each row.  A row
-    is recorded only when its state, H and every F_k are finite (else
-    NonFinite) and its tangency parameters, if asked for, are solved (else
-    RootIsolationFailure).  A failed bounce or row k >= 1 ends the record
-    before row k, with the reason and abort_bounce = k.  A failed row 0,
-    resonant axes, or a start off the boundary or not pointing inward raise
-    before the first bounce.
+    The bounces are stepped by one call of the generated walk (_kernels),
+    whose loop body is the single-step API's chord and reflection source, on
+    long-double scalars in (u, w) = (x / a, v / a) on the unit sphere; each
+    reflection's 2 w.u, negated, is the next chord's 2 u.w = 2 Ax.v.  The
+    walk extends two flat lists, one value per coordinate of u and of w,
+    each converted once to a long-double array of shape (rows, dim), and the
+    rows are returned as x = a u, v = a w.  The walk decides nothing, and
+    stops early only once u.w is not < 0 (NaN included), where no chord
+    exists.  All decisions are made after it, over the stepped rows.  The
+    two abort tests are row-wise predicates that the single-step API applies
+    to its one row: bounce k fails when the chord test refuses row k - 1
+    (NotInward) or the normal test row k (NullNormal), the chord first.  A
+    run that fails on a grazing chord or on a finite, tiny <n,n> may step on
+    up to n_bounces, so it never costs more than a clean run of that length.
+    H, every F_k and, with `fam`, Q's coefficients are then evaluated for all
+    rows at once, and the per-row core of confocal.tangency_parameters
+    solves each row.  A row is recorded only when its state, H and every F_k
+    are finite (else NonFinite) and its tangency parameters, if asked for,
+    are solved (else RootIsolationFailure).  A failed bounce or row k >= 1
+    ends the record before row k, with the reason and abort_bounce = k.  A
+    failed row 0, resonant axes, or a start off the boundary or not pointing
+    inward raise before the first bounce.
     """
     if n_bounces < 1:
         raise ValueError("bounce count must be >= 1")
@@ -398,25 +435,19 @@ def run_orbit(
     a, E, A = np.sqrt(a2), sig.e / a2, 1.0 / a2
     u, w = r.x / a, r.v / a
     uw2 = 2.0 * u.dot(w)
-    chord, reflect_ = _kernels(ell.dim)
-    u, w, E = tuple(u), tuple(w), tuple(E)
-    us, ws = [u], [w]
+    # Row 0, flat; a long-double array's tolist() holds long-double scalars.
+    # The walk starts from it and extends the lists by one row per bounce.
+    us, ws = u.tolist(), w.tolist()
 
     with np.errstate(all="ignore"):
-        for _ in range(n_bounces):
-            if not uw2 < 0.0:
-                break
-            u = chord(u, w, uw2)
-            w, wu2 = reflect_(u, w, E)
-            uw2 = -wu2
-            us.append(u)
-            ws.append(w)
-        rows = len(us)
-        xs, vs = a * np.array(us, dtype=np.longdouble), a * np.array(ws, dtype=np.longdouble)
+        _kernels(ell.dim).walk(us, ws, uw2, E.tolist(), n_bounces, us, ws)
+        rows = len(us) // ell.dim
+        xs = a * np.array(us, dtype=np.longdouble).reshape(rows, ell.dim)
+        vs = a * np.array(ws, dtype=np.longdouble).reshape(rows, ell.dim)
 
         # Bounce b + 1 takes the chord from row b and reflects at row b + 1.
         # Each list ends in a sentinel at index `taken`, the first bounce not
-        # stepped: one past the last, or the chord the loop stopped at (u.w
+        # stepped: one past the last, or the chord the walk stopped at (u.w
         # not < 0, so refused).  axvs are H's unrounded values.
         Axs = A * xs
         axvs = (Axs * vs).sum(1)

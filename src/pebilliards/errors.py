@@ -66,7 +66,7 @@ class ConvexityViolation(PEBilliardsError):
 
 
 class InfeasibleSlopes(PEBilliardsError):
-    """Requested slope signs are incompatible with any convex traversal."""
+    """Requested vertex slopes are incompatible with any convex curve through the vertices."""
 
 
 class ConfigError(PEBilliardsError):

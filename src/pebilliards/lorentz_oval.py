@@ -729,7 +729,11 @@ def build_accelerating_table(points, slopes) -> RadialOval:
     of least numerator of any candidate built before it, refused ones too:
     its margin, the least numerator on the grid, equal to the float path's,
     could not be larger (a nan never skips).  Raises InfeasibleSlopes when
-    the sign pattern cannot be convex, ConvexityViolation when all fail.
+    the tangent line at a vertex, with its slope, does not have every other
+    vertex strictly on one side, by more than 1e-9 times the larger of 1 and
+    the largest coordinate offset from the centroid: no convex curve through
+    the vertices has that slope there.  Raises ConvexityViolation when all
+    candidates fail.
     """
     pts = np.asarray(points, dtype=float)
     slopes = [float(t) for t in slopes]
@@ -744,12 +748,16 @@ def build_accelerating_table(points, slopes) -> RadialOval:
     axis_tol = 1e-9 * scale
 
     ratios = []
-    for (du, dw), t in zip(rel, slopes):
+    for j, ((du, dw), t) in enumerate(zip(rel, slopes)):
+        # Signed distances of the other vertices from the tangent line at vertex j.
+        norm = math.hypot(1.0, t)
+        sides = [((dw_k - dw) - t * (du_k - du)) / norm for k, (du_k, dw_k) in enumerate(rel) if k != j]
+        if not (min(sides) > axis_tol or max(sides) < -axis_tol):
+            raise InfeasibleSlopes(
+                f"slope {t} at vertex {j + 1} cannot lie on a convex curve: "
+                "the other vertices are not strictly on one side of its tangent line"
+            )
         if abs(du) > axis_tol and abs(dw) > axis_tol:
-            if (t > 0.0) == (du * dw > 0.0):
-                raise InfeasibleSlopes(
-                    f"slope {t} at offset ({du:.3g}, {dw:.3g}) cannot lie on a convex curve"
-                )
             ratios.append(abs(t) * abs(dw) / abs(du))
     k = math.exp(math.fsum(map(math.log, ratios)) / len(ratios)) if ratios else 1.0
 

@@ -1017,6 +1017,8 @@ def test_single_step_api_equals_the_array_kernel(case):
 
 
 def test_run_orbit_reuses_the_kernels_of_its_dimension():
+    # One build per dimension serves the recorder's walk and the single-step
+    # API alike.
     sig, ell = Signature(2, 1), Ellipsoid((3.0, 2.0, 1.0))
     start = sample_null_ray(ell, sig, 7)
     billiard._kernels.cache_clear()
@@ -1025,3 +1027,21 @@ def test_run_orbit_reuses_the_kernels_of_its_dimension():
     second = run_orbit(start, 20, ell, sig)
     assert billiard._kernels.cache_info()[:2] == (1, 1)
     assert first.xs.tobytes() == second.xs.tobytes() and first.vs.tobytes() == second.vs.tobytes()
+    billiard_map(start, ell, sig)
+    assert billiard._kernels.cache_info()[:2] == (3, 1)
+
+
+def test_run_orbit_steps_only_through_the_walk(monkeypatch):
+    # With the single-step chord and reflection kernels replaced by functions
+    # that raise, the recorder still records the stepwise oracle's rows: its
+    # bounces are all taken inside the generated walk.
+    def refuse(*args):
+        raise AssertionError("run_orbit called a single-step kernel")
+
+    real = billiard._kernels
+    monkeypatch.setattr(billiard, "_kernels", lambda dim: real(dim)._replace(chord=refuse, reflect=refuse))
+    for (p, q), axes in NULL_AXES.items():
+        sig, ell = Signature(p, q), Ellipsoid(axes)
+        _assert_same_outcome(sample_null_ray(ell, sig, 5), 200, ell, sig)
+    for ell, start, _, _ in LATE_ABORT_STARTS:
+        _assert_same_outcome(start, 50, ell, LORENTZ)

@@ -247,6 +247,30 @@ def test_build_table_infeasible_sign_pattern():
         lo.build_accelerating_table(RECT, (0.0, 1.0, -1.0, 1.0))
 
 
+def test_build_table_feasibility_is_the_supporting_line_condition():
+    # A tilted ellipse whose chord map has period 3 (form [[1/a^2, m], [m,
+    # 1/b^2]], m = -cos(pi/3) / (a b)) is a convex curve through its closed
+    # hexagon with its own slopes, although at vertices 3 and 6 the slope has
+    # the sign of the product of the offsets from the centroid, which an
+    # axis-aligned shape forbids.  Every tangent line supports the hexagon, so
+    # synthesis passes its feasibility test; no bump table on its
+    # axis-aligned base is convex.
+    a, b = 1.2677, 1.9257
+    m = -0.5 / (a * b)
+    poly = lo.polygon_from_parameter(lo.EllipseOval(np.array([[a**-2, m], [m, b**-2]])), 0.5, 3)
+    rel = np.asarray(poly.points) - np.mean(poly.points, axis=0)
+    same_sign = [bool((t > 0.0) == (du * dw > 0.0)) for (du, dw), t in zip(rel, poly.slopes)]
+    assert same_sign == [False, False, True, False, False, True]
+    with pytest.raises(ConvexityViolation):
+        lo.build_accelerating_table(poly.points, poly.slopes)
+    # Flipping one slope puts vertices on both sides of that vertex's tangent line.
+    for j in range(6):
+        slopes = list(poly.slopes)
+        slopes[j] = -slopes[j]
+        with pytest.raises(InfeasibleSlopes, match=f" at vertex {j + 1} cannot lie on a convex curve"):
+            lo.build_accelerating_table(poly.points, slopes)
+
+
 def test_radial_oval_convexity_violation():
     with pytest.raises(ConvexityViolation):
         lo.RadialOval(
