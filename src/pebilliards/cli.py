@@ -4,8 +4,10 @@ One JSON config document per run, checked against the command's key-spec
 table before anything is computed or written.  Unknown keys, missing
 required keys and values of the wrong type or range are config errors that
 name the dotted path of the key, e.g. ``config.initial.x``.  Outputs are
-deterministic for a fixed config and seed: CSV floats use shortest
-round-trip formatting, JSON keys are sorted, and line endings are LF.
+deterministic for a fixed config and seed: every CSV float is the text of
+its ``repr`` (the shortest that reads back; `floattext` writes the cells of
+``orbit.csv`` in one array pass with the same bytes), JSON keys are sorted,
+and line endings are LF.
 
 Exit codes:
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import billiard, confocal, lorentz_oval, verify
+from . import billiard, confocal, floattext, lorentz_oval, verify
 from .errors import (
     ConfigError,
     ConvexityViolation,
@@ -246,9 +247,12 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
+    _write_bytes(path, ("\n".join(lines) + "\n").encode())
+
+
+def _write_bytes(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path.write_bytes(data)
 
 
 def _geometry(cfg: dict) -> tuple[Ellipsoid, Signature]:
@@ -283,27 +287,6 @@ def _initial_state(init: dict, ell: Ellipsoid, sig: Signature, seed: int) -> Ray
     return RayState(x, v)
 
 
-class _Reprs(dict):
-    """Texts of floats by value; a value not held is formatted on lookup."""
-
-    def __missing__(self, value: float) -> str:
-        return repr(value)
-
-
-def _orbit_lines(free: np.ndarray, conserved: np.ndarray) -> list[str]:
-    """CSV rows `index,free...,conserved...`, each cell the repr of its float (_fmt's text).
-
-    The rows are built by column.  The conserved columns (H and every F_k)
-    hold a few distinct values down an orbit, so each distinct non-zero
-    value is formatted once.  Zeros are formatted per cell: 0.0 and -0.0 are
-    one dict key but two texts.
-    """
-    conserved = conserved.T.tolist()
-    text = _Reprs((c, repr(c)) for c in set(itertools.chain.from_iterable(conserved)) if c)
-    cells = [map(repr, col) for col in free.T.tolist()] + [map(text.__getitem__, col) for col in conserved]
-    return list(map(",".join, zip(map(str, range(len(free))), *cells)))
-
-
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     ell, sig = _geometry(cfg)
 
@@ -330,12 +313,15 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         + [f"F{i + 1}" for i in range(dim)]
         + [f"lam{i + 1}" for i in range(lam_count)]
     )
-    lines = _orbit_lines(np.column_stack([record.xs, record.vs]), np.column_stack([record.h, record.f]))
-    if lam_count:
-        for idx, ts in enumerate(record.tangency):
-            lams = [_fmt(c) for c in ts.lambdas[:lam_count]]
-            lines[idx] = ",".join([lines[idx], *lams] + [""] * (lam_count - len(lams)))
-    _write_lines(out_dir / "orbit.csv", [",".join(header), *lines])
+    # A row with fewer tangency parameters than row 0 ends in blank cells.
+    cells = np.column_stack([record.xs, record.vs, record.h, record.f, np.zeros((len(record.xs), lam_count))])
+    blank = np.zeros(cells.shape, bool)
+    first = cells.shape[1] - lam_count
+    for idx, ts in enumerate(record.tangency if lam_count else ()):
+        lams = ts.lambdas[:lam_count]
+        cells[idx, first : first + len(lams)] = lams
+        blank[idx, first + len(lams) :] = True
+    _write_bytes(out_dir / "orbit.csv", (",".join(header) + "\n").encode() + floattext.csv_rows(cells, blank))
     summary = {
         "bounces_requested": cfg["bounces"],
         "bounces_completed": record.bounce_count,

@@ -582,19 +582,17 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
 
 
 def test_orbit_rows_format_each_cell_as_its_repr():
-    # The conserved columns are formatted once per distinct value; 0.0 and
-    # -0.0 compare equal but keep their own texts, in the free and the
-    # conserved columns alike.
-    from pebilliards.cli import _orbit_lines
+    # 0.0 and -0.0 compare equal but keep their own texts, below and above the
+    # array pass's threshold alike; a blank cell is empty.
+    from pebilliards.floattext import ARRAY_PASS_CELLS, csv_rows
 
-    free = np.array([[0.1, -0.0], [0.0, 2.5], [-0.0, 1e-300]])
-    conserved = np.array([[-0.5, 0.0, 3.0], [-0.5, -0.0, 3.0], [-0.5, 0.0, 1.0 / 3.0]])
-    assert _orbit_lines(free, conserved) == [
-        "0,0.1,-0.0,-0.5,0.0,3.0",
-        "1,0.0,2.5,-0.5,-0.0,3.0",
-        "2,-0.0,1e-300,-0.5,0.0,0.3333333333333333",
-    ]
-    assert _orbit_lines(free[:0], conserved[:0]) == []
+    cells = np.array([[0.1, -0.0, -0.5, 0.0, 3.0], [0.0, 2.5, -0.5, -0.0, np.nan], [-0.0, 1e-300, -0.5, 0.0, 1 / 3]])
+    rows = [b"0.1,-0.0,-0.5,0.0,3.0", b"0.0,2.5,-0.5,-0.0,", b"-0.0,1e-300,-0.5,0.0,0.3333333333333333"]
+    assert csv_rows(cells, np.isnan(cells)) == b"".join(b"%d,%s\n" % (i, row) for i, row in enumerate(rows))
+    big = np.tile(cells, (ARRAY_PASS_CELLS // cells.size + 1, 1))
+    assert big.size >= ARRAY_PASS_CELLS
+    assert csv_rows(big, np.isnan(big)) == b"".join(b"%d,%s\n" % (i, rows[i % 3]) for i in range(len(big)))
+    assert csv_rows(cells[:0]) == b""
 
 
 def test_thousand_bounce_orbit_csv_is_the_per_cell_repr_of_its_record(tmp_path, monkeypatch):
@@ -617,8 +615,6 @@ def test_thousand_bounce_orbit_csv_is_the_per_cell_repr_of_its_record(tmp_path, 
         cells = [*rec.xs[k], *rec.vs[k], rec.h[k], *rec.f[k]]
         lines.append(",".join([str(k)] + [repr(float(c)) for c in cells]))
     assert (out / "orbit.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
-    # The conserved columns repeat values, which are formatted once each.
-    assert len(set(rec.f[:, 0].tolist())) < 500
 
 
 def test_mid_orbit_root_isolation_failure_exits_2_with_files(tmp_path, monkeypatch):
@@ -870,6 +866,59 @@ def readme_digests(work: Path) -> dict[str, dict[str, str]]:
         assert main([*command, "--config", write_config(work, doc, config), "--out", str(work / out)]) == 0
         digests[out] = {p.name: sha256(p) for p in sorted((work / out).iterdir())}
     return digests
+
+
+def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr(tmp_path, monkeypatch):
+    # Where long double is double the array pass's margin exceeds every cell's
+    # half gap, so repr writes every cell, and the bytes stay the same.
+    from pebilliards import floattext
+
+    shortest = floattext._shortest
+    decided = []
+
+    def counted(x):
+        sure, *rest = shortest(x)
+        decided.append(int(sure.sum()))
+        return (sure, *rest)
+
+    monkeypatch.setattr(floattext, "LONGDOUBLE_BITS", 53)
+    monkeypatch.setattr(floattext, "_shortest", counted)
+    command, config, doc, out = README_EXAMPLES[0]
+    assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0
+    assert decided == [0]
+    if np.finfo(np.longdouble).nmant == 63:
+        want = json.loads(README_DIGESTS.read_text())["simulate"]
+        assert {p.name: sha256(p) for p in sorted((tmp_path / out).iterdir())} == want
+
+
+def test_three_bounce_simulate_formats_every_cell_with_repr(tmp_path, monkeypatch):
+    # Below the array pass's cell threshold every cell is repr's text, joined
+    # by commas as before the pass existed.
+    from pebilliards import billiard, floattext
+
+    def no_array_pass(x):
+        raise AssertionError("the array pass ran on a table below its threshold")
+
+    run_orbit = billiard.run_orbit
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(run_orbit(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(floattext, "_shortest", no_array_pass)
+    monkeypatch.setattr(billiard, "run_orbit", recorded)
+    out = tmp_path / "out"
+    doc = simulate_doc(bounces=3, record_tangency=True)
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    (rec,) = seen
+    assert [ts.count for ts in rec.tangency] == [1] * 4  # a light-like orbit has one parameter
+    lines = ["index,x1,x2,x3,v1,v2,v3,H,F1,F2,F3,lam1"]
+    for k in range(4):
+        cells = [*rec.xs[k], *rec.vs[k], rec.h[k], *rec.f[k], *rec.tangency[k].lambdas]
+        lines.append(",".join([str(k)] + [repr(float(c)) for c in cells]))
+    assert 4 * (len(lines[0].split(",")) - 1) < floattext.ARRAY_PASS_CELLS
+    assert (out / "orbit.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_readme_examples_write_the_committed_bytes(tmp_path):
