@@ -7,11 +7,9 @@ normal vector is n_i = e_i nu_i and the reflection is
 
     v' = v - 2 (<v,n> / <n,n>) n .
 
-The step kernels compute in u = x / a, w = v / a, where the ellipsoid is the
-unit sphere; they are straight-line code generated per dimension (_kernels):
-a chord and a reflection for the single-step API, and a walk that takes a
-whole orbit's bounces for the recorder, built from the same chord and
-reflection source.
+The recorder (run_orbit) steps in u = x / a, w = v / a, where the ellipsoid
+is the unit sphere, with one walk of straight-line code generated per
+dimension (_kernels) from the source of a chord and a reflection.
 
 Reflection preserves the squared pseudo-norm and flips the sign of Ax.v, so
 the quantity H(x, v) = Ax.v is invariant along orbits (negative for inward
@@ -44,7 +42,6 @@ from .errors import (
     OffBoundary,
     ResonantAxes,
     RootIsolationFailure,
-    ZeroDirection,
 )
 from .pecore import BOUNDARY_TOL, Ellipsoid, RayState, Signature, _dot
 
@@ -95,13 +92,13 @@ def _kernels(dim: int) -> _Kernels:
     body is the same two snippets of source that make up chord and reflect,
     so the three compute alike, bit for bit.
 
-    All take scalars and compute in their type: numpy long double in the
-    recorder, Python floats in the single-step API.  Each dot product is
-    summed left to right from +0, the order of numpy's long-double dot, so
-    the recorder's rows are those of the same arithmetic on arrays.  Pure
-    arithmetic: the callers decide whether a chord or a normal is allowed
-    (_refused_chords, _null_normals).  Built from one template on first use
-    in each dimension; the source depends on `dim` alone.
+    All take scalars and compute in their type (numpy long double in the
+    recorder).  Each dot product is summed left to right from +0, the order
+    of numpy's long-double dot, so the recorder's rows are those of the same
+    arithmetic on arrays.  Pure arithmetic: the caller decides whether a
+    chord or a normal is allowed (_refused_chords, _null_normals).  Built
+    from one template on first use in each dimension; the source depends on
+    `dim` alone.
     """
     idx = range(dim)
 
@@ -192,64 +189,12 @@ def _not_inward(axv) -> NotInward:
 def _null_normal(Ax: np.ndarray, e: np.ndarray) -> NullNormal:
     """The error for a null normal at the boundary point with conormal Ax.
 
-    <n,n> is a cancelling sum, whose leading digits depend on the precision.
-    The recorder passes the conormal of its row rounded to double precision,
-    so it reports <n,n> as the single-step API, which computes in double
-    precision, does.  The sum runs left to right (_dot), on every CPU alike.
+    <n,n> is a cancelling sum, whose leading digits depend on the precision,
+    so the recorder passes its row's conormal rounded to double and the
+    message keeps its bytes wherever long double differs.  The sum runs left
+    to right (_dot), on every CPU alike.
     """
     return NullNormal(f"<n,n> = {_dot(Ax, e * Ax):.3e} is null within tolerance")
-
-
-def _on_sphere(r: RayState, ell: Ellipsoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The semi-axes a (from a^2, as the recorder takes them) and (u, w) = (x / a, v / a)."""
-    a = np.sqrt(ell.a2)
-    return a, r.x / a, r.v / a
-
-
-def advance_to_boundary(r: RayState, ell: Ellipsoid) -> RayState:
-    """Follow the chord from a boundary point with inward direction to its exit point.
-
-    Raises NotInward where the chord is refused (_refused_chords), and
-    ZeroDirection where w.w = v.v / a^2 underflows double precision.
-    """
-    if r.dim != ell.dim:
-        raise ValueError(f"ray dimension {r.dim} != ellipsoid dimension {ell.dim}")
-    _require_on_boundary(r.x, ell)
-    a, u, w = _on_sphere(r, ell)
-    uw = _dot(u, w)
-    if _refused_chords(r.x, r.v, uw):
-        raise _not_inward(uw)
-    try:
-        y = _kernels(ell.dim).chord(u.tolist(), w.tolist(), 2.0 * uw)
-    except ZeroDivisionError:  # w.w, which the chord divides by, underflows
-        raise ZeroDirection("direction vector's square underflows double precision") from None
-    return RayState(a * np.array(y), r.v)
-
-
-def reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
-    """Reflect the velocity at a boundary point: flip the metric-normal component.
-
-    Guarantees <u,u> = <v,v> and Ax.u = -Ax.v up to rounding.  Raises
-    NotInward where v is tangent to the boundary or not finite, and
-    NullNormal where the boundary normal is light-like (reflection undefined).
-    """
-    if r.dim != ell.dim or ell.dim != sig.dim:
-        raise ValueError("ray, ellipsoid, and signature dimensions must agree")
-    _require_on_boundary(r.x, ell)
-    a, u, w = _on_sphere(r, ell)
-    wu = _dot(w, u)
-    if not 0.0 < abs(wu) < np.inf:
-        raise NotInward(f"v.Ax = {wu:.3e}: velocity is tangent to the boundary or not finite")
-    Ax = ell.conormal(r.x)
-    if _null_normals(Ax, sig.e):
-        raise _null_normal(Ax, sig.e)
-    w, _ = _kernels(ell.dim).reflect(u.tolist(), w.tolist(), (sig.e / ell.a2).tolist())
-    return RayState(r.x, a * np.array(w))
-
-
-def billiard_map(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
-    """One bounce: advance along the chord, then reflect at the far boundary point."""
-    return reflect(advance_to_boundary(r, ell), ell, sig)
 
 
 class _PairPlan(NamedTuple):
@@ -301,13 +246,6 @@ def _integral_denominators(ell: Ellipsoid, sig: Signature) -> np.ndarray:
     if 0.0 in d:
         raise ResonantAxes("some e_i a_k^2 - e_k a_i^2 vanishes; axes are resonant")
     return np.array(d)
-
-
-def integrals(x, v, ell: Ellipsoid, sig: Signature) -> np.ndarray:
-    """All integrals F_0 .. F_n at a single phase point."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return integrals_batch(x[None, :], v[None, :], ell, sig)[0]
 
 
 def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signature) -> np.ndarray:
@@ -398,16 +336,15 @@ def run_orbit(
     drown the drift being measured in cancellation noise.
 
     The bounces are stepped by one call of the generated walk (_kernels),
-    whose loop body is the single-step API's chord and reflection source, on
-    long-double scalars in (u, w) = (x / a, v / a) on the unit sphere; each
-    reflection's 2 w.u, negated, is the next chord's 2 u.w = 2 Ax.v.  The
-    walk extends two flat lists, one value per coordinate of u and of w,
-    each converted once to a long-double array of shape (rows, dim), and the
-    rows are returned as x = a u, v = a w.  The walk decides nothing, and
-    stops early only once u.w is not < 0 (NaN included), where no chord
-    exists.  All decisions are made after it, over the stepped rows.  The
-    two abort tests are row-wise predicates that the single-step API applies
-    to its one row: bounce k fails when the chord test refuses row k - 1
+    whose loop body is the chord and reflection source, on long-double
+    scalars in (u, w) = (x / a, v / a) on the unit sphere; each reflection's
+    2 w.u, negated, is the next chord's 2 u.w = 2 Ax.v.  The walk extends
+    two flat lists, one value per coordinate of u and of w, each converted
+    once to a long-double array of shape (rows, dim), and the rows are
+    returned as x = a u, v = a w.  The walk decides nothing, and stops early
+    only once u.w is not < 0 (NaN included), where no chord exists.  All
+    decisions are made after it, over the stepped rows, by two row-wise
+    predicates: bounce k fails when the chord test refuses row k - 1
     (NotInward) or the normal test row k (NullNormal), the chord first.  A
     run that fails on a grazing chord or on a finite, tiny <n,n> may step on
     up to n_bounces, so it never costs more than a clean run of that length.

@@ -127,17 +127,6 @@ def _discriminant_terms(lin: list, x: list, v: list, lam: float) -> tuple[float,
     return xbv * xbv, vbv * (xbx - 1.0)
 
 
-def tangency_discriminant(fam: ConfocalFamily, r: RayState, lam: float) -> float:
-    """G(lam) for the line of r; zero iff the line is tangent to member(fam, lam)."""
-    lam = float(lam)
-    if _near_pole(fam, lam):
-        raise PoleParameter(f"lambda = {lam} is at (or within tolerance of) a family pole")
-    if r.dim != fam.dim:
-        raise ValueError(f"ray dimension {r.dim} != family dimension {fam.dim}")
-    first, second = _discriminant_terms(fam.factors, r.x.tolist(), r.v.tolist(), lam)
-    return first - second
-
-
 def tangency_polynomial(fam: ConfocalFamily, xs, vs) -> np.ndarray:
     """Ascending coefficients of Q (length d on the last axis) for each row of xs, vs.
 

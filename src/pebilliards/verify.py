@@ -1,11 +1,11 @@
 """Numerical witnesses of the integrable structure.
 
-Canonical Poisson brackets of the quadratic integrals, conservation drift
-over recorded orbits, and free-flight invariance.  Phase space is (x, p)
-with the momentum identified through the metric, p_i = e_i v_i; every
-bracket, including those of commutation_sweep, routes through that single
-adapter in poisson_bracket, so the sign bookkeeping lives in one place.  In
-velocity variables the bracket reads
+Canonical Poisson brackets of the quadratic integrals and conservation
+drift over recorded orbits.  Phase space is (x, p) with the momentum
+identified through the metric, p_i = e_i v_i; every bracket, including
+those of commutation_sweep, routes through that single adapter in
+poisson_bracket, so the sign bookkeeping lives in one place.  In velocity
+variables the bracket reads
 
     {F, G} = sum_i e_i (dF/dx_i dG/dv_i - dF/dv_i dG/dx_i).
 """
@@ -31,9 +31,6 @@ BRACKET_TOL = 1e-10
 
 #: Relative central-difference step of gradient_check.
 FD_STEP = 1e-6
-
-#: free_flight_invariance slides base points by up to this many times v.
-FREE_FLIGHT_SPAN = 3.0
 
 
 def moser_gradients_batch(
@@ -248,38 +245,3 @@ def drift_report(orbit: OrbitRecord) -> DriftReport:
         lambda_mismatch=mismatch,
         aborted=orbit.abort_reason,
     )
-
-
-@dataclass(frozen=True)
-class FreeFlightReport:
-    """Worst free-flight defects of the integrals and the line-level invariant."""
-
-    f_defect: float
-    h_defect: float
-    samples: int = 0
-
-
-def free_flight_invariance(ell: Ellipsoid, sig: Signature, samples: int, seed: int) -> FreeFlightReport:
-    """Max defect of F_k and of canonicalized H under sliding the base point.
-
-    F_k(x + t v, v) equals F_k(x, v) identically; H is made line-invariant by
-    evaluating the conormal pairing at the Euclidean foot point of the line.
-    """
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((samples, ell.dim))
-    vs = rng.standard_normal((samples, ell.dim))
-    ts = rng.uniform(-FREE_FLIGHT_SPAN, FREE_FLIGHT_SPAN, samples)
-
-    f0 = integrals_batch(xs, vs, ell, sig)
-    f1 = integrals_batch(xs + ts[:, None] * vs, vs, ell, sig)
-    f_defect = float(np.max(np.abs(f1 - f0) / np.maximum(1.0, np.abs(f0))))
-
-    def canonical_h(points: np.ndarray) -> np.ndarray:
-        vhat = vs / np.linalg.norm(vs, axis=1, keepdims=True)
-        foot = points - np.sum(points * vhat, axis=1, keepdims=True) * vhat
-        return np.sum(foot * ell.shape_diag * vs, axis=1)
-
-    h0 = canonical_h(xs)
-    h1 = canonical_h(xs + ts[:, None] * vs)
-    h_defect = float(np.max(np.abs(h1 - h0) / np.maximum(1.0, np.abs(h0))))
-    return FreeFlightReport(f_defect=f_defect, h_defect=h_defect, samples=samples)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import sympy
 
+from pebilliards import confocal
 from pebilliards.billiard import run_orbit
 from pebilliards.confocal import (
     ConfocalFamily,
     TangencySet,
     member,
-    tangency_discriminant,
     tangency_parameters,
     tangency_polynomial,
 )
@@ -20,6 +20,12 @@ poly = np.polynomial.polynomial
 def _poles(fam):
     """The pole parameters lam = -e_i a_i^2 of the family, one per axis."""
     return -fam.sig.e * fam.ellipsoid.a2
+
+
+def _discriminant(fam, r, lam):
+    """G(lam) for the line of r: the difference of the two terms the root check compares."""
+    first, second = confocal._discriminant_terms(fam.factors, r.x.tolist(), r.v.tolist(), lam)
+    return first - second
 
 
 def cleared_polynomial(fam, r):
@@ -110,13 +116,14 @@ def test_poles(plane_lorentz, plane_euclid):
 def test_discriminant_vertical_line_tangency(plane_euclid):
     # The vertical line x1 = 1 is tangent to the member with c1 = 1, lambda = -3.
     line = RayState((1.0, 0.0), (0.0, 1.0))
-    assert tangency_discriminant(plane_euclid, line, -3.0) == pytest.approx(0.0, abs=1e-14)
-    assert tangency_discriminant(plane_euclid, line, 0.0) != pytest.approx(0.0, abs=1e-3)
+    assert _discriminant(plane_euclid, line, -3.0) == pytest.approx(0.0, abs=1e-14)
+    assert _discriminant(plane_euclid, line, 0.0) != pytest.approx(0.0, abs=1e-3)
 
 
 def test_discriminant_pole_rejected(plane_euclid):
-    with pytest.raises(PoleParameter):
-        tangency_discriminant(plane_euclid, RayState((1, 0), (0, 1)), -1.0)
+    # A root at a pole is set aside before G is evaluated there.
+    assert confocal._near_pole(plane_euclid, -1.0)
+    assert not confocal._near_pole(plane_euclid, -3.0)
 
 
 @pytest.mark.parametrize("p,q,axes", [(2, 0, (2.0, 1.0)), (1, 1, (2.0, 1.0)), (2, 1, (3.0, 2.0, 1.0))])
@@ -144,7 +151,7 @@ def test_discriminant_construct_then_check(p, q, axes):
         v -= (v @ grad) / (grad @ grad) * grad
         if np.linalg.norm(v) < 1e-8:
             continue
-        g = tangency_discriminant(fam, RayState(x, v), lam)
+        g = _discriminant(fam, RayState(x, v), float(lam))
         b = 1.0 / c
         scale = max(1.0, float((x * v) @ b) ** 2, abs(float((v * v) @ b) * (float((x * x) @ b) - 1)))
         assert abs(g) <= 1e-9 * scale
@@ -201,7 +208,7 @@ def test_cleared_polynomial_matches_discriminant_pointwise(plane_lorentz):
         lam = rng.uniform(-8, 8)
         if np.min(np.abs(_poles(plane_lorentz) - lam)) < 1e-3:
             continue
-        g = tangency_discriminant(plane_lorentz, r, lam)
+        g = _discriminant(plane_lorentz, r, lam)
         prod = float(np.prod(plane_lorentz.coefficients(lam)) ** 2)
         val = float(np.polynomial.polynomial.polyval(lam, coeffs))
         assert val == pytest.approx(g * prod, rel=1e-8, abs=1e-8 * max(1.0, abs(g * prod)))

@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,46 @@ def test_no_public_function_takes_a_tolerance():
     ]
     assert len(dict(_public_functions())) > 50
     assert found == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _references(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every `mod.name` and `from ...mod import name` in a file, through import aliases."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    refs, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name.rsplit(".", 1)[-1]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                refs.update((node.module.rsplit(".", 1)[-1], alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            refs.add((modules.get(node.value.id, node.value.id), node.attr))
+    return refs
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    # A public function or class whose only callers are its own unit tests
+    # leaves the library.  A caller is a bare use in its own module outside
+    # its definition, or `mod.name` or `from .mod import name` in another
+    # module of the package, in perfbench or in the acceptance gate.
+    src = ROOT / "src" / "pebilliards"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    outside = set().union(*map(_references, [*ROOT.glob("perfbench/*.py"), ROOT / "tests" / "test_acceptance.py"]))
+    uncalled = []
+    for mod, tree in trees.items():
+        called = outside.union(*(_references(src / f"{other}.py") for other in trees if other != mod))
+        for defn in tree.body:
+            if not isinstance(defn, (ast.FunctionDef, ast.ClassDef)) or defn.name.startswith("_"):
+                continue
+            inside = set(map(id, ast.walk(defn)))
+            own = (n for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in inside)
+            if (mod, defn.name) not in called and all(n.id != defn.name for n in own):
+                uncalled.append(f"{mod}.{defn.name}")
+    assert uncalled == []
 
 
 def test_boundary_defect_sums_left_to_right():

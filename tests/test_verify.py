@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from pebilliards.billiard import OrbitRecord, run_orbit, sample_null_ray
+from pebilliards.billiard import OrbitRecord, integrals_batch, run_orbit, sample_null_ray
 from pebilliards.confocal import ConfocalFamily, TangencySet
 from pebilliards.pecore import Ellipsoid, RayState, Signature
 from pebilliards.verify import (
     commutation_sweep,
     drift_report,
-    free_flight_invariance,
     gradient_check,
     moser_gradients_batch,
     poisson_bracket,
@@ -118,23 +117,13 @@ def test_drift_report_partial_after_abort():
         drift_report(rec)  # only one state recorded
 
 
-def test_free_flight_invariance():
-    rep = free_flight_invariance(ELL, SIG, 2000, 5)
-    assert rep.f_defect <= 1e-11
-    assert rep.h_defect <= 1e-11
-
-
 def test_free_flight_zero_shift_exact():
     rng = np.random.default_rng(1)
-    from pebilliards.billiard import integrals
-
-    x, v = rng.standard_normal(3), rng.standard_normal(3)
-    assert np.array_equal(integrals(x, v, ELL, SIG), integrals(x + 0.0 * v, v, ELL, SIG))
+    x, v = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+    assert np.array_equal(integrals_batch(x, v, ELL, SIG), integrals_batch(x + 0.0 * v, v, ELL, SIG))
 
 
 def test_quadratic_homogeneity_in_velocity():
     rng = np.random.default_rng(2)
-    from pebilliards.billiard import integrals
-
-    x, v = rng.standard_normal(3), rng.standard_normal(3)
-    assert np.allclose(integrals(x, 2.0 * v, ELL, SIG), 4.0 * integrals(x, v, ELL, SIG), rtol=1e-13)
+    x, v = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+    assert np.allclose(integrals_batch(x, 2.0 * v, ELL, SIG), 4.0 * integrals_batch(x, v, ELL, SIG), rtol=1e-13)
