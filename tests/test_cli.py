@@ -869,8 +869,8 @@ def readme_digests(work: Path) -> dict[str, dict[str, str]]:
 
 
 def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr(tmp_path, monkeypatch):
-    # Where long double is double the array pass's margin exceeds every cell's
-    # half gap, so repr writes every cell, and the bytes stay the same.
+    # With a margin wider than every cell's half gap the array pass decides no
+    # cell, so repr writes every cell, and the bytes stay the same.
     from pebilliards import floattext
 
     shortest = floattext._shortest
@@ -881,7 +881,7 @@ def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr
         decided.append(int(sure.sum()))
         return (sure, *rest)
 
-    monkeypatch.setattr(floattext, "LONGDOUBLE_BITS", 53)
+    monkeypatch.setattr(floattext, "MARGIN", float("inf"))
     monkeypatch.setattr(floattext, "_shortest", counted)
     command, config, doc, out = README_EXAMPLES[0]
     assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0

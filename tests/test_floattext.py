@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -91,19 +92,51 @@ def test_csv_rows_equal_repr_on_edge_values():
     assert csv_rows(cells) == repr_rows(cells)
 
 
-def test_array_pass_decides_most_cells_of_an_orbit():
-    # repr is the exception: on a recorded light-like orbit the pass decides
-    # nearly every cell itself (where long double is wider than double).
+def _orbit_cells(signature, axes, seed, bounces):
     from pebilliards import billiard
     from pebilliards.pecore import Ellipsoid, Signature
 
-    ell, sig = Ellipsoid((4.0, 3.0, 2.0, 1.0)), Signature(3, 1)
-    rec = billiard.run_orbit(billiard.sample_null_ray(ell, sig, 6), 300, ell, sig)
-    cells = np.column_stack([rec.xs, rec.vs, rec.h, rec.f])
-    sure = floattext._shortest(cells.reshape(-1))[0]
-    if floattext.LONGDOUBLE_BITS >= 64:
-        assert sure.mean() > 0.95
+    ell, sig = Ellipsoid(axes), Signature(*signature)
+    rec = billiard.run_orbit(billiard.sample_null_ray(ell, sig, seed), bounces, ell, sig)
+    return np.column_stack([rec.xs, rec.vs, rec.h, rec.f])
+
+
+def test_array_pass_decides_most_cells_of_an_orbit():
+    # repr is the exception: on a recorded light-like orbit the pass decides
+    # nearly every cell itself, on every platform.
+    cells = _orbit_cells((3, 1), (4.0, 3.0, 2.0, 1.0), 6, 300)
+    assert floattext._shortest(cells.reshape(-1))[0].mean() > 0.95
     assert csv_rows(cells) == repr_rows(cells)
+
+
+def test_array_pass_decides_all_but_a_thousandth_of_the_3_1_seed_7_orbit():
+    # 6.8 % of this orbit's cells went to repr while S was one long-double
+    # product, whose rounding every decision had to clear.
+    cells = _orbit_cells((3, 1), (4.0, 3.0, 2.0, 1.0), 7, 1000)
+    assert floattext._shortest(cells.reshape(-1))[0].mean() >= 0.999
+    assert csv_rows(cells) == repr_rows(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 27), st.floats(1e16, 1e17))
+def test_scaled_pair_is_exact_to_k_22_and_within_2_to_the_48_above(k, s):
+    # S = a 10^k for a with S in [1e16, 1e17], up to the products near 1e17:
+    # exact where 10^k is a double, within 2^-48 where |x| < 1e-6 takes it past.
+    a = s / 10.0**k
+    hi, lo = floattext._scaled(np.array([a]), np.array([k]))
+    error = Fraction(float(hi[0])) + Fraction(float(lo[0])) - Fraction(a) * 10**k
+    assert error == 0 if k <= 22 else abs(error) <= Fraction(1, 2**48)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_csv_rows_equal_repr_below_1e_6(seed):
+    # 1e-11 <= |x| < 1e-6, where S's pair is within 2^-48 and not exact: the
+    # bytes are repr's and the pass still decides nearly every cell.
+    rng = np.random.default_rng(seed)
+    cells = (rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-11, -6, 20_000)).reshape(-1, 10)
+    assert csv_rows(cells) == repr_rows(cells)
+    assert floattext._shortest(cells.reshape(-1))[0].mean() >= 0.99
 
 
 def test_import_builds_no_table():
