@@ -313,15 +313,14 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         + [f"F{i + 1}" for i in range(dim)]
         + [f"lam{i + 1}" for i in range(lam_count)]
     )
-    # A row with fewer tangency parameters than row 0 ends in blank cells.
-    cells = np.column_stack([record.xs, record.vs, record.h, record.f, np.zeros((len(record.xs), lam_count))])
-    blank = np.zeros(cells.shape, bool)
+    # A row with fewer tangency parameters than row 0 ends in blank cells:
+    # NaN, which csv_rows leaves empty (a recorded row is finite).
+    cells = np.column_stack([record.xs, record.vs, record.h, record.f, np.full((len(record.xs), lam_count), np.nan)])
     first = cells.shape[1] - lam_count
     for idx, ts in enumerate(record.tangency if lam_count else ()):
         lams = ts.lambdas[:lam_count]
         cells[idx, first : first + len(lams)] = lams
-        blank[idx, first + len(lams) :] = True
-    _write_bytes(out_dir / "orbit.csv", (",".join(header) + "\n").encode() + floattext.csv_rows(cells, blank))
+    _write_bytes(out_dir / "orbit.csv", (",".join(header) + "\n").encode() + floattext.csv_rows(cells))
     summary = {
         "bounces_requested": cfg["bounces"],
         "bounces_completed": record.bounce_count,

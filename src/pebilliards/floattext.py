@@ -140,11 +140,11 @@ def _digit_words(g: np.ndarray, words4: np.ndarray) -> list[np.ndarray]:
     return [words4[high] | words4[quads[2]] << 32, words4[quads[1]] | words4[quads[0]] << 32, words4[last]]
 
 
-def csv_rows(cells: np.ndarray, blank: np.ndarray | None = None) -> bytes:
-    """Rows ``index,cell,...`` of a float table, LF-terminated; a blank cell is empty."""
+def csv_rows(cells: np.ndarray) -> bytes:
+    """Rows ``index,cell,...`` of a float table, LF-terminated; a NaN cell is empty."""
     n, c = cells.shape
     x = np.ascontiguousarray(cells, dtype=float).reshape(-1)
-    empty = np.flatnonzero(blank) if blank is not None else np.zeros(0, np.intp)
+    empty = np.flatnonzero(np.isnan(x))
     if x.size < ARRAY_PASS_CELLS:
         texts = list(map(repr, x.tolist()))
         for i in empty.tolist():

@@ -109,18 +109,6 @@ def test_advance_worked_chord():
     assert ELLIPSE.boundary_defect(out.x) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_advance_grazing_is_refused():
-    with pytest.raises(NotInward):
-        run_orbit(RayState((0, 1), (1, 0)), 3, ELLIPSE, LORENTZ)
-    with pytest.raises(NotInward):
-        run_orbit(RayState((0, 1), (1, 1)), 3, ELLIPSE, LORENTZ)  # outward
-
-
-def test_advance_off_boundary():
-    with pytest.raises(OffBoundary):
-        run_orbit(RayState((0, 0.5), (1, -1)), 3, ELLIPSE, LORENTZ)
-
-
 def test_reflect_worked_example():
     out = _reflect(RayState((1.6, -0.6), (1, -1)), ELLIPSE, LORENTZ)
     assert np.allclose(out.v, [5.0, 5.0], atol=1e-12)
@@ -391,17 +379,6 @@ def test_sample_null_ray_needs_mixed_signature():
         sample_null_ray(Ellipsoid((2.0, 1.0)), Signature(2, 0), 0)
 
 
-def test_extended_recorder_matches_double_map():
-    # One recorded bounce agrees with the same kernels stepped in double precision.
-    sig = Signature(2, 1)
-    ell = Ellipsoid((3.0, 2.0, 1.0))
-    r = sample_null_ray(ell, sig, 5)
-    rec = run_orbit(r, 1, ell, sig)
-    direct = _step(r, ell, sig)
-    assert np.allclose(rec.states[1].x, direct.x, rtol=1e-12, atol=1e-12)
-    assert np.allclose(rec.states[1].v, direct.v, rtol=1e-12, atol=1e-12)
-
-
 ABORT_STARTS = [
     (ELLIPSE, RayState((0.0, 1.0), (1.0, -1e-15)), "NotInward"),
     (Ellipsoid((np.sqrt(2.0), np.sqrt(2.0))), RayState((1.0, 1.0), (-1.0, 0.0)), "NullNormal"),
@@ -432,19 +409,23 @@ def test_run_orbit_partial_record_rows(ell, start, reason):
     assert np.array_equal(rec.xs[0], start.x) and np.array_equal(rec.vs[0], start.v)
 
 
-@pytest.mark.parametrize(
-    "start, error",
-    [
-        (RayState((np.nan, 1.0), (1.0, -1.0)), OffBoundary),
-        (RayState((0.0, 1.0), (np.inf, -1.0)), NotInward),
-        (RayState((1.6, -0.6), (-np.inf, -1.0)), NotInward),
-        (RayState((0.0, 1.0), (np.nan, -1.0)), NotInward),
-    ],
-)
+#: Starts that run_orbit refuses before the first bounce.  NaN and inf
+#: compare False with every bound, so each guard is written to fail on them
+#: rather than let a NaN state through.
+REFUSED_STARTS = {
+    "grazing": (RayState((0.0, 1.0), (1.0, 0.0)), NotInward),
+    "outward": (RayState((0.0, 1.0), (1.0, 1.0)), NotInward),
+    "off-boundary": (RayState((0.0, 0.5), (1.0, -1.0)), OffBoundary),
+    "nan-x": (RayState((np.nan, 1.0), (1.0, -1.0)), OffBoundary),
+    "inf-v": (RayState((0.0, 1.0), (np.inf, -1.0)), NotInward),
+    "minus-inf-v": (RayState((1.6, -0.6), (-np.inf, -1.0)), NotInward),
+    "nan-v": (RayState((0.0, 1.0), (np.nan, -1.0)), NotInward),
+}
+
+
+@pytest.mark.parametrize("start, error", list(REFUSED_STARTS.values()), ids=list(REFUSED_STARTS))
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_non_finite_states_are_refused(start, error):
-    # NaN and inf compare False with every bound, so each guard is written
-    # to fail on them rather than let a NaN state through.
+def test_run_orbit_refuses_bad_starts(start, error):
     with pytest.raises(error):
         run_orbit(start, 3, ELLIPSE, LORENTZ)
 

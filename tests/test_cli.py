@@ -42,29 +42,8 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_unknown_key_rejected(tmp_path):
-    path = write_config(tmp_path, simulate_doc(typo_key=1))
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
-
-
 def test_missing_config_file(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
-
-
-def test_resonant_axes_is_config_error(tmp_path, capsys):
-    path = write_config(tmp_path, simulate_doc(axes=[1.0, 1.0, 2.0], signature=[3, 0],
-                                               initial={"x": [0.0, 0.0, 2.0], "v": [0.0, 0.1, -1.0]}))
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    assert "ResonantAxes" in capsys.readouterr().err
-
-
-def test_off_boundary_initial_is_config_error(tmp_path, capsys):
-    path = write_config(
-        tmp_path,
-        simulate_doc(initial={"x": [0.0, 0.0, 0.5], "v": [0.0, 0.0, -1.0]}),
-    )
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
-    assert "OffBoundary" in capsys.readouterr().err
 
 
 def test_exhausted_null_sampling_is_config_error(tmp_path, capsys, monkeypatch):
@@ -135,36 +114,22 @@ def test_commute_pass_and_tolerance_failure(tmp_path):
     assert main(["commute", "--config", path, "--out", str(out), "--debug-flip-metric"]) == 3
 
 
-def test_commute_on_resonant_axes_is_config_error(tmp_path, capsys):
-    # The Euclidean circle has no quadratic integrals F_k: exit 1, nothing written.
-    path = write_config(tmp_path, {"signature": [2, 0], "axes": [1.0, 1.0], "samples": 10, "seed": 1})
-    out = tmp_path / "out"
-    assert main(["commute", "--config", path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("config error: ResonantAxes: ")
-    assert not out.exists()
-
-
-def test_simulate_degeneracy_quarantine(tmp_path):
+def test_simulate_degeneracy_quarantine(tmp_path, capsys):
     # This start runs straight into a boundary point whose normal is
-    # light-like: the orbit aborts and the run is quarantined.
-    doc = {
-        "signature": [1, 1],
-        "axes": [2.0**0.5, 2.0**0.5],
-        "initial": {"x": [1.0, 1.0], "v": [-1.0, 0.0]},
-        "bounces": 10,
-        "record_tangency": False,
-    }
-    path = write_config(tmp_path, doc)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
-    summary = json.loads((out / "summary.json").read_text())
-    assert "NullNormal" in summary["aborted"]
-
-
-def test_commute_zero_samples_is_config_error(tmp_path):
-    doc = {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "samples": 0}
-    path = write_config(tmp_path, doc)
-    assert main(["commute", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    # light-like: the orbit aborts at bounce 1 and the run is quarantined,
+    # exit 2 with its files.  The reflection there divides by the tiny <n,n>;
+    # however many bounces are asked, no numpy warning comes before the abort.
+    for bounces, record_tangency in ((10, False), (10_000, True)):
+        doc = {"signature": [1, 1], "axes": [2.0**0.5, 2.0**0.5], "initial": {"x": [1.0, 1.0], "v": [-1.0, 0.0]},
+               "bounces": bounces, "record_tangency": record_tangency}
+        out = tmp_path / f"out{bounces}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aborted"].startswith("NullNormal: ") and summary["abort_bounce"] == 1
 
 
 def test_oval_iterate_circle_antipodes(tmp_path):
@@ -282,19 +247,6 @@ def test_oval_synth_v4_and_determinism(tmp_path):
     assert poly["return_derivative_abs"] == pytest.approx(0.25, abs=1e-12)
 
 
-def test_oval_synth_infeasible_slopes(tmp_path):
-    doc = {
-        "oval": {
-            "polygon": {
-                "points": [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]],
-                "slopes": [1.0, 1.0, 1.0, 1.0],
-            }
-        }
-    }
-    path = write_config(tmp_path, doc)
-    assert main(["oval", "synth", "--config", path, "--out", str(tmp_path / "o")]) == 1
-
-
 def test_family_plot(tmp_path):
     doc = {
         "signature": [1, 1],
@@ -317,12 +269,10 @@ def test_family_plot(tmp_path):
     out2 = tmp_path / "out2"
     assert main(["family-plot", "--config", path, "--out", str(out2)]) == 0
     assert sha256(out / "family.csv") == sha256(out2 / "family.csv")
-
-
-def test_family_plot_requires_plane(tmp_path):
-    doc = {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "family": {"count": 3}}
-    path = write_config(tmp_path, doc)
-    assert main(["family-plot", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    # A Euclidean member with both coefficients negative is empty.
+    path = write_config(tmp_path, {"signature": [2, 0], "axes": [2.0, 1.0], "family": {"lambdas": [-10.0]}})
+    assert main(["family-plot", "--config", path, "--out", str(out)]) == 0
+    assert (out / "family.csv").read_text() == "member,lambda,status,branch,x,y\n0,-10.0,empty,,,\n"
 
 
 def test_family_plot_count_default_spread(tmp_path):
@@ -337,9 +287,10 @@ def test_family_plot_count_default_spread(tmp_path):
 
 def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("[1, 2, 3]", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_config(str(path))
+    for text, message in (("[1, 2, 3]", "must hold a JSON object"), ("{'x': 1}", "is not valid JSON")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -350,6 +301,10 @@ COMMUTE = {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "samples": 10, "seed": 
 
 def iterate_doc(table):
     return {"oval": {"table": table, "start": 0.3, "steps": 2}}
+
+
+def synth_doc(**polygon):
+    return {"oval": {"polygon": dict(SQUARE, **polygon)}}
 
 
 BAD_CONFIGS = {
@@ -376,10 +331,13 @@ BAD_CONFIGS = {
                   "config error: NotInward: "),
     "zero-v": (["simulate"], simulate_doc(initial={"x": [0.0, 0.0, 1.0], "v": [0.0, 0.0, 0.0]}),
                "config error: ZeroDirection: "),
-    "slopes-number": (["oval", "synth"], {"oval": {"polygon": dict(SQUARE, slopes=5)}},
-                      "config.oval.polygon.slopes"),
-    "slopes-null": (["oval", "synth"], {"oval": {"polygon": dict(SQUARE, slopes=[None])}},
-                    "config.oval.polygon.slopes"),
+    "off-boundary": (["simulate"], simulate_doc(initial={"x": [0.0, 0.0, 0.5], "v": [0.0, 0.0, -1.0]}),
+                     "config error: OffBoundary: "),
+    "resonant-axes": (["simulate"], simulate_doc(signature=[3, 0], axes=[1.0, 1.0, 2.0],
+                                                 initial={"x": [0.0, 0.0, 2.0], "v": [0.0, 0.1, -1.0]}),
+                      "config error: ResonantAxes: "),
+    "slopes-number": (["oval", "synth"], synth_doc(slopes=5), "config.oval.polygon.slopes"),
+    "slopes-null": (["oval", "synth"], synth_doc(slopes=[None]), "config.oval.polygon.slopes"),
     "polygon-file-number": (["oval", "synth"], {"oval": {"polygon_file": 5}}, "config.oval.polygon_file"),
     "synth-no-polygon": (["oval", "synth"], {"oval": {}}, "polygon_file"),
     "synth-both-polygons": (["oval", "synth"], {"oval": {"polygon": SQUARE, "polygon_file": "p.json"}},
@@ -388,6 +346,31 @@ BAD_CONFIGS = {
     "ellipse-bumps": (["oval", "iterate"], iterate_doc(dict(ELLIPSE, bumps=[])), "bumps"),
     "commute-dimension-7": (["commute"], dict(COMMUTE, signature=[7, 0], axes=[8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0]),
                             "config.axes"),
+    "commute-zero-samples": (["commute"], dict(COMMUTE, samples=0), "config.samples"),
+    "axes-zero": (["simulate"], simulate_doc(signature=[1, 1], axes=[0.0, 1.0]),
+                  "config.axes[0] must be a positive finite number"),
+    "signature-dimension-1": (["commute"], dict(COMMUTE, signature=[0, 1], axes=[1.0]), "need p + q >= 2"),
+    "axes-dimension-2": (["commute"], dict(COMMUTE, axes=[2.0, 1.0]),
+                         "axes dimension 2 does not match signature dimension 3"),
+    "family-plot-dimension-3": (["family-plot"], {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "family": {"count": 3}},
+                                "need dimension 2"),
+    "sample-null-and-x": (["simulate"], simulate_doc(initial={"sample_null": True, "x": [0.0, 0.0, 1.0]}),
+                          "give either sample_null or explicit x, v, not both"),
+    "sample-null-euclidean": (["simulate"], simulate_doc(signature=[2, 0], axes=[2.0, 1.0]),
+                              "sampled null starts need p >= 1 and q >= 1"),
+    "plane-x-length-1": (["simulate"], simulate_doc(signature=[1, 1], axes=[2.0, 1.0],
+                                                    initial={"x": [0.0], "v": [1.0, -1.0]}),
+                         "x and v must have length 2"),
+    "radial-base-radial": (["oval", "iterate"],
+                           iterate_doc({"kind": "radial", "base": {"kind": "radial", "base": ELLIPSE}}),
+                           "base must be an ellipse table"),
+    "polygon-three-vertices": (["oval", "synth"], synth_doc(points=SQUARE["points"][:3], slopes=[2.0] * 3),
+                               "needs an even number >= 4"),
+    "polygon-first-chord": (["oval", "synth"], synth_doc(points=[[1, 1], [-1, 0.5], [-1, -1], [1, -1]]),
+                            "chord 1 is not horizontal"),
+    "commute-resonant-axes": (["commute"], dict(COMMUTE, signature=[2, 0], axes=[1.0, 1.0]),
+                              "config error: ResonantAxes: "),
+    "synth-infeasible-slopes": (["oval", "synth"], synth_doc(slopes=[1.0] * 4), "config error: InfeasibleSlopes: "),
 }
 
 
@@ -583,15 +566,15 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
 
 def test_orbit_rows_format_each_cell_as_its_repr():
     # 0.0 and -0.0 compare equal but keep their own texts, below and above the
-    # array pass's threshold alike; a blank cell is empty.
+    # array pass's threshold alike; a NaN cell is empty.
     from pebilliards.floattext import ARRAY_PASS_CELLS, csv_rows
 
     cells = np.array([[0.1, -0.0, -0.5, 0.0, 3.0], [0.0, 2.5, -0.5, -0.0, np.nan], [-0.0, 1e-300, -0.5, 0.0, 1 / 3]])
     rows = [b"0.1,-0.0,-0.5,0.0,3.0", b"0.0,2.5,-0.5,-0.0,", b"-0.0,1e-300,-0.5,0.0,0.3333333333333333"]
-    assert csv_rows(cells, np.isnan(cells)) == b"".join(b"%d,%s\n" % (i, row) for i, row in enumerate(rows))
+    assert csv_rows(cells) == b"".join(b"%d,%s\n" % (i, row) for i, row in enumerate(rows))
     big = np.tile(cells, (ARRAY_PASS_CELLS // cells.size + 1, 1))
     assert big.size >= ARRAY_PASS_CELLS
-    assert csv_rows(big, np.isnan(big)) == b"".join(b"%d,%s\n" % (i, rows[i % 3]) for i in range(len(big)))
+    assert csv_rows(big) == b"".join(b"%d,%s\n" % (i, rows[i % 3]) for i in range(len(big)))
     assert csv_rows(cells[:0]) == b""
 
 
@@ -667,7 +650,6 @@ def test_start_that_overflows_is_config_error(tmp_path, capsys, speed, record_ta
     assert not out.exists()
 
 
-
 def test_overflowing_start_names_its_row(tmp_path, capsys):
     # The verdict's text is pinned: H and every F_k of row 0 as the recorder
     # rounds them to double precision, F_k summed from the pair terms.
@@ -675,6 +657,7 @@ def test_overflowing_start_names_its_row(tmp_path, capsys):
            "bounces": 3, "record_tangency": True}
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "config error: NonFinite: not finite at bounce 0: H = -1e+200, F = [inf, -inf]\n"
+
 
 @pytest.mark.parametrize("value", [1e200, 1e155])
 def test_radial_table_that_overflows_is_config_error(tmp_path, capsys, value):

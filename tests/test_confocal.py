@@ -100,11 +100,6 @@ def test_member_sign_convention(plane_lorentz):
     assert np.allclose(member(plane_lorentz, -3.0).c, [1.0, 4.0])
 
 
-def test_member_pole(plane_euclid):
-    with pytest.raises(PoleParameter):
-        member(plane_euclid, -1.0)
-
-
 def test_poles(plane_lorentz, plane_euclid):
     for fam, poles in ((plane_lorentz, (-4.0, 1.0)), (plane_euclid, (-4.0, -1.0))):
         for lam in poles:
@@ -220,6 +215,10 @@ def test_tangency_parameters_examples(plane_euclid, plane_lorentz):
     assert ts.count == 1
     assert ts.lambdas[0] == pytest.approx(-3.0, abs=1e-10)
 
+    # The vertical line through a focus touches the member at the pole -1: set aside.
+    ts = tangency_parameters(plane_euclid, RayState((3.0**0.5, 0.0), (0.0, 1.0)))
+    assert ts.count == 0 and ts.near_pole == pytest.approx((-1.0,))
+
     # Planar null chord: no tangency parameters at all.
     ts = tangency_parameters(plane_lorentz, RayState((0.0, 1.0), (1.0, -1.0)))
     assert ts.count == 0
@@ -231,6 +230,11 @@ def test_tangency_parameters_examples(plane_euclid, plane_lorentz):
 
     ts = tangency_parameters(fam, sample_null_ray(fam.ellipsoid, sig, 1))
     assert ts.count == 1
+
+    # Light-like line whose Q vanishes: after <v,v> every coefficient drops, no parameter.
+    fam = ConfocalFamily(Ellipsoid((3.0, 4.0)), Signature(1, 1))
+    assert tangency_polynomial(fam, [5.0, 0.0], [1.0, 1.0]).tolist() == [0.0, 0.0]
+    assert tangency_parameters(fam, RayState((5.0, 0.0), (1.0, 1.0))).count == 0
 
 
 def test_tangency_reparameterization_invariance():

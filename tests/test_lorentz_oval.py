@@ -61,6 +61,10 @@ def test_chord_step_degenerate_at_extrema():
                     lo.chord_step(TILTED, t + offset, direction)
             for offset in (1e-6, -1e-6):
                 lo.chord_step(TILTED, t + offset, direction)
+    # Just past DEGENERATE_TOL a radial table's coordinate can still round past its extremum's.
+    wrap = _wrap_bump_table()
+    with pytest.raises(DegenerateChord, match="could not be bracketed"):
+        lo.chord_step(wrap, wrap.coordinate_extrema(0)[1] + 1.1e-9, lo.VERTICAL)
 
 
 def test_chord_step_through_axis_points_is_fine():
@@ -337,6 +341,10 @@ def test_find_periodic_orbit_no_convergence():
     with pytest.raises((NoConvergence, DegenerateChord)):
         # Seeding exactly at a coordinate extremum cannot even evaluate the map.
         lo.find_periodic_orbit(ELLIPSE, 2, 0.0)
+    # On the axis-aligned ellipse the map is a half turn: three of them miss
+    # the seed by pi whatever the seed, so the defect's derivative is 0.
+    with pytest.raises(NoConvergence, match="flat"):
+        lo.find_periodic_orbit(ELLIPSE, 3, 0.9)
 
 
 def test_wrap_angle_maps_tiny_negative_to_zero():
@@ -396,15 +404,26 @@ def _assert_float_path_matches_grid(radius_derivs, grid):
         assert np.array_equal(numerator, lo._curvature_numerator(*grid), equal_nan=True)
 
 
+#: Bumps whose support range is the whole scan grid: one nearly 2 pi wide,
+#: and one anchored where the wrapped offset's rounding grows.
+WHOLE_GRID_BUMPS = {
+    "wide-bump": lo.RadialBump(anchor=1.0, value=0.01, tilt=0.0, halfwidth=3.1412),
+    "far-anchor": lo.RadialBump(anchor=2e6, value=0.01, tilt=0.0, halfwidth=0.5),
+}
+
+
 @pytest.mark.parametrize(
     "curve",
-    [ELLIPSE, TILTED, _wrap_bump_table(), lo.build_accelerating_table(RECT, (-1.0, 2.0, -1.0, 2.0))],
-    ids=["axis", "tilted", "radial", "synthesized"],
+    [ELLIPSE, TILTED, _wrap_bump_table(), lo.build_accelerating_table(RECT, (-1.0, 2.0, -1.0, 2.0)),
+     *(lo.RadialOval(ELLIPSE, (bump,)) for bump in WHOLE_GRID_BUMPS.values())],
+    ids=["axis", "tilted", "radial", "synthesized", *WHOLE_GRID_BUMPS],
 )
 def test_float_path_matches_array_path(curve):
     # The scan grid is the one array computation: at every grid angle the
     # float path gives the same bits (np.array_equal: up to the sign of a
     # zero) as grid_derivs, and point() as the grid's r, cos and sin.
+    for bump in getattr(curve, "bumps", ()):
+        assert (lo._support_range(bump) == (0, lo.SCAN_GRID)) == (bump in WHOLE_GRID_BUMPS.values())
     ts = lo._SCAN_ANGLES.tolist()
     _assert_float_path_matches_grid(curve.radius_derivs, curve.grid_derivs)
     r = curve.grid_derivs[0]

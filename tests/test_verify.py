@@ -7,7 +7,6 @@ from pebilliards.pecore import Ellipsoid, RayState, Signature
 from pebilliards.verify import (
     commutation_sweep,
     drift_report,
-    gradient_check,
     moser_gradients_batch,
     poisson_bracket,
 )
@@ -53,10 +52,6 @@ def test_commutation_sweep_validation():
         commutation_sweep(ELL, SIG, 0, 1)
     with pytest.raises(ValueError):
         commutation_sweep(Ellipsoid(tuple(range(2, 10))), Signature(8, 0), 10, 1)
-
-
-def test_analytic_gradients_match_finite_differences():
-    assert gradient_check(ELL, SIG, 300, 11) <= 1e-6
 
 
 def test_gradient_batch_shapes():
