@@ -73,17 +73,19 @@ def _fail(message: str):
 # A spec maps each key of an object to (checker, default); REQUIRED marks a
 # key without default, and a default of None marks an optional key that is
 # None when absent.  Any other default is passed through the checker too.
+# _int, _list and _object keep their parameters as attributes: tests read them.
 
 REQUIRED = object()
 
 
-def _int(minimum: int):
-    def check(val, where: str) -> int:
-        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-            _fail(f"{where} must be an integer >= {minimum}, got {val!r}")
-        return val
+class _int:
+    def __init__(self, minimum: int):
+        self.minimum = minimum
 
-    return check
+    def __call__(self, val, where: str) -> int:
+        if not isinstance(val, int) or isinstance(val, bool) or val < self.minimum:
+            _fail(f"{where} must be an integer >= {self.minimum}, got {val!r}")
+        return val
 
 
 def _finite(val, where: str) -> float:
@@ -111,33 +113,35 @@ def _string(val, where: str) -> str:
     return val
 
 
-def _list(item, length: int | None = None):
-    def check(val, where: str) -> list:
-        if not isinstance(val, list) or (length is not None and len(val) != length):
-            size = "a list" if length is None else f"a list of {length} entries"
+class _list:
+    def __init__(self, item, length: int | None = None):
+        self.item, self.length = item, length
+
+    def __call__(self, val, where: str) -> list:
+        if not isinstance(val, list) or (self.length is not None and len(val) != self.length):
+            size = "a list" if self.length is None else f"a list of {self.length} entries"
             _fail(f"{where} must be {size}, got {val!r}")
-        return [item(v, f"{where}[{i}]") for i, v in enumerate(val)]
-
-    return check
+        return [self.item(v, f"{where}[{i}]") for i, v in enumerate(val)]
 
 
-def _object(spec: dict):
-    def check(val, where: str) -> dict:
+class _object:
+    def __init__(self, spec: dict):
+        self.spec = spec
+
+    def __call__(self, val, where: str) -> dict:
         if not isinstance(val, dict):
             _fail(f"{where} must be a JSON object, got {val!r}")
-        unknown = set(val) - set(spec)
+        unknown = set(val) - set(self.spec)
         if unknown:
             _fail(f"unknown keys in {where}: {sorted(unknown)}")
-        missing = [key for key, (_, default) in spec.items() if default is REQUIRED and key not in val]
+        missing = [key for key, (_, default) in self.spec.items() if default is REQUIRED and key not in val]
         if missing:
             _fail(f"missing keys in {where}: {missing}")
         out = {}
-        for key, (item, default) in spec.items():
+        for key, (item, default) in self.spec.items():
             given = val.get(key, default)
             out[key] = None if given is None and key not in val else item(given, f"{where}.{key}")
         return out
-
-    return check
 
 
 def _table(val, where: str) -> lorentz_oval.OvalCurve:
@@ -145,7 +149,7 @@ def _table(val, where: str) -> lorentz_oval.OvalCurve:
     kind = val.get("kind") if isinstance(val, dict) else None
     if not isinstance(kind, str) or kind not in _TABLE_KINDS:
         _fail(f"{where} must be an object with kind one of {sorted(_TABLE_KINDS)}, got {val!r}")
-    doc = _object({"kind": (_string, REQUIRED), **_TABLE_KINDS[kind]})(val, where)
+    doc = _TABLE_KINDS[kind](val, where)
     try:
         if kind == "ellipse":
             return lorentz_oval.EllipseOval.axis_aligned(*doc["semi_axes"], doc["center"])
@@ -162,11 +166,11 @@ def _table(val, where: str) -> lorentz_oval.OvalCurve:
 
 
 _PAIR = _list(_finite, 2)
-_CENTER = (_PAIR, [0.0, 0.0])
+_KIND, _CENTER = (_string, REQUIRED), (_PAIR, [0.0, 0.0])
 _TABLE_KINDS = {
-    "ellipse": {"semi_axes": (_PAIR, REQUIRED), "center": _CENTER},
-    "ellipse_form": {"form": (_list(_PAIR, 2), REQUIRED), "center": _CENTER},
-    "radial": {"base": (_table, REQUIRED), "bumps": (_list(_list(_finite, 4)), [])},
+    "ellipse": _object({"kind": _KIND, "semi_axes": (_PAIR, REQUIRED), "center": _CENTER}),
+    "ellipse_form": _object({"kind": _KIND, "form": (_list(_PAIR, 2), REQUIRED), "center": _CENTER}),
+    "radial": _object({"kind": _KIND, "base": (_table, REQUIRED), "bumps": (_list(_list(_finite, 4)), [])}),
 }
 _POLYGON = _object({"points": (_list(_PAIR), REQUIRED), "slopes": (_list(_finite), REQUIRED)})
 
@@ -360,17 +364,13 @@ def _table_to_doc(curve: lorentz_oval.OvalCurve) -> dict:
         return {
             "kind": "radial",
             "base": _table_to_doc(curve.base),
-            "bumps": [
-                [b.anchor, b.value, b.tilt, b.halfwidth] for b in curve.bumps
-            ],
+            "bumps": [[b.anchor, b.value, b.tilt, b.halfwidth] for b in curve.bumps],
         }
-    if isinstance(curve, lorentz_oval.EllipseOval):
-        return {
-            "kind": "ellipse_form",
-            "form": [list(map(float, row)) for row in curve.form],
-            "center": list(map(float, curve.center)),
-        }
-    raise TypeError(f"cannot serialize table of type {type(curve).__name__}")
+    return {
+        "kind": "ellipse_form",
+        "form": [list(map(float, row)) for row in curve.form],
+        "center": list(map(float, curve.center)),
+    }
 
 
 def cmd_oval(cfg: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
@@ -419,6 +419,8 @@ def cmd_oval(cfg: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
         curve = lorentz_oval.build_accelerating_table(poly.points, poly.slopes)
     except (InfeasibleSlopes, ConvexityViolation, ZeroSlope) as exc:
         _fail(f"{type(exc).__name__}: {exc}")
+    except ValueError as exc:
+        _fail(f"invalid config.oval polygon: {exc}")
     rebuilt = lorentz_oval.polygon_from_parameter(
         curve,
         lorentz_oval.polygon_params(curve, poly)[-1],
@@ -457,6 +459,8 @@ def cmd_family_plot(cfg: dict, out_dir: Path) -> int:
         lambdas = spec["lambdas"]
     else:
         span = spec["span"] * float(np.max(ell.a2))
+        if not math.isfinite(span + span):
+            _fail(f"config.family.span: lambdas up to {spec['span']} max(a_i^2) leave the float range")
         lambdas = list(np.linspace(-span, span, spec["count"]))
 
     lines = ["member,lambda,status,branch,x,y"]
@@ -466,6 +470,8 @@ def cmd_family_plot(cfg: dict, out_dir: Path) -> int:
         except PoleParameter:
             lines.append(f"{idx},{_fmt(lam)},pole-skipped,,,")
             continue
+        except ValueError as exc:
+            _fail(f"config.family: lambda {lam}: {exc}")
         c1, c2 = float(q.c[0]), float(q.c[1])
         # Samples from math, one at a time: numpy's array cos and cosh round by CPU.
         sx, sy = math.sqrt(abs(c1)), math.sqrt(abs(c2))

@@ -45,8 +45,6 @@ VERIFY_TOL = 1e-9
 #: A root of Q counts as real when |imag| <= REAL_TOL * max(1, |real|).
 REAL_TOL = 1e-7
 
-_poly = np.polynomial.polynomial
-
 
 def _linear_product(factors) -> list[float]:
     """Ascending coefficients of the product of the linear factors a + b lam, given as (a, b)."""
@@ -108,12 +106,14 @@ def _near_pole(fam: ConfocalFamily, lam: float) -> bool:
 def member(fam: ConfocalFamily, lam: float) -> Quadric:
     """The family member at parameter lam.
 
-    Raises PoleParameter when lam is within the pole tolerance of a pole.
+    Raises PoleParameter when lam is within the pole tolerance of a pole,
+    and ValueError when a coefficient is not finite.  The coefficients are
+    summed on Python floats, so an overflow warns of nothing.
     """
     lam = float(lam)
     if _near_pole(fam, lam):
         raise PoleParameter(f"lambda = {lam} is at (or within tolerance of) a family pole")
-    return Quadric(fam.coefficients(lam))
+    return Quadric([a2k + ek * lam for a2k, ek in fam.factors])
 
 
 def _discriminant_terms(lin: list, x: list, v: list, lam: float) -> tuple[float, float]:
@@ -168,10 +168,17 @@ def _real_roots(q: list[float]) -> list[float]:
             return [re, re] if _is_real(re, math.sqrt(-disc) / (2.0 * a)) else []
         s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         return [s / a, c / s] if s != 0.0 else [0.0, 0.0]
+    # numpy's polyroots, without importing numpy.polynomial: ones on the
+    # subdiagonal, last column -q[:-1] / q[-1], eigenvalues sorted.
+    n = len(q) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n :: n + 1] = 1.0
+    companion[:, -1] -= np.array(q[:-1]) / q[-1]
     try:
-        roots = _poly.polyroots(q)
+        roots = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise RootIsolationFailure(f"companion eigenvalues failed: {exc}") from exc
+    roots.sort()
     return [z.real for z in roots.tolist() if _is_real(z.real, z.imag)]
 
 

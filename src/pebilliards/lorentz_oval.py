@@ -305,20 +305,26 @@ class EllipseOval(OvalCurve):
 
     def __init__(self, form: np.ndarray, center=(0.0, 0.0)):
         form = np.asarray(form, dtype=float)
-        if form.shape != (2, 2) or abs(form[0, 1] - form[1, 0]) > 1e-14:
+        if form.shape != (2, 2) or not abs(float(form[0, 1]) - float(form[1, 0])) <= 1e-14:
             raise ValueError("form must be a symmetric 2x2 matrix")
-        if not (form[0, 0] > 0 and np.linalg.det(form) > 0):
-            raise ValueError("form must be positive definite")
+        # On Python floats, which overflow to inf without a numpy warning.
+        (m00, m01), (m10, m11) = form.tolist()
+        if not (m00 > 0.0 and 0.0 < m00 * m11 - m01 * m10 < math.inf):
+            raise ValueError("form must be positive definite, with a finite determinant")
         self.form = form
         self.center = np.asarray(center, dtype=float)
         self._center = (float(self.center[0]), float(self.center[1]))
-        self._m = (float(form[0, 0]), float(form[0, 1]), float(form[1, 1]))
+        self._m = (m00, m01, m11)
 
     @classmethod
     def axis_aligned(cls, a: float, b: float, center=(0.0, 0.0)) -> "EllipseOval":
-        if a <= 0 or b <= 0:
+        if not (a > 0 and b > 0):
             raise ValueError("semi-axes must be positive")
-        return cls(np.diag([1.0 / a**2, 1.0 / b**2]), center)
+        try:
+            form = np.diag([1.0 / a**2, 1.0 / b**2])
+        except (OverflowError, ZeroDivisionError):  # a square past the float range, or 0.0
+            raise ValueError(f"semi-axes {a}, {b} must have finite non-zero squares") from None
+        return cls(form, center)
 
     def radius_derivs(self, theta):
         """r, r' and r'' at a float angle, or as arrays on the SCAN_GRID angles themselves."""
@@ -762,7 +768,10 @@ def build_accelerating_table(points, slopes) -> RadialOval:
     k = math.exp(math.fsum(map(math.log, ratios)) / len(ratios)) if ratios else 1.0
 
     weights = [du * du + dw * dw / k for du, dw in rel]
-    p_coeff = math.fsum(weights) / math.fsum(w * w for w in weights)
+    squares = math.fsum(w * w for w in weights)
+    if not 0.0 < squares < math.inf:
+        raise ValueError("no base ellipse: the squared vertex offsets from the centroid leave the float range")
+    p_coeff = math.fsum(weights) / squares
     base = EllipseOval.axis_aligned(math.sqrt(1.0 / p_coeff), math.sqrt(k / p_coeff), center)
 
     thetas = [math.atan2(dw, du) % TWO_PI for du, dw in rel]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,11 @@ class Signature:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Axis-aligned ellipsoid sum_i x_i^2 / a_i^2 = 1 with semi-axes a_i > 0."""
+    """Axis-aligned ellipsoid sum_i x_i^2 / a_i^2 = 1 with semi-axes a_i > 0.
+
+    Every a_i^2 and 1 / a_i^2 must be finite and non-zero, so a_i lies
+    between about 1e-154 and 1e154.
+    """
 
     a: tuple[float, ...]
 
@@ -90,6 +95,9 @@ class Ellipsoid:
             raise ValueError("an ellipsoid needs at least two semi-axes")
         if any(ai <= 0.0 or not np.isfinite(ai) for ai in axes):
             raise ValueError(f"semi-axes must be positive and finite, got {axes}")
+        # Python floats: a square past the float range is inf or 0.0, with no numpy warning.
+        if not all(0.0 < ai * ai < math.inf and 1.0 / (ai * ai) < math.inf for ai in axes):
+            raise ValueError(f"semi-axes must have finite non-zero squares and reciprocal squares, got {axes}")
         object.__setattr__(self, "a", axes)
 
     @property

@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from pebilliards import cli, errors
 from pebilliards.cli import load_config, main
 from pebilliards.errors import ConfigError, NoConvergence
+from test_lorentz_oval import null_polygons, radial_tables
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -371,6 +373,19 @@ BAD_CONFIGS = {
     "commute-resonant-axes": (["commute"], dict(COMMUTE, signature=[2, 0], axes=[1.0, 1.0]),
                               "config error: ResonantAxes: "),
     "synth-infeasible-slopes": (["oval", "synth"], synth_doc(slopes=[1.0] * 4), "config error: InfeasibleSlopes: "),
+    # Magnitudes whose squares, determinants or sums leave the float range.
+    "axes-1e200-commute": (["commute"], dict(COMMUTE, axes=[1e200, 2.0, 1.0]), "non-zero squares"),
+    "axes-1e-200-sample-null": (["simulate"], simulate_doc(axes=[1e-200, 2.0, 1.0]), "non-zero squares"),
+    "semi-axes-1e-200": (["oval", "iterate"], iterate_doc(dict(ELLIPSE, semi_axes=[1e-200, 1])), "table: semi-axes"),
+    "semi-axes-1e200": (["oval", "iterate"], iterate_doc(dict(ELLIPSE, semi_axes=[1e200, 1])), "table: semi-axes"),
+    "form-1e300": (["oval", "periodic"], {"oval": {"table": {"kind": "ellipse_form", "form": [[1e300, 0], [0, 1e300]]},
+                                                   "half_period": 2, "seed_param": 0.9}}, "finite determinant"),
+    "polygon-1e200": (["oval", "synth"], synth_doc(points=(1e200 * np.array(SQUARE["points"])).tolist()),
+                      "no base ellipse"),
+    "lambda-1.7e308": (["family-plot"], {"signature": [1, 1], "axes": [1e154, 1.0], "family": {"lambdas": [1.7e308]}},
+                       "config.family: lambda 1.7e+308: coefficients must be non-zero and finite"),
+    "span-1e308": (["family-plot"], {"signature": [1, 1], "axes": [2.0, 1.0], "family": {"count": 3, "span": 1e308}},
+                   "config.family.span"),
 }
 
 
@@ -378,9 +393,11 @@ BAD_CONFIGS = {
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, doc, where):
     path = write_config(tmp_path, doc)
     out = tmp_path / "o"
-    assert main(command + ["--config", path, "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's warning would end in a traceback
+        assert main(command + ["--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and where in err
+    assert err.startswith("config error:") and err.count("\n") == 1 and where in err
     assert not out.exists()
 
 
@@ -396,89 +413,173 @@ def test_runtime_error_in_oval_synth_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: NoConvergence:")
 
 
-# Valid configs of every command, each with the paths of its optional keys:
-# removing any other key, or any single mutation below, makes the config invalid.
-VALID_CONFIGS = {
-    "simulate": (
-        ["simulate"],
-        simulate_doc(bounces=3, initial={"x": [0.0, 0.0, 1.0], "v": [0.6, 0.5, -0.3], "sample_null": False},
-                     out="unused"),
-        {("seed",), ("record_tangency",), ("out",), ("initial", "sample_null")},
-    ),
-    "commute": (["commute"], COMMUTE, {("seed",)}),
-    "oval-iterate": (
-        ["oval", "iterate"],
-        iterate_doc({"kind": "radial", "base": dict(ELLIPSE, center=[0.0, 0.0]),
-                     "bumps": [[0.5, 0.01, 0.0, 0.5]]}),
-        {("oval", "table", "bumps"), ("oval", "table", "base", "center")},
-    ),
-    "oval-periodic": (
-        ["oval", "periodic"],
-        {"oval": {"table": {"kind": "ellipse_form", "form": [[0.25, 0.0], [0.0, 1.0]], "center": [0.0, 0.0]},
-                  "half_period": 2, "seed_param": 0.9}},
-        {("oval", "table", "center")},
-    ),
-    "oval-synth": (["oval", "synth"], {"oval": {"polygon": SQUARE, "periods": 1}}, {("oval", "periods")}),
-    "family-plot": (
-        ["family-plot"],
-        {"signature": [1, 1], "axes": [2.0, 1.0], "family": {"count": 3, "points": 8, "span": 1.5}},
-        {("family", "count"), ("family", "points"), ("family", "span")},
-    ),
+# ------------------------------------------------- configs drawn from the specs
+#
+# configs(command) walks cli.SPECS[command], draws for each checker a value it
+# accepts, and keeps or leaves out each key that has a default.  Where validity
+# is geometric, which a spec cannot say, OVERRIDES draw the value: a signature
+# of dimension 2 to 4 with as many axes, boundary starts, oval tables and null
+# polygons.  Magnitudes are those of the billiard and oval properties.
+
+LEAVES = {cli._finite: st.floats(-10.0, 10.0), cli._positive: st.floats(0.25, 4.0), cli._boolean: st.booleans(),
+          cli._string: st.just("polygon.json")}  # the file the property writes for polygon_file
+SIGNATURES = [[p, dim - p] for dim in (2, 3, 4) for p in range(dim + 1)]
+POLYGONS = null_polygons().map(lambda polygon: {"points": [list(p) for p in polygon[0]], "slopes": polygon[1]})
+
+
+def _start(draw, checker, doc):
+    """A sampled light-like start, or a boundary point with a random, near-grazing or outward direction."""
+    if draw(st.booleans()):
+        return {"sample_null": True}
+    axes = np.array(doc["axes"])
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=len(axes), max_size=len(axes))
+    s = np.array(draw(unit.filter(lambda c: np.linalg.norm(c) > 1e-3)))
+    x = axes * s / np.linalg.norm(s)
+    nu, v = x / axes**2, np.array(draw(unit))
+    kind = draw(st.sampled_from(["random", "near-grazing", "outward"]))
+    if kind == "near-grazing":
+        v = v - (v @ nu) / (nu @ nu) * nu - draw(st.floats(0.0, 1e-9)) * nu
+    elif kind == "outward" and v @ nu < 0.0:
+        v = -v
+    return {"x": x.tolist(), "v": v.tolist(), **({"sample_null": False} if draw(st.booleans()) else {})}
+
+
+def _table(draw, checker, doc):
+    """An ellipse, or the base or the whole of a table of radial_tables."""
+    base, bumps = draw(radial_tables())
+    kind = draw(st.sampled_from(sorted(cli._TABLE_KINDS)))
+    table = {"kind": "ellipse_form", "form": base.form.tolist(), "center": base.center.tolist()}
+    if kind == "ellipse":
+        table = {"kind": kind, "semi_axes": draw(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2)),
+                 "center": table["center"]}
+    elif kind == "radial":
+        table = {"kind": kind, "base": _some(draw, cli._TABLE_KINDS["ellipse_form"], table),
+                 "bumps": [[b.anchor, b.value, b.tilt, b.halfwidth] for b in bumps]}
+    return _some(draw, cli._TABLE_KINDS[kind], table)
+
+
+def _some(draw, checker, doc):
+    """doc with each key that checker's spec gives a default kept or left out."""
+    return {key: val for key, val in doc.items() if checker.spec[key][1] is cli.REQUIRED or draw(st.booleans())}
+
+
+OVERRIDES = {
+    cli._GEOMETRY["signature"][0]: lambda draw, checker, doc: list(draw(st.sampled_from(SIGNATURES))),
+    cli._GEOMETRY["axes"][0]: lambda draw, axes, doc: [_draw(draw, axes.item) for _ in range(sum(doc["signature"]))],
+    cli.SPECS["simulate"]["initial"][0]: _start,
+    cli._table: _table,
+    cli._polygon: lambda draw, checker, doc: draw(POLYGONS),
 }
 
 
-def _paths(node, prefix=()):
-    for key, val in node.items() if isinstance(node, dict) else enumerate(node):
-        yield prefix + (key,)
-        if isinstance(val, (dict, list)):
-            yield from _paths(val, prefix + (key,))
+def _draw(draw, checker, doc=None):
+    """A JSON value that checker accepts; doc is the object drawn so far around it."""
+    if checker in OVERRIDES:
+        return OVERRIDES[checker](draw, checker, doc)
+    if isinstance(checker, cli._object):
+        out = {}
+        for key, (item, default) in checker.spec.items():
+            if default is cli.REQUIRED or draw(st.booleans()):
+                out[key] = _draw(draw, item, out)
+        return out
+    if isinstance(checker, cli._list):
+        return [_draw(draw, checker.item, doc) for _ in range(checker.length or draw(st.integers(0, 4)))]
+    if isinstance(checker, cli._int):
+        return draw(st.integers(checker.minimum, checker.minimum + 9))
+    return draw(LEAVES[checker])
 
 
-def _get(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
+def configs(command):
+    """Configs of the command that its spec accepts."""
+    return st.composite(_draw)(cli._object(cli.SPECS[command]))
 
 
-@pytest.mark.parametrize("name", list(VALID_CONFIGS))
-def test_valid_configs_run(tmp_path, name):
-    command, doc, _ = VALID_CONFIGS[name]
-    assert main(command + ["--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+def _keys(checker, doc):
+    """(node, key, default) for each key and list entry in doc: its spec's default, REQUIRED for an entry."""
+    if checker is cli._table:
+        checker = cli._TABLE_KINDS[doc["kind"]]
+    elif checker is cli._polygon:
+        checker = cli._POLYGON
+    if isinstance(checker, (cli._object, cli._list)):
+        for key, val in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            item, default = checker.spec[key] if isinstance(doc, dict) else (checker.item, cli.REQUIRED)
+            yield doc, key, default
+            yield from _keys(item, val)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_single_mutation_of_a_valid_config_is_a_config_error(data):
-    command, doc, optional = VALID_CONFIGS[data.draw(st.sampled_from(sorted(VALID_CONFIGS)))]
-    doc = json.loads(json.dumps(doc))
-    paths = list(_paths(doc))
-    dicts = [()] + [p for p in paths if isinstance(_get(doc, p), dict)]
+    # Any single mutation of a config the specs accept, other than leaving
+    # out a key that has a default, is refused before anything is computed.
+    command = data.draw(st.sampled_from(sorted(cli.SPECS)))
+    doc = data.draw(configs(command))
+    keys = list(_keys(cli._object(cli.SPECS[command]), doc))
     kind = data.draw(st.sampled_from(["wrong type", "bool", "nan", "inf", "null", "missing", "unknown"]))
     if kind == "missing":
-        path = data.draw(st.sampled_from([p for p in paths if isinstance(p[-1], str) and p not in optional]))
-        del _get(doc, path[:-1])[path[-1]]
+        node, key = data.draw(st.sampled_from([(n, k) for n, k, d in keys if isinstance(k, str) and d is cli.REQUIRED]))
+        del node[key]
     elif kind == "unknown":
-        _get(doc, data.draw(st.sampled_from(dicts)))["unknown_key"] = 1
+        data.draw(st.sampled_from([doc] + [n[k] for n, k, _ in keys if isinstance(n[k], dict)]))["unknown_key"] = 1
     else:
         # true is a valid value only where the config holds a boolean
-        candidates = [p for p in paths if kind != "bool" or not isinstance(_get(doc, p), bool)]
-        path = data.draw(st.sampled_from(candidates))
-        leaf = _get(doc, path)
-        _get(doc, path[:-1])[path[-1]] = {
-            "wrong type": 5 if isinstance(leaf, str) else "x",
-            "bool": True,
-            "nan": NAN,
-            "inf": INF,
-            "null": None,
-        }[kind]
+        leaves = [(n, k) for n, k, _ in keys if kind != "bool" or not isinstance(n[k], bool)]
+        node, key = data.draw(st.sampled_from(leaves))
+        wrong = 5 if isinstance(node[key], str) else "x"
+        node[key] = {"wrong type": wrong, "bool": True, "nan": NAN, "inf": INF, "null": None}[kind]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main(command + ["--config", write_config(Path(tmp), doc), "--out", str(out)])
+            rc = main(command.split() + ["--config", write_config(Path(tmp), doc), "--out", str(out)])
         assert rc == 1, (kind, doc)
         assert err.getvalue().startswith("config error:")
         assert not out.exists()
+
+
+def _names_an_error(line):
+    """Whether a line of stderr, a summary's `aborted` or iterate's aborted row names a PEBilliardsError."""
+    match = re.fullmatch(r"(?:error: |# aborted: )?(\w+): .*", line)
+    cls = getattr(errors, match.group(1), None) if match else None
+    return isinstance(cls, type) and issubclass(cls, errors.PEBilliardsError)
+
+
+@pytest.mark.parametrize("command", sorted(cli.SPECS), ids=lambda command: command.replace(" ", "-"))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_command_ends_in_a_named_outcome(command, data):
+    # Every config that configs() draws exits 0 with only finite numbers in its
+    # files, 1 with one config error line and nothing written, or 2 with one
+    # line naming the error: on stderr, as simulate's aborted (or its tangency
+    # mismatch) or as iterate's last row.  Never a traceback or a RuntimeWarning.
+    doc = data.draw(configs(command))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy's warning would end in a traceback
+        tmp = Path(tmp)
+        if "polygon_file" in doc.get("oval", {}):
+            (tmp / "polygon.json").write_text(json.dumps(data.draw(POLYGONS)), encoding="utf-8")
+        out, err = tmp / "out", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([*command.split(), "--config", write_config(tmp, doc), "--out", str(out)])
+        event(f"{command}: exit {rc}")
+        said = err.getvalue().splitlines()
+        if rc == 1:
+            assert len(said) == 1 and said[0].startswith("config error: ") and not out.exists(), said
+            return
+        files, mismatch = sorted(out.iterdir()) if out.exists() else [], None
+        assert files or rc == 2
+        for path in files:  # json writes a float that is not finite as NaN or Infinity, repr as nan or inf
+            if path.suffix == ".json":
+                written = json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path.name}: {c}"))
+                if path.name == "summary.json":
+                    mismatch = written["tangency_mismatch"]
+                    said += [line for line in [written["aborted"] or mismatch] if line]
+                continue
+            rows = path.read_text().splitlines()[1:]
+            said += [rows.pop()] if rows and rows[-1].startswith("# aborted: ") else []
+            assert not {"nan", "inf", "-inf"} & {c for row in rows for c in row.split(",")}, path.name
+        assert rc in (0, 2) and len(said) == (rc == 2), (rc, said)
+        assert rc == 0 or _names_an_error(said[0]) or said[0] == mismatch, said
 
 
 def test_oval_synth_square_with_extremum_at_angle_zero(tmp_path):
@@ -679,66 +780,30 @@ def test_radial_table_that_overflows_is_config_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
-# Non-resonant axes for each signature the property below draws from.
-PROPERTY_GEOMETRIES = [([1, 1], [2.0, 1.0]), ([2, 1], [3.0, 2.0, 1.0]), ([1, 2], [3.0, 2.0, 1.0]),
-                       ([2, 2], [4.0, 3.0, 2.0, 1.0]), ([3, 0], [3.0, 2.0, 1.0])]
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_explicit_simulate_start_ends_in_a_named_outcome(data):
-    # Any explicit start on the boundary, with a random, near-grazing or
-    # outward direction, ends in exit 1 (a refused start), exit 2 (an abort
-    # or a tangency mismatch) or exit 0 with every CSV cell finite.
-    signature, axes = data.draw(st.sampled_from(PROPERTY_GEOMETRIES))
-    dim = len(axes)
-    unit = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
-    s = np.array(data.draw(unit.filter(lambda c: np.linalg.norm(c) > 1e-3)))
-    x = np.array(axes) * s / np.linalg.norm(s)
-    nu = x / np.array(axes) ** 2
-    v = np.array(data.draw(unit))
-    kind = data.draw(st.sampled_from(["random", "near-grazing", "outward"]))
-    if kind == "near-grazing":
-        v = v - (v @ nu) / (nu @ nu) * nu - data.draw(st.floats(0.0, 1e-9)) * nu
-    elif kind == "outward" and v @ nu < 0.0:
-        v = -v
-    doc = {"signature": signature, "axes": axes, "initial": {"x": x.tolist(), "v": v.tolist()},
-           "bounces": data.draw(st.integers(1, 20)), "record_tangency": data.draw(st.booleans())}
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "o"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main(["simulate", "--config", write_config(Path(tmp), doc), "--out", str(out)])
-        if rc == 1:
-            assert err.getvalue().startswith("config error:") and not out.exists()
-            return
-        assert err.getvalue() == ""
-        summary = json.loads((out / "summary.json").read_text())
-        if rc == 2:
-            assert summary["aborted"] or summary["tangency_mismatch"]
-            return
-        assert rc == 0, rc
-        cells = [c for row in (out / "orbit.csv").read_text().splitlines()[1:] for c in row.split(",")[1:]]
-        assert all(np.isfinite(float(c)) for c in cells if c)
-
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_cli_import_loads_no_scipy():
-    # A fresh interpreter, so modules other tests imported do not count.
-    code = "import sys, pebilliards.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _fresh_interpreter(code):
+    """What `code` prints in a fresh interpreter, so modules other tests imported do not count."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, pebilliards.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_interpreter(code).strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # confocal forms polyroots' companion matrix itself: numpy.polynomial imports eight modules.
+    code = "import sys, pebilliards.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    assert _fresh_interpreter(code).strip() == "[]"
 
 
 def test_cli_import_builds_no_step_kernel():
     # The step kernels are generated on first use, so importing costs nothing for them.
     code = "import pebilliards.cli, pebilliards.billiard as b; print(b._kernels.cache_info().currsize)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "0"
+    assert _fresh_interpreter(code).strip() == "0"
 
 
 def test_no_source_file_imports_scipy():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pebilliards import confocal
 from pebilliards.billiard import run_orbit
@@ -340,6 +342,15 @@ def test_q_row_does_not_depend_on_its_batch(p, q):
     assert batch.shape == (1000, sig.dim)
     for k in range(1000):
         assert np.array_equal(tangency_polynomial(fam, xs[k], vs[k]), batch[k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=7).filter(lambda q: abs(q[-1]) >= 1e-3))
+def test_real_roots_equal_polyroots_bit_for_bit(q):
+    # Degrees 3 to 6 take the companion matrix's eigenvalues, as polyroots does.
+    roots = poly.polyroots(q).tolist()
+    want = [z.real for z in roots if confocal._is_real(z.real, z.imag)]
+    assert np.array(confocal._real_roots(q)).tobytes() == np.array(want).tobytes()
 
 
 def _oracle_roots(fam, r):

@@ -117,6 +117,22 @@ def test_array_pass_decides_all_but_a_thousandth_of_the_3_1_seed_7_orbit():
     assert csv_rows(cells) == repr_rows(cells)
 
 
+def test_cells_within_the_margin_of_a_tie_go_to_repr():
+    # x = n / 2^49 in [10, 16) with n 5^15 = 2^33 + 1 (mod 2^34), n odd: S = x 10^15
+    # = n 5^15 / 2^34 is exact and lies 2^-34 past a half-integer, so the
+    # nearer 17-digit text wins by 2^-34, less than MARGIN; with S mod 10^6
+    # below 2^19, u keeps that 2^-34.  x = 10.001292713001599 is one.  Every
+    # such cell goes to repr, as a decision that close is not certain.
+    step = 2**34
+    first = (2**33 + 1) * pow(5**15, -1, step) % step
+    start = first + -(-(10 * 2**49 - first) // step) * step
+    ties = [n / 2**49 for n in range(start, 2**53, step) if n * 5**15 // step % 10**6 < 2**19]
+    cells = array_pass_table([10.001292713001599] + ties[::100])
+    assert 10.001292713001599 in ties and len(ties) > 100_000
+    assert not floattext._shortest(cells.reshape(-1))[0].any()
+    assert csv_rows(cells) == repr_rows(cells)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 27), st.floats(1e16, 1e17))
 def test_scaled_pair_is_exact_to_k_22_and_within_2_to_the_48_above(k, s):

@@ -1,11 +1,5 @@
-import contextlib
 import functools
-import io
-import json
-import re
-import tempfile
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -24,7 +18,6 @@ from pebilliards.errors import (
     NoConvergence,
     ZeroSlope,
 )
-from pebilliards.cli import main
 from pebilliards.pecore import Ellipsoid, RayState, Signature
 
 CIRCLE = lo.EllipseOval.axis_aligned(1.0, 1.0)
@@ -712,66 +705,6 @@ def test_overflowing_curvature_numerator_is_a_convexity_violation(value):
         warnings.simplefilter("error")
         with pytest.raises(ConvexityViolation, match=r"min nan"):
             lo.RadialOval(ELLIPSE, (lo.RadialBump(1.0, value, 0.0, 0.5),))
-
-
-def _radial_table_doc(base, bumps):
-    """A radial table as the oval commands read it from their config."""
-    return {
-        "kind": "radial",
-        "base": {"kind": "ellipse_form", "form": base.form.tolist(), "center": base.center.tolist()},
-        "bumps": [[b.anchor, b.value, b.tilt, b.halfwidth] for b in bumps],
-    }
-
-
-def _json_numbers(doc):
-    if isinstance(doc, dict):
-        return [x for v in doc.values() for x in _json_numbers(v)]
-    if isinstance(doc, list):
-        return [x for v in doc for x in _json_numbers(v)]
-    return [doc] if isinstance(doc, float | int) and not isinstance(doc, bool) else []
-
-
-def _names_an_error(line):
-    """Whether a `config error:`/`error:` line or an aborted-row comment names a PEBilliardsError."""
-    match = re.fullmatch(r"(?:config error|error|# aborted): (\w+): .*", line)
-    cls = getattr(errors, match.group(1), None) if match else None
-    return isinstance(cls, type) and issubclass(cls, errors.PEBilliardsError)
-
-
-@settings(max_examples=30, deadline=None)
-@given(table=radial_tables(), mode=st.sampled_from(["iterate", "periodic"]),
-       theta=st.floats(0.0, 2 * np.pi, exclude_max=True), n=st.integers(2, 4))
-def test_random_radial_table_through_the_cli_ends_in_a_named_outcome(table, mode, theta, n):
-    # oval iterate or periodic on a random radial table exits 0 with only
-    # finite numbers in its file, 1 with a refused table (nothing written),
-    # or 2 with one line naming the error: on stderr, or for iterate as the
-    # last row of its file.  Never a traceback or a numpy warning.
-    oval = {"table": _radial_table_doc(*table)}
-    oval.update({"start": theta, "steps": 10} if mode == "iterate" else {"half_period": n, "seed_param": theta})
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
-        config.write_text(json.dumps({"oval": oval}), encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main(["oval", mode, "--config", str(config), "--out", str(out)])
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        said = err.getvalue().splitlines()
-        event(f"exit {rc}")
-        if said:
-            assert rc in (1, 2) and len(said) == 1 and _names_an_error(said[0]), said
-            assert rc == 2 or not out.exists()
-            return
-        if mode == "periodic":
-            assert rc == 0
-            numbers = _json_numbers(json.loads((out / "polygon.json").read_text()))
-        else:
-            rows = (out / "oval_orbit.csv").read_text().splitlines()[1:]
-            if rc == 2:
-                assert _names_an_error(rows.pop()), rows
-            assert rc in (0, 2)
-            numbers = [float(c) for row in rows for c in row.split(",")]
-        assert numbers and all(np.isfinite(numbers))
 
 
 def test_cached_grid_is_read_only():
