@@ -9,7 +9,10 @@ normal vector is n_i = e_i nu_i and the reflection is
 
 The recorder (run_orbit) steps in u = x / a, w = v / a, where the ellipsoid
 is the unit sphere, with one walk of straight-line code generated per
-dimension (_kernels) from the source of a chord and a reflection.
+dimension (_kernels) from the source of a chord and a reflection.  The same
+source is also emitted as C on long double, compiled once per dimension with
+the system C compiler and cached per user; the recorder takes that native
+walk where it builds and loads, and the Python walk elsewhere.
 
 Reflection preserves the squared pseudo-norm and flips the sign of Ax.v, so
 the quantity H(x, v) = Ax.v is invariant along orbits (negative for inward
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import zlib
 from dataclasses import dataclass
 from textwrap import indent
 from typing import Any, Callable, NamedTuple
@@ -62,11 +67,16 @@ def _require_on_boundary(x: np.ndarray, ell: Ellipsoid) -> None:
 
 
 class _Kernels(NamedTuple):
-    """The straight-line chord, reflection and walk kernels of one dimension (_kernels)."""
+    """The straight-line kernels of one dimension (_kernels); `native` is None where none was built."""
 
     chord: Callable[..., tuple]
     reflect: Callable[..., tuple]
-    walk: Callable[..., None]
+    walk: Callable[..., np.ndarray]
+    native: Callable[..., np.ndarray] | None
+
+
+#: The command that compiles the native walk; "-o <library> <source>" follow it.
+_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 @functools.cache
@@ -85,20 +95,23 @@ def _kernels(dim: int) -> _Kernels:
     w - (2 w.u / u.m) m.  It returns w' and 2 w.u, whose negation 2 w'.u is
     the next chord's 2 u.w.
 
-    walk(u, w, uw2, E, n, us, ws) takes up to n bounces from (u, w), each a
-    chord and then a reflection, and stops early where u.w is not < 0 (NaN
-    included), where no chord exists.  Each bounce extends the flat lists
-    `us` and `ws` by its row of u and of w; it returns nothing.  Its loop
-    body is the same two snippets of source that make up chord and reflect,
-    so the three compute alike, bit for bit.
+    walk(start, uw2, E, n) takes up to n bounces from the long-double row
+    start = (u, w), each a chord and then a reflection, and stops early
+    where u.w is not < 0 (NaN included), where no chord exists.  It returns
+    the long-double rows (u, w), row 0 the start and row k the state after
+    bounce k, shape (rows, 2 dim).  Its loop body is the same two snippets
+    of source that make up chord and reflect, so the three compute alike,
+    bit for bit.  `native`, where it exists, is the same walk with the same
+    snippets emitted as C on `long double` (_native_walk): it returns the
+    same rows, bit for bit, and the recorder takes it over `walk`.
 
-    All take scalars and compute in their type (numpy long double in the
-    recorder).  Each dot product is summed left to right from +0, the order
-    of numpy's long-double dot, so the recorder's rows are those of the same
-    arithmetic on arrays.  Pure arithmetic: the caller decides whether a
-    chord or a normal is allowed (_refused_chords, _null_normals).  Built
-    from one template on first use in each dimension; the source depends on
-    `dim` alone.
+    chord, reflect and walk take scalars and compute in their type (numpy
+    long double in the recorder).  Each dot product is summed left to right
+    from +0, the order of numpy's long-double dot, so the recorder's rows are
+    those of the same arithmetic on arrays.  Pure arithmetic: the caller
+    decides whether a chord or a normal is allowed (_refused_chords,
+    _null_normals).  Built from one template on first use in each
+    dimension; the source depends on `dim` alone.
     """
     idx = range(dim)
 
@@ -114,6 +127,8 @@ def _kernels(dim: int) -> _Kernels:
         return f"({start}" + " + ".join(f"{p}{i} * {q}{i}" for i in idx) + ")"
 
     u, w, E = each("u{i}"), each("w{i}"), each("E{i}")
+    # Each line of a snippet assigns an expression that reads alike in Python
+    # and in C, so _native_walk emits the same snippets as C statements.
     # The chord's exit point u from u, w and uw2 = 2 u.w.
     chord_step = f"""\
 c = uw2 / {dot("w", "w")}
@@ -141,21 +156,122 @@ def reflect(u, w, E):
 {indent(reflect_step, "    ")}
     return ({w}), wu2
 
-def walk(u, w, uw2, E, n, us, ws):
-    {u} = u
-    {w} = w
-    {E} = E
+def walk(start, uw2, E, n):
+    rows = start.tolist()
+    {u} {w} = rows
+    {E} = E.tolist()
     for _ in range(n):
         if not uw2 < 0.0:
             break
 {indent(bounce, "        ")}
         uw2 = -wu2
-        us.extend(({u}))
-        ws.extend(({w}))
+        rows.extend(({u} {w}))
+    return np.array(rows, dtype=np.longdouble).reshape(-1, {2 * dim})
 """
-    namespace: dict[str, Any] = {}
+    namespace: dict[str, Any] = {"np": np}
     exec(compile(source, f"<billiard kernels, dim {dim}>", "exec"), namespace)
-    return _Kernels(namespace["chord"], namespace["reflect"], namespace["walk"])
+    return _Kernels(namespace["chord"], namespace["reflect"], namespace["walk"], _native_walk(dim, bounce))
+
+
+def _native_walk(dim: int, bounce: str) -> Callable[..., np.ndarray] | None:
+    """_kernels' walk in C on `long double`, from its loop body `bounce`; None where it cannot be had.
+
+    Each line of `bounce` becomes one C statement, so the C walk performs
+    the Python walk's operations in its order, each rounded to long double
+    (no contraction into fused multiply-adds, _CC), and returns the same
+    rows.  The library comes from the per-user cache or a build there
+    (_library); without a working compiler or a writable cache, or where
+    the library does not load, this returns None and the recorder keeps
+    the Python walk.  The returned walk(start, uw2, E, n) fills a
+    preallocated (n + 1, 2 dim) array and returns its stepped rows.  Every
+    long double goes through an array, never through a ctypes scalar, which
+    would round it to double.
+    """
+    state = [f"{c}{i}" for c in "uw" for i in range(dim)]
+    steps = bounce.splitlines()
+    assigned = [line.split(" = ")[0] for line in steps]
+    temps = dict.fromkeys(name for name in assigned if name not in state)
+    loads = [f"{name} = row[{j}]" for j, name in enumerate(state)] + [f"E{i} = E[{i}]" for i in range(dim)]
+    body = indent(";\n".join(steps) + ";", " " * 8)
+    store = " ".join(f"row[{j}] = {name};" for j, name in enumerate(state))
+    source = f"""\
+long walk(long double *row, const long double *E, const long double *uw2_start, long n)
+{{
+    long double {", ".join(loads)}, uw2 = *uw2_start;
+    long double {", ".join(temps)};
+    long k;
+    for (k = 0; k < n; k++) {{
+        if (!(uw2 < 0.0))
+            break;
+{body}
+        uw2 = -wu2;
+        row += {2 * dim};
+        {store}
+    }}
+    return k;
+}}
+"""
+    path = _library(f"walk{dim}", source)
+    if path is None:
+        return None
+    import ctypes
+
+    try:
+        step = ctypes.CDLL(path).walk
+    except OSError:
+        return None
+    step.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
+    step.restype = ctypes.c_long
+
+    def walk(start, uw2, E, n: int) -> np.ndarray:
+        E = np.ascontiguousarray(E, dtype=np.longdouble)
+        if E.shape != (dim,):
+            raise ValueError(f"E must have shape ({dim},)")
+        uw2 = np.array([uw2], dtype=np.longdouble)
+        # np.zeros, not np.empty: the padding bytes of each long double stay zero.
+        rows = np.zeros((n + 1, 2 * dim), dtype=np.longdouble)
+        rows[0] = start
+        taken = step(rows.ctypes.data, E.ctypes.data, uw2.ctypes.data, n)
+        return rows[: taken + 1]
+
+    return walk
+
+
+def _library(name: str, source: str) -> str | None:
+    """The path of the shared library that _CC builds from the C `source`; None where it cannot be built.
+
+    The per-user cache, $XDG_CACHE_HOME/pebilliards or else
+    ~/.cache/pebilliards, holds it as <name>-<key>.so beside its source
+    <name>-<key>.c, keyed by the CRC-32 of the source and the command, and a
+    cached library is taken only where the stored source equals `source`.
+    A build compiles in a temporary directory inside the cache (created
+    with mode 0700) and moves the library and then its source into place,
+    so no reader sees a partial file.
+    """
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "pebilliards")
+    key = zlib.crc32("\0".join((source, *_CC)).encode())
+    base = os.path.join(cache, f"{name}-{key:08x}")
+    try:
+        with open(base + ".c", encoding="utf-8") as f:
+            if f.read() == source and os.path.exists(base + ".so"):
+                return base + ".so"
+    except OSError:
+        pass
+    import subprocess
+    import tempfile
+
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=cache) as tmp:
+            src, lib = os.path.join(tmp, "walk.c"), os.path.join(tmp, "walk.so")
+            with open(src, "w", encoding="utf-8") as f:
+                f.write(source)
+            subprocess.run([*_CC, "-o", lib, src], check=True, capture_output=True, timeout=60)
+            os.replace(lib, base + ".so")
+            os.replace(src, base + ".c")
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return base + ".so"
 
 
 def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarray:
@@ -338,9 +454,11 @@ def run_orbit(
     The bounces are stepped by one call of the generated walk (_kernels),
     whose loop body is the chord and reflection source, on long-double
     scalars in (u, w) = (x / a, v / a) on the unit sphere; each reflection's
-    2 w.u, negated, is the next chord's 2 u.w = 2 Ax.v.  The walk extends
-    two flat lists, one value per coordinate of u and of w, each converted
-    once to a long-double array of shape (rows, dim), and the rows are
+    2 w.u, negated, is the next chord's 2 u.w = 2 Ax.v.  The walk is the
+    native one, compiled from the same source, where it was built, else the
+    Python one; both give the same rows, bit for bit.  It returns the rows
+    (u, w) as one long-double array of shape (rows, 2 dim), the native walk
+    from a preallocated array of n_bounces + 1 rows, and the rows are
     returned as x = a u, v = a w.  The walk decides nothing, and stops early
     only once u.w is not < 0 (NaN included), where no chord exists.  All
     decisions are made after it, over the stepped rows, by two row-wise
@@ -372,15 +490,12 @@ def run_orbit(
     a, E, A = np.sqrt(a2), sig.e / a2, 1.0 / a2
     u, w = r.x / a, r.v / a
     uw2 = 2.0 * u.dot(w)
-    # Row 0, flat; a long-double array's tolist() holds long-double scalars.
-    # The walk starts from it and extends the lists by one row per bounce.
-    us, ws = u.tolist(), w.tolist()
+    kernels = _kernels(ell.dim)
 
     with np.errstate(all="ignore"):
-        _kernels(ell.dim).walk(us, ws, uw2, E.tolist(), n_bounces, us, ws)
-        rows = len(us) // ell.dim
-        xs = a * np.array(us, dtype=np.longdouble).reshape(rows, ell.dim)
-        vs = a * np.array(ws, dtype=np.longdouble).reshape(rows, ell.dim)
+        steps = (kernels.native or kernels.walk)(np.concatenate((u, w)), uw2, E, n_bounces)
+        rows = len(steps)
+        xs, vs = a * steps[:, : ell.dim], a * steps[:, ell.dim :]
 
         # Bounce b + 1 takes the chord from row b and reflects at row b + 1.
         # Each list ends in a sentinel at index `taken`, the first bounce not

@@ -550,7 +550,9 @@ class NullPolygon:
     """Closed alternating null polygon: vertices on the curve plus their slopes.
 
     The chord P_1 -> P_2 is horizontal (shared second coordinate), directions
-    alternate, and the closing chord P_{2n} -> P_1 is vertical.
+    alternate, and the closing chord P_{2n} -> P_1 is vertical.  A chord's
+    shared coordinate may differ at its ends by up to 1e-6 times the largest
+    |coordinate| of the points, a margin that scales with the polygon.
     """
 
     points: np.ndarray
@@ -564,7 +566,7 @@ class NullPolygon:
         slopes = tuple(float(t) for t in self.slopes)
         if len(slopes) != pts.shape[0]:
             raise ValueError("need exactly one slope per vertex")
-        scale = max(1.0, float(np.max(np.abs(pts))))
+        scale = float(np.max(np.abs(pts)))
         m = pts.shape[0]
         for j in range(m):
             shared = 1 if j % 2 == 0 else 0  # horizontal chords share coordinate 1
@@ -736,10 +738,10 @@ def build_accelerating_table(points, slopes) -> RadialOval:
     its margin, the least numerator on the grid, equal to the float path's,
     could not be larger (a nan never skips).  Raises InfeasibleSlopes when
     the tangent line at a vertex, with its slope, does not have every other
-    vertex strictly on one side, by more than 1e-9 times the larger of 1 and
-    the largest coordinate offset from the centroid: no convex curve through
-    the vertices has that slope there.  Raises ConvexityViolation when all
-    candidates fail.
+    vertex strictly on one side, by more than 1e-9 times the largest
+    coordinate offset from the centroid, a margin that scales with the
+    polygon: no convex curve through the vertices has that slope there.
+    Raises ConvexityViolation when all candidates fail.
     """
     pts = np.asarray(points, dtype=float)
     slopes = [float(t) for t in slopes]
@@ -750,8 +752,7 @@ def build_accelerating_table(points, slopes) -> RadialOval:
 
     center = pts.mean(axis=0)
     rel = (pts - center).tolist()
-    scale = max(1.0, max(abs(c) for p in rel for c in p))
-    axis_tol = 1e-9 * scale
+    axis_tol = 1e-9 * max(abs(c) for p in rel for c in p)
 
     ratios = []
     for j, ((du, dw), t) in enumerate(zip(rel, slopes)):

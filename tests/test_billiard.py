@@ -1,3 +1,7 @@
+import shutil
+import stat
+import subprocess
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -1010,3 +1014,108 @@ def test_run_orbit_steps_only_through_the_walk(monkeypatch):
         _assert_same_outcome(sample_null_ray(ell, sig, 5), 200, ell, sig)
     for ell, start, _, _ in LATE_ABORT_STARTS:
         _assert_same_outcome(start, 50, ell, LORENTZ)
+
+
+@pytest.fixture
+def no_compiler(tmp_path, monkeypatch):
+    """Kernels built afresh with no C compiler to be found and an empty cache: the recorder takes the Python walk."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(billiard, "_CC", ("pebilliards-no-such-compiler", *billiard._CC[1:]))
+    billiard._kernels.cache_clear()
+    yield
+    billiard._kernels.cache_clear()
+
+
+def test_run_orbit_without_a_compiler_records_the_same_rows(request):
+    # The Python walk, the only one where no library can be built, records
+    # the native walk's rows and aborts, bit for bit.
+    cases = [(start, 50, ell, LORENTZ) for ell, start, _, _ in LATE_ABORT_STARTS]
+    for (p, q), axes in NULL_AXES.items():
+        sig, ell = Signature(p, q), Ellipsoid(axes)
+        cases.append((sample_null_ray(ell, sig, 5), 1000, ell, sig))
+    native = [run_orbit(*case) for case in cases]
+    request.getfixturevalue("no_compiler")
+    for case, want in zip(cases, native):
+        assert billiard._kernels(case[2].dim).native is None
+        got = run_orbit(*case)
+        for mine, theirs in ((got.xs, want.xs), (got.vs, want.vs), (got.h, want.h), (got.f, want.f)):
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        assert (got.abort_reason, got.abort_bounce) == (want.abort_reason, want.abort_bounce)
+
+
+def test_the_native_walk_is_built_once_and_then_loaded_from_the_cache(tmp_path, monkeypatch):
+    if shutil.which(billiard._CC[0]) is None:
+        pytest.skip("no C compiler on PATH")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compiler was started")
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    billiard._kernels.cache_clear()
+    try:
+        assert billiard._kernels(3).native is not None
+        cache = tmp_path / "pebilliards"
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        (source,) = cache.glob("walk3-*.c")
+        assert sorted(p.name for p in cache.iterdir()) == [source.name, source.with_suffix(".so").name]
+        # A warm cache loads the library and starts no compiler ...
+        monkeypatch.setattr(subprocess, "run", refuse)
+        billiard._kernels.cache_clear()
+        assert billiard._kernels(3).native is not None
+        # ... unless its stored source differs, as under a collision of the key.
+        source.write_text(source.read_text() + "\n", encoding="utf-8")
+        billiard._kernels.cache_clear()
+        with pytest.raises(AssertionError, match="a compiler was started"):
+            billiard._kernels(3)
+    finally:
+        billiard._kernels.cache_clear()
+
+
+#: Whether the native walk is built here: a C compiler on PATH and a writable cache.
+NATIVE = billiard._kernels(2).native is not None
+
+
+@st.composite
+def walk_starts(draw):
+    """Arguments of the walks: a start (u, w) on the unit sphere, 2 u.w, E = e / a^2 and a bounce count.
+
+    From orbit_starts, so some orbits reach a normal that is null or nearly
+    so, after which the walks may stop early.  Some starts point outward
+    instead, where the walks stop at once, or hold a NaN: in one entry of u
+    or w, where they stop after one bounce, or in 2 u.w, where they stop at
+    once.
+    """
+    ell, sig, r, n = draw(orbit_starts())
+    a2 = ell.a2.astype(np.longdouble)
+    a = np.sqrt(a2)
+    u, w = r.x / a, r.v / a
+    change = draw(st.sampled_from([None, None, "outward", "nan"]))
+    if change == "outward":
+        w = -w
+    start, uw2 = np.concatenate((u, w)), 2.0 * u.dot(w)
+    if change == "nan":
+        where = draw(st.integers(0, 2 * ell.dim))
+        if where == 2 * ell.dim:
+            uw2 = np.longdouble("nan")
+        else:
+            start[where] = np.nan
+    return start, uw2, sig.e / a2, n
+
+
+@pytest.mark.skipif(not NATIVE, reason="no native walk: no C compiler on PATH or no writable cache")
+@given(walk_starts())
+@settings(max_examples=300, deadline=None)
+def test_the_native_walk_equals_the_python_walk(case):
+    # The C walk emitted from the same snippets returns the Python walk's rows
+    # in value and sign bit, and stops at the same row.  NaN rows compare by
+    # position: which of two NaN operands an x87 operation returns depends on
+    # the order of the operands, which the compiler may swap.
+    start, uw2, E, n = case
+    kernels = billiard._kernels(len(E))
+    with np.errstate(all="ignore"):
+        want = kernels.walk(start, uw2, E, n)
+        got = kernels.native(start, uw2, E, n)
+    assert got.dtype == want.dtype == np.longdouble and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from pebilliards import cli, errors
 from pebilliards.cli import load_config, main
 from pebilliards.errors import ConfigError, NoConvergence
+from test_billiard import no_compiler  # noqa: F401, a fixture
 from test_lorentz_oval import null_polygons, radial_tables
 
 
@@ -370,6 +372,9 @@ BAD_CONFIGS = {
                                "needs an even number >= 4"),
     "polygon-first-chord": (["oval", "synth"], synth_doc(points=[[1, 1], [-1, 0.5], [-1, -1], [1, -1]]),
                             "chord 1 is not horizontal"),
+    "polygon-first-chord-2^-30": (["oval", "synth"],
+                                  synth_doc(points=(2**-30 * np.array([[1, 1], [-1, 0.5], [-1, -1], [1, -1]])).tolist()),
+                                  "chord 1 is not horizontal"),
     "commute-resonant-axes": (["commute"], dict(COMMUTE, signature=[2, 0], axes=[1.0, 1.0]),
                               "config error: ResonantAxes: "),
     "synth-infeasible-slopes": (["oval", "synth"], synth_doc(slopes=[1.0] * 4), "config error: InfeasibleSlopes: "),
@@ -399,6 +404,34 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, command, doc, whe
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1 and where in err
     assert not out.exists()
+
+
+def synth_factors(tmp_path, scale):
+    """The exit code and the formula and simulated factors of oval synth on the README square times `scale`."""
+    doc = synth_doc(points=[[scale * c for c in p] for p in SQUARE["points"]])
+    out = tmp_path / "out"
+    rc = main(["oval", "synth", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    if rc != 0:
+        return rc, None, None
+    report = json.loads((out / "synth_report.json").read_text())
+    shutil.rmtree(out)
+    return rc, report["formula_factor"], report["simulated_factor"]
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-50])
+def test_oval_synth_builds_a_table_through_a_small_square(tmp_path, scale):
+    # The side test's margin scales with the polygon: these squares' vertex
+    # offsets are far below 1, the margin's former floor.
+    rc, formula, simulated = synth_factors(tmp_path, scale)
+    assert rc == 0 and formula == pytest.approx(4.0) and simulated == pytest.approx(4.0)
+
+
+def test_oval_synth_factors_do_not_change_when_the_square_is_scaled_by_a_power_of_two(tmp_path):
+    # Scaling by 2^k scales every coordinate exactly, and synthesis decides
+    # nothing on an absolute scale, so every k gives the unscaled factors.
+    want = synth_factors(tmp_path, 1.0)
+    assert want == (0, 4.0000000000000036, 4.0000000000000036)
+    assert {k: synth_factors(tmp_path, 2.0**k) for k in range(-100, 101)} == dict.fromkeys(range(-100, 101), want)
 
 
 def test_runtime_error_in_oval_synth_exits_2(tmp_path, capsys, monkeypatch):
@@ -783,9 +816,9 @@ def test_radial_table_that_overflows_is_config_error(tmp_path, capsys, value):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh_interpreter(code):
-    """What `code` prints in a fresh interpreter, so modules other tests imported do not count."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+def _fresh_interpreter(code, **env):
+    """What `code` prints in a fresh interpreter, so modules other tests imported do not count; `env` adds variables."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])), **env}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
@@ -800,10 +833,21 @@ def test_cli_import_loads_no_numpy_polynomial():
     assert _fresh_interpreter(code).strip() == "[]"
 
 
-def test_cli_import_builds_no_step_kernel():
-    # The step kernels are generated on first use, so importing costs nothing for them.
+def test_cli_import_builds_no_step_kernel(tmp_path):
+    # The step kernels are generated on first use, so importing costs nothing
+    # for them: it starts no compiler and writes no file to the kernel cache.
+    # A `cc` first on PATH records each start; building a kernel starts it.
+    bin_dir, started, cache = tmp_path / "bin", tmp_path / "started", tmp_path / "cache"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text(f"#!/bin/sh\necho cc >> '{started}'\nexit 1\n", encoding="utf-8")
+    (bin_dir / "cc").chmod(0o755)
+    env = {"XDG_CACHE_HOME": str(cache), "PATH": os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")])}
     code = "import pebilliards.cli, pebilliards.billiard as b; print(b._kernels.cache_info().currsize)"
-    assert _fresh_interpreter(code).strip() == "0"
+    assert _fresh_interpreter(code, **env).strip() == "0"
+    assert not started.exists() and not cache.exists()
+    code = "import pebilliards.cli, pebilliards.billiard as b; print(b._kernels(3).native)"
+    assert _fresh_interpreter(code, **env).strip() == "None"
+    assert started.read_text() == "cc\n" and not [p for p in cache.rglob("*") if p.is_file()]
 
 
 def test_no_source_file_imports_scipy():
@@ -934,6 +978,19 @@ def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr
     command, config, doc, out = README_EXAMPLES[0]
     assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0
     assert decided == [0]
+    if np.finfo(np.longdouble).nmant == 63:
+        want = json.loads(README_DIGESTS.read_text())["simulate"]
+        assert {p.name: sha256(p) for p in sorted((tmp_path / out).iterdir())} == want
+
+
+def test_readme_simulate_writes_the_committed_bytes_without_a_compiler(tmp_path, no_compiler):
+    # Where no native walk can be built the recorder steps through the Python
+    # walk, and writes the same bytes.
+    from pebilliards import billiard
+
+    command, config, doc, out = README_EXAMPLES[0]
+    assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0
+    assert billiard._kernels(3).native is None
     if np.finfo(np.longdouble).nmant == 63:
         want = json.loads(README_DIGESTS.read_text())["simulate"]
         assert {p.name: sha256(p) for p in sorted((tmp_path / out).iterdir())} == want
