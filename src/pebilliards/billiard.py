@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import zlib
 from dataclasses import dataclass
 from textwrap import indent
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import confocal
+from . import confocal, native
 from .errors import (
     NonFinite,
     NotInward,
@@ -75,10 +73,6 @@ class _Kernels(NamedTuple):
     native: Callable[..., np.ndarray] | None
 
 
-#: The command that compiles the native walk; "-o <library> <source>" follow it.
-_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
-
-
 @functools.cache
 def _kernels(dim: int) -> _Kernels:
     """The chord, reflection and walk kernels on the unit sphere, written out for `dim` coordinates.
@@ -99,9 +93,11 @@ def _kernels(dim: int) -> _Kernels:
     start = (u, w), each a chord and then a reflection, and stops early
     where u.w is not < 0 (NaN included), where no chord exists.  It returns
     the long-double rows (u, w), row 0 the start and row k the state after
-    bounce k, shape (rows, 2 dim).  Its loop body is the same two snippets
-    of source that make up chord and reflect, so the three compute alike,
-    bit for bit.  `native`, where it exists, is the same walk with the same
+    bounce k, shape (rows, 2 dim): the first rows of an (n + 1, 2 dim)
+    array it allocates before the first bounce, so that a count whose rows
+    do not fit in memory raises MemoryError at once.  Its loop body is the
+    same two snippets of source that make up chord and reflect, so the
+    three compute alike, bit for bit.  `native`, where it exists, is the same walk with the same
     snippets emitted as C on `long double` (_native_walk): it returns the
     same rows, bit for bit, and the recorder takes it over `walk`.
 
@@ -157,6 +153,7 @@ def reflect(u, w, E):
     return ({w}), wu2
 
 def walk(start, uw2, E, n):
+    out = np.zeros((n + 1, {2 * dim}), dtype=np.longdouble)
     rows = start.tolist()
     {u} {w} = rows
     {E} = E.tolist()
@@ -166,7 +163,8 @@ def walk(start, uw2, E, n):
 {indent(bounce, "        ")}
         uw2 = -wu2
         rows.extend(({u} {w}))
-    return np.array(rows, dtype=np.longdouble).reshape(-1, {2 * dim})
+    out.flat[: len(rows)] = rows
+    return out[: len(rows) // {2 * dim}]
 """
     namespace: dict[str, Any] = {"np": np}
     exec(compile(source, f"<billiard kernels, dim {dim}>", "exec"), namespace)
@@ -178,9 +176,9 @@ def _native_walk(dim: int, bounce: str) -> Callable[..., np.ndarray] | None:
 
     Each line of `bounce` becomes one C statement, so the C walk performs
     the Python walk's operations in its order, each rounded to long double
-    (no contraction into fused multiply-adds, _CC), and returns the same
-    rows.  The library comes from the per-user cache or a build there
-    (_library); without a working compiler or a writable cache, or where
+    (no contraction into fused multiply-adds, native._CC), and returns the
+    same rows.  The library comes from the per-user cache or a build there
+    (native.load); without a working compiler or a writable cache, or where
     the library does not load, this returns None and the recorder keeps
     the Python walk.  The returned walk(start, uw2, E, n) fills a
     preallocated (n + 1, 2 dim) array and returns its stepped rows.  Every
@@ -211,15 +209,12 @@ long walk(long double *row, const long double *E, const long double *uw2_start, 
     return k;
 }}
 """
-    path = _library(f"walk{dim}", source)
-    if path is None:
+    lib = native.load(f"walk{dim}", source)
+    if lib is None:
         return None
     import ctypes
 
-    try:
-        step = ctypes.CDLL(path).walk
-    except OSError:
-        return None
+    step = lib.walk
     step.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
     step.restype = ctypes.c_long
 
@@ -235,43 +230,6 @@ long walk(long double *row, const long double *E, const long double *uw2_start, 
         return rows[: taken + 1]
 
     return walk
-
-
-def _library(name: str, source: str) -> str | None:
-    """The path of the shared library that _CC builds from the C `source`; None where it cannot be built.
-
-    The per-user cache, $XDG_CACHE_HOME/pebilliards or else
-    ~/.cache/pebilliards, holds it as <name>-<key>.so beside its source
-    <name>-<key>.c, keyed by the CRC-32 of the source and the command, and a
-    cached library is taken only where the stored source equals `source`.
-    A build compiles in a temporary directory inside the cache (created
-    with mode 0700) and moves the library and then its source into place,
-    so no reader sees a partial file.
-    """
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "pebilliards")
-    key = zlib.crc32("\0".join((source, *_CC)).encode())
-    base = os.path.join(cache, f"{name}-{key:08x}")
-    try:
-        with open(base + ".c", encoding="utf-8") as f:
-            if f.read() == source and os.path.exists(base + ".so"):
-                return base + ".so"
-    except OSError:
-        pass
-    import subprocess
-    import tempfile
-
-    try:
-        os.makedirs(cache, mode=0o700, exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=cache) as tmp:
-            src, lib = os.path.join(tmp, "walk.c"), os.path.join(tmp, "walk.so")
-            with open(src, "w", encoding="utf-8") as f:
-                f.write(source)
-            subprocess.run([*_CC, "-o", lib, src], check=True, capture_output=True, timeout=60)
-            os.replace(lib, base + ".so")
-            os.replace(src, base + ".c")
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return base + ".so"
 
 
 def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarray:
@@ -457,11 +415,12 @@ def run_orbit(
     2 w.u, negated, is the next chord's 2 u.w = 2 Ax.v.  The walk is the
     native one, compiled from the same source, where it was built, else the
     Python one; both give the same rows, bit for bit.  It returns the rows
-    (u, w) as one long-double array of shape (rows, 2 dim), the native walk
-    from a preallocated array of n_bounces + 1 rows, and the rows are
-    returned as x = a u, v = a w.  The walk decides nothing, and stops early
-    only once u.w is not < 0 (NaN included), where no chord exists.  All
-    decisions are made after it, over the stepped rows, by two row-wise
+    (u, w) as one long-double array of shape (rows, 2 dim), from an array
+    of n_bounces + 1 rows allocated before the first bounce (a MemoryError
+    where they do not fit), and the rows are returned as x = a u, v = a w.
+    The walk decides nothing, and stops early only once u.w is not < 0
+    (NaN included), where no chord exists.  All decisions are made after
+    it, over the stepped rows, by two row-wise
     predicates: bounce k fails when the chord test refuses row k - 1
     (NotInward) or the normal test row k (NullNormal), the chord first.  A
     run that fails on a grazing chord or on a finite, tiny <n,n> may step on

@@ -5,9 +5,9 @@ table before anything is computed or written.  Unknown keys, missing
 required keys and values of the wrong type or range are config errors that
 name the dotted path of the key, e.g. ``config.initial.x``.  Outputs are
 deterministic for a fixed config and seed: every CSV float is the text of
-its ``repr`` (the shortest that reads back; `floattext` writes the cells of
-``orbit.csv`` in one array pass with the same bytes), JSON keys are sorted,
-and line endings are LF.
+its ``repr`` (the shortest that reads back; `floattext` writes the rows of
+``orbit.csv`` with a C function, where one builds, with the same bytes), JSON
+keys are sorted, and line endings are LF.
 
 Exit codes:
 
@@ -15,7 +15,8 @@ Exit codes:
     1  config error: a bad config or command line, or a failure before the
        first bounce (a simulate start off the boundary, not inward, of zero
        direction or not sampled, resonant axes, or a start row that cannot
-       be recorded: NonFinite, RootIsolationFailure); no file is written
+       be recorded: NonFinite, RootIsolationFailure), or simulate rows or
+       their text that do not fit in memory; no file is written
     2  runtime degeneracy: a failed step or row during the orbit, a tangency
        mismatch, or a named error raised while computing (e.g. NoConvergence
        or DegenerateChord on a radial oval table)
@@ -293,9 +294,11 @@ def _initial_state(init: dict, ell: Ellipsoid, sig: Signature, seed: int) -> Ray
 
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     ell, sig = _geometry(cfg)
+    beyond_memory = f"config.bounces: the rows of {cfg['bounces']} bounces do not fit in memory"
 
     # A failure before the first bounce is a config error; one during the
-    # orbit is recorded in the output and exits 2.
+    # orbit is recorded in the output and exits 2.  The rows are allocated
+    # before the first bounce, so a count past memory fails at once.
     try:
         fam = confocal.ConfocalFamily(ell, sig) if cfg["record_tangency"] else None
         state = _initial_state(cfg["initial"], ell, sig, cfg["seed"])
@@ -304,6 +307,8 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         raise
     except PEBilliardsError as exc:  # every named error here is a failed start
         _fail(f"{type(exc).__name__}: {exc}")
+    except MemoryError:
+        _fail(beyond_memory)
     report = verify.drift_report(record) if record.bounce_count >= 1 else None
     mismatch = report.lambda_mismatch if report is not None else None
 
@@ -324,7 +329,11 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     for idx, ts in enumerate(record.tangency if lam_count else ()):
         lams = ts.lambdas[:lam_count]
         cells[idx, first : first + len(lams)] = lams
-    _write_bytes(out_dir / "orbit.csv", (",".join(header) + "\n").encode() + floattext.csv_rows(cells))
+    try:
+        rows = floattext.csv_rows(cells)
+    except MemoryError:
+        _fail(beyond_memory)
+    _write_bytes(out_dir / "orbit.csv", (",".join(header) + "\n").encode() + rows)
     summary = {
         "bounces_requested": cfg["bounces"],
         "bounces_completed": record.bounce_count,

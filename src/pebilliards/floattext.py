@@ -2,10 +2,12 @@
 
 ``repr`` prints the shortest decimal that reads back as the float and, of
 those, the nearest.  `csv_rows` finds those digits for a whole table in one
-array pass, in float64 and int64 only.  For a normal float64 x with decimal
-exponent E = floor(log10|x|) in [-11, 16] and k = 16 - E:
+call of a C function on doubles (`_source`, built on first use and loaded
+through `native`).  For a normal float64 x with decimal exponent
+E = floor(log10|x|) in [-11, 16] and k = 16 - E:
 
-* ``S = |x| 10^k`` is a pair ``hi + lo`` (Dekker's two-product), exact for
+* ``S = |x| 10^k`` is a pair ``hi + lo`` (Dekker's two-product with the
+  tabled split of 10^k rounded, plus |x| times the rest of 10^k), exact for
   k <= 22 and within 2^-48 above.  As S >= 1e16 > 2^53, hi is an integer,
   so ``D = floor(S) = hi + floor(lo)`` and ``r = S - D``.
 * The nearest decimal of 17 - j digits is D rounded at digit j: with
@@ -15,18 +17,25 @@ exponent E = floor(log10|x|) in [-11, 16] and k = 16 - E:
 * Reading back is monotone in the digit count: the text has 17 - j digits
   when 17 - j read back and 16 - j do not.
 
-Each decision that picks the text (17 - j digits read back, 16 - j do not,
-which neighbour is nearer) must clear `MARGIN`, or the cell goes to
-``repr``.  So do zeros, subnormals, non-finite values, binade edges (where
-the gaps differ), exponents outside [-11, 16], cells whose 16 - SHORTER
-digits read back, and positional texts with zeros past the last digit.
+E comes from the binary exponent and one comparison with the double
+nearest 10^(E + 1).  It is one too high only at that double itself where it
+lies below 10^(E + 1): a one-digit text, which goes to ``repr`` as a cell
+with few digits does, and D outside [10^16, 10^17) sends it there as well
+(the layout needs 17 digits).  Each decision that picks the text (17 - j
+digits read back, 16 - j do not, which neighbour is nearer) must clear
+`MARGIN`, or the cell goes to ``repr`` too.  So do zeros, subnormals,
+non-finite values, binade edges (where the gaps differ), exponents outside
+[-11, 16], cells whose 16 - SHORTER digits read back, and positional texts
+with zeros past the last digit.
 
 The text is laid out as ``repr`` does it: positional for -4 <= E < 16,
-``d.ddde+XX`` otherwise.  Each cell fills four 8-byte words: sign and
-``0.00`` prefix, then 18 digits, exponent and separator.  The digits are
-G with a zero inserted where the point goes (10 G where the prefix holds
-the point), and that zero's byte is then made the point.  NUL fills what
-a position does not hold; the text is the words with every NUL deleted.
+``d.ddde+XX`` otherwise.  The C function writes every row, its index and
+separators into one buffer, leaves out each cell it does not decide and
+returns those cells; `csv_rows` fills them with their ``repr``.  Where no
+library can be built or loaded, and on tables below `ARRAY_PASS_CELLS`,
+every cell is its ``repr``.  All arithmetic is on double and int64, built
+without contraction into fused multiply-adds or fast-math (`native._CC`),
+so the digits do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -35,147 +44,249 @@ import functools
 
 import numpy as np
 
-from .ddouble import _split, _two_product
+from . import native
+from .ddouble import _SPLITTER, _split
 
-#: Tables of fewer cells skip the array pass, whose fixed cost is larger
-#: than what it saves there, and format every cell with ``repr``.
+#: Tables of fewer cells, such as short orbits, are written with ``repr`` and
+#: never load the C formatter: its first load in a process (about 0.6 ms)
+#: costs what ``repr`` takes for about 1 000 cells.  Once loaded it is faster
+#: on a table of any size.
 ARRAY_PASS_CELLS = 320
 
-#: The most digits dropped from 17 (5 at most: six digit bytes can be
-#: trimmed); a cell whose 16 - SHORTER digits read back goes to ``repr``.
+#: The most digits dropped from 17 (5 at most: the decisions see S mod 10^6,
+#: which places the nearest multiple of 10^(j + 1) only up to j = 5); a cell
+#: whose 16 - SHORTER digits read back goes to ``repr``.
 SHORTER = 5
 
 #: The room each decision leaves for rounding: S mod 10^6 in double is within
 #: 2^-33 (the pair within 2^-48 of S, the sum below 2^20), and H is rounded.
 MARGIN = 2.0**-32
 
-_WORDS = 4  # per slot: sign and prefix; digits 0:8; digits 8:16; digits 16:18, exponent, separator
+#: The most bytes a decided cell and the separator before it take: the sign,
+#: then "0.000" and 17 digits, or 17 digits, the point and "e-XX".
+_CELL_BYTES = 24
 
-_POW10 = np.array([10.0**k for k in range(28)])  # exact to 10^22
-_POW10_SPLIT = _split(_POW10)
-_POW10_REST = np.array([10**k - int(p) for k, p in enumerate(_POW10.tolist())], float)  # exact
-_POW10_INT = 10 ** np.arange(18)
-_DROPPED = 2 + np.bincount(np.concatenate([np.arange(0, 10_001, 10**i) for i in range(1, 5)]))  # 2 + zeros of 0..10^4
+_POW10 = [10.0**k for k in range(28)]  # exact to 10^22
+
+
+def _doubles(values) -> str:
+    return ", ".join(float(v).hex() for v in values)
+
+
+def _source() -> str:
+    """The C formatter, its tables written out as exact hexadecimal doubles."""
+    split = _split(np.array(_POW10))
+    rest = [10**k - int(p) for k, p in enumerate(_POW10)]  # exact as doubles
+    pairs = "".join(f"{i:02d}" for i in range(100))
+    return f"""\
+#include <stdint.h>
+#include <string.h>
+
+#define SHORTER {SHORTER}
+#define MARGIN {MARGIN.hex()}
+
+static const double POW10[28] = {{{_doubles(_POW10)}}};
+static const double POW10_HI[28] = {{{_doubles(split[0])}}};
+static const double POW10_LO[28] = {{{_doubles(split[1])}}};
+static const double POW10_REST[28] = {{{_doubles(rest)}}};
+static const double DECADE[29] = {{{_doubles(float(f"1e{e}") for e in range(-11, 18))}}};
+static const char PAIRS[] = "{pairs}";
+
+static double nearest(double v) /* the nearest integer to 0 <= v < 2^52, ties to even */
+{{
+    return (v + 0x1p52) - 0x1p52;
+}}
+
+static void four(uint32_t v, char *s) /* the 4 digits of v < 10^4 */
+{{
+    memcpy(s, PAIRS + 2 * (v / 100), 2);
+    memcpy(s + 2, PAIRS + 2 * (v % 100), 2);
+}}
+
+static double magnitude(double v)
+{{
+    return v < 0.0 ? -v : v;
+}}
+
+/* The text of the non-NaN x as repr writes it, into s: its length, or -1 where repr must decide. */
+static int cell(double x, char *s)
+{{
+    uint64_t bits, power;
+    double a, two;
+    memcpy(&bits, &x, 8);
+    bits &= 0x7fffffffffffffffULL;
+    memcpy(&a, &bits, 8);
+    if (!(a >= 1e-11 && a < 1e17) || (bits & 0xfffffffffffffULL) == 0)
+        return -1; /* a zero, subnormal or infinity, E outside [-11, 16], or a binade edge */
+    int exponent = (int)(bits >> 52) - 1022; /* a = m 2^exponent, 1/2 < m < 1 */
+    int guess = ((exponent - 1) * 78913) >> 18; /* floor(log10 2^(exponent - 1)) */
+    int e = guess + (a >= DECADE[guess + 12]); /* floor(log10 a) but at a DECADE below its power */
+    int k = 16 - e;
+
+    double hi = a * POW10[k];
+    double c = {_SPLITTER.hex()} * a;
+    double ah = c - (c - a), al = a - ah;
+    double lo = ((ah * POW10_HI[k] - hi) + ah * POW10_LO[k] + al * POW10_HI[k]) + al * POW10_LO[k];
+    lo = lo + a * POW10_REST[k];
+    double floor_lo = (double)(int64_t)lo;
+    if (floor_lo > lo)
+        floor_lo = floor_lo - 1.0;
+    int64_t d = (int64_t)hi + (int64_t)floor_lo;
+    if (d < 10000000000000000LL || d >= 100000000000000000LL)
+        return -1; /* E was off by one: the layout below needs 17 digits */
+    int64_t high = d / 1000000;
+    double u = (double)(d - high * 1000000) + (lo - floor_lo); /* S mod 10^6, within 2^-33 */
+    /* D's 11 digits above 10^6, the first of the 17 digits of the text;
+       the bytes past them are copied, unread, by the fixed-size copies below */
+    char digits[32] = {{0}};
+    uint32_t top = (uint32_t)(high / 100000000), rest = (uint32_t)(high % 100000000);
+    digits[0] = (char)('0' + top / 100);
+    memcpy(digits + 1, PAIRS + 2 * (top % 100), 2);
+    four(rest / 10000, digits + 3);
+    four(rest % 10000, digits + 7);
+    power = (uint64_t)(exponent - 54 + 1023) << 52;
+    memcpy(&two, &power, 8);
+    double half = POW10[k] * two;
+
+    /* j, the digits dropped (a guess; the decisions below check it): H < 12,
+       so at most one multiple of 100 lies within H of S; where one does j is 2
+       plus its trailing zeros, else 1 where a multiple of 10 does. */
+    double m = nearest(u / 100);
+    int j;
+    if (magnitude(u - 100 * m) < half) {{
+        int64_t n = (int64_t)m;
+        j = 2 + (n % 10 == 0) + (n % 100 == 0) + (n % 1000 == 0) + (n % 10000 == 0);
+    }} else
+        j = magnitude(u - 10 * nearest(u / 10)) < half;
+    if (j > SHORTER)
+        return -1;
+
+    /* The decisions that pick the text, each with the margin to spare: the
+       nearest multiple of 10^j lies within H of S, and nearer than its other
+       neighbour; the nearest multiple of 10^(j+1) does not. */
+    double p = POW10[j];
+    double near = p * nearest(u / p);
+    double gap = magnitude(u - near);
+    if (!(gap < half - MARGIN) || !(p / 2 - gap > MARGIN))
+        return -1;
+    if (!(magnitude(u - 10 * p * nearest(u / (10 * p))) > half + MARGIN))
+        return -1;
+    if (near >= 1e6)
+        return -1; /* a carry into D's digits above 10^6 */
+    if (!(e == 16 || e + j < 16))
+        return -1; /* positional zeros past the last digit */
+
+    /* The last 6 digits, and the text laid out with copies of fixed size,
+       which may write up to 16 bytes past it (the caller leaves that room). */
+    uint32_t last = (uint32_t)near;
+    memcpy(digits + 11, PAIRS + 2 * (last / 10000), 2);
+    four(last % 10000, digits + 13);
+    char *t = s;
+    int shown = 17 - j;
+    if (x < 0)
+        *t++ = '-';
+    if (e < -4 || e == 16) {{
+        t[0] = digits[0];
+        t[1] = '.';
+        memcpy(t + 2, digits + 1, 16);
+        t += shown + 1;
+        t[0] = 'e';
+        t[1] = e < 0 ? '-' : '+';
+        memcpy(t + 2, PAIRS + 2 * (e < 0 ? -e : e), 2);
+        t += 4;
+    }} else if (e < 0) {{
+        memcpy(t, "0.000", 5);
+        t += 1 - e;
+        memcpy(t, digits, 17);
+        t += shown;
+    }} else {{
+        memcpy(t, digits, 17);
+        t[e + 1] = '.';
+        memcpy(t + e + 2, digits + e + 1, 16);
+        t += shown + 1;
+    }}
+    return (int)(t - s);
+}}
+
+/* Rows "index,cell,...\\n" of the n x c table x into text, a NaN cell empty.
+   A cell left to repr is left out: its index and the offset where its text
+   goes are stored in todo, in order, then the pair (n c, length of text).
+   Returns the number of cells left out. */
+int64_t csv_rows(const double *x, int64_t n, int64_t c, char *text, int64_t *todo)
+{{
+    char *t = text;
+    int64_t left = 0;
+    for (int64_t row = 0; row < n; row++) {{
+        char index[20];
+        int width = 0;
+        int64_t r = row;
+        do
+            index[width++] = (char)('0' + r % 10);
+        while ((r /= 10) > 0);
+        while (width > 0)
+            *t++ = index[--width];
+        for (int64_t i = row * c; i < (row + 1) * c; i++) {{
+            *t++ = ',';
+            if (x[i] != x[i])
+                continue;
+            int length = cell(x[i], t);
+            if (length >= 0)
+                t += length;
+            else {{
+                todo[2 * left] = i;
+                todo[2 * left + 1] = t - text;
+                left++;
+            }}
+        }}
+        *t++ = '\\n';
+    }}
+    todo[2 * left] = n * c;
+    todo[2 * left + 1] = t - text;
+    return left;
+}}
+"""
 
 
 @functools.cache
-def _tables():
-    """Words of the ASCII digits of 0..9999, and per E (from -11) its cut, prefix and marks.
+def _formatter():
+    """The C function csv_rows of `_source`, built on first use; None where no library builds or loads."""
+    lib = native.load("csvrows", _source())
+    if lib is None:
+        return None
+    import ctypes
 
-    Entries 10000 + i have the trailing zeros of i, and so every digit of 0,
-    as NUL.  Built on first use, not at import.
+    write = lib.csv_rows
+    write.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    write.restype = ctypes.c_int64
+    return write
+
+
+def _decide(x: np.ndarray) -> tuple[memoryview, list[list[int]]]:
+    """(text, todo): the C formatter's rows of the C-contiguous float64 table x, and the cells it left out.
+
+    todo holds [cell, offset] per cell left to ``repr``, in order: the index
+    of the cell in x's flat order and where in text its ``repr`` goes.
     """
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0..9999, most significant first
-    ascii4 = digits + np.uint8(ord("0"))
-    trimmed = np.where(np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] == 0, 0, ascii4)
-    words4 = np.zeros((20_000, 8), np.uint8)
-    words4[:, :4] = np.concatenate([ascii4, trimmed])
-    cut = np.ones(28, np.int64)  # G' = G + 9 cut (G // cut)
-    prefix = np.zeros((28, 8), np.uint8)  # word 0, sign left out
-    marks = np.zeros((28, 24), np.uint8)  # xor'd into words 1:4: the point, the exponent
-    for form, e in enumerate(range(-11, 17)):
-        if -4 <= e < 0:
-            prefix[form, 1 : 2 - e] = list(b"0." + b"0" * (-e - 1))
-            continue
-        positional = 0 <= e < 16
-        point = e + 1 if positional else 1  # digits before the point
-        cut[form] = 10 ** (17 - point)
-        marks[form, point] = ord("0") ^ ord(".")
-        if not positional:
-            marks[form, 18:22] = list(b"e%+03d" % e)
-    return words4.view("<u8")[:, 0], cut, prefix.view("<u8")[:, 0], np.ascontiguousarray(marks.view("<u8").T)
-
-
-def _scaled(a: np.ndarray, k: np.ndarray):
-    """(hi, lo) = a 10^k: exact for k <= 22; above, within 2^-48 while a 10^k < 1e17."""
-    hi, lo = _two_product(a, np.take(_POW10, k), [np.take(part, k) for part in _POW10_SPLIT])
-    return hi, lo + a * np.take(_POW10_REST, k)
-
-
-def _shortest(x: np.ndarray):
-    """(sure, G, E, j): G = repr's digits times 10^j (17 digits), E its decimal exponent."""
-    a = np.abs(x)
-    sure = (a >= 1e-11) & (a < 1e17)  # no zero, subnormal, NaN or infinity
-    a = np.where(sure, a, 1.0)
-    mantissa, exponent = np.frexp(a)
-    sure &= mantissa != 0.5  # a binade edge
-    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 27)
-    hi, lo = _scaled(a, k)
-    floor = np.floor(lo)
-    d = hi.astype(np.int64) + floor.astype(np.int64)
-    sure &= (d >= 10**16) & (d < 10**17)  # E was off by one at a decade edge
-    high = d // 10**6
-    u = (d - high * 10**6) + (lo - floor)  # S mod 10^6, within 2^-33
-    half = np.ldexp(np.take(_POW10, k), exponent - 54)
-
-    # j, the digits dropped (a guess; the decisions below check it): H < 12,
-    # so at most one multiple of 100 lies within H of S; where one does j is 2
-    # plus its trailing zeros, else 1 where a multiple of 10 does.
-    m = np.rint(u / 100)
-    tens = np.abs(u - 10 * np.rint(u / 10)) < half
-    j = np.where(np.abs(u - 100 * m) < half, np.take(_DROPPED, m.astype(np.intp)), tens)
-
-    # The decisions that pick the text, each with the margin to spare: the
-    # nearest multiple of 10^j lies within H of S, and nearer than its other
-    # neighbour; the nearest multiple of 10^(j+1) does not.
-    p = np.take(_POW10, j)
-    near = p * np.rint(u / p)
-    gap = np.abs(u - near)
-    sure &= (j <= SHORTER) & (gap < half - MARGIN) & (p / 2 - gap > MARGIN)
-    sure &= np.abs(u - 10 * p * np.rint(u / (10 * p))) > half + MARGIN
-    g = high * 10**6 + near.astype(np.int64)
-    sure &= g < 10**17  # a carry to 10^(17-j): repr
-    return sure, g, 16 - k, j
-
-
-def _digit_words(g: np.ndarray, words4: np.ndarray) -> list[np.ndarray]:
-    """The 18 digits of G' in three words, most significant first; trailing zeros as NUL."""
-    high = g // 100
-    last = (g - high * 100) * 100 + 10_000  # digits 16:18 as four, trimmed
-    quads = []  # digits 12:16, 8:12, 4:8
-    for _ in range(3):
-        g, high = high, high // 10_000
-        quads.append(g - high * 10_000)
-    quads[0] += 10_000 * (last == 10_000)  # trimmed too when 16:18 are zeros
-    return [words4[high] | words4[quads[2]] << 32, words4[quads[1]] | words4[quads[0]] << 32, words4[last]]
+    n, c = x.shape
+    text = np.empty(n * (len(str(n - 1)) + 1) + x.size * _CELL_BYTES + 16, np.uint8)  # 16: see cell()
+    todo = np.empty((x.size + 1, 2), np.int64)
+    left = _formatter()(x.ctypes.data, n, c, text.ctypes.data, todo.ctypes.data)
+    return memoryview(text)[: todo[left, 1]], todo[:left].tolist()
 
 
 def csv_rows(cells: np.ndarray) -> bytes:
     """Rows ``index,cell,...`` of a float table, LF-terminated; a NaN cell is empty."""
     n, c = cells.shape
-    x = np.ascontiguousarray(cells, dtype=float).reshape(-1)
-    empty = np.flatnonzero(np.isnan(x))
-    if x.size < ARRAY_PASS_CELLS:
-        texts = list(map(repr, x.tolist()))
-        for i in empty.tolist():
-            texts[i] = ""
-        return "".join([f"{row}\n" for row in map(",".join, zip(map(str, range(n)), *[iter(texts)] * c))]).encode()
+    x = np.ascontiguousarray(cells, dtype=float)
+    if x.size >= ARRAY_PASS_CELLS and _formatter() is not None:
+        text, todo = _decide(x)
+        parts, start = [], 0
+        for cell, at in todo:
+            parts += [text[start:at], repr(float(x.flat[cell])).encode()]
+            start = at
+        return b"".join([*parts, text[start:]])
 
-    digits = len(str(n - 1))
-    width = digits // 8 + 1  # words of the index and its comma
-    text = bytearray(8 * n * (width + _WORDS * c))
-    buf = np.frombuffer(text, np.uint64).reshape(n, -1)
-    head = buf[:, :width].view(np.uint8)
-    index = np.arange(n)[:, None]
-    scale = _POW10_INT[digits - 1 :: -1]
-    head[:, :digits] = np.where((index >= scale) | (scale == 1), index // scale % 10 + ord("0"), 0)
-    head[:, digits] = ord(",")
-    slots = buf[:, width:].reshape(n, c, _WORDS)
-
-    words4, cut, prefix, marks = _tables()
-    sure, g, e, j = _shortest(x)
-    sure &= (e == 16) | (e + j < 16)  # else positional zeros past the last digit
-    form = e + 11
-    p = np.take(cut, form)
-    g += 9 * p * (g // p)  # G': a zero digit where the point goes
-    slots[:, :, 0] = (np.take(prefix, form) | np.signbit(x) * np.uint64(ord("-"))).reshape(n, c)
-    for i, word in enumerate(_digit_words(g, words4)):
-        slots[:, :, i + 1] = (word ^ np.take(marks[i], form)).reshape(n, c)
-
-    todo = np.flatnonzero(~sure)
-    texts = np.array(list(map(repr, x[todo].tolist())), "S31")
-    chars = slots.view(np.uint8)
-    chars[:, :, 31] = [ord(",")] * (c - 1) + [ord("\n")]
-    chars[todo // c, todo % c, :31] = texts.view(np.uint8).reshape(-1, 31)
-    chars[empty // c, empty % c, :31] = 0
-    return bytes(text).translate(None, b"\0")
+    texts = list(map(repr, x.reshape(-1).tolist()))
+    for i in np.flatnonzero(np.isnan(x)).tolist():
+        texts[i] = ""
+    return "".join([f"{row}\n" for row in map(",".join, zip(map(str, range(n)), *[iter(texts)] * c))]).encode()

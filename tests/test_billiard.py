@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pebilliards.billiard import integrals_batch, pseudo_norm_defect, run_orbit, sample_null_ray
-from pebilliards import billiard, confocal, pecore, verify
+from pebilliards import billiard, confocal, native, pecore, verify
 from pebilliards.confocal import ConfocalFamily
 from pebilliards.errors import (
     NonFinite,
@@ -1016,16 +1016,6 @@ def test_run_orbit_steps_only_through_the_walk(monkeypatch):
         _assert_same_outcome(start, 50, ell, LORENTZ)
 
 
-@pytest.fixture
-def no_compiler(tmp_path, monkeypatch):
-    """Kernels built afresh with no C compiler to be found and an empty cache: the recorder takes the Python walk."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(billiard, "_CC", ("pebilliards-no-such-compiler", *billiard._CC[1:]))
-    billiard._kernels.cache_clear()
-    yield
-    billiard._kernels.cache_clear()
-
-
 def test_run_orbit_without_a_compiler_records_the_same_rows(request):
     # The Python walk, the only one where no library can be built, records
     # the native walk's rows and aborts, bit for bit.
@@ -1044,7 +1034,7 @@ def test_run_orbit_without_a_compiler_records_the_same_rows(request):
 
 
 def test_the_native_walk_is_built_once_and_then_loaded_from_the_cache(tmp_path, monkeypatch):
-    if shutil.which(billiard._CC[0]) is None:
+    if shutil.which(native._CC[0]) is None:
         pytest.skip("no C compiler on PATH")
 
     def refuse(*args, **kwargs):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from pebilliards import cli, errors
 from pebilliards.cli import load_config, main
 from pebilliards.errors import ConfigError, NoConvergence
-from test_billiard import no_compiler  # noqa: F401, a fixture
 from test_lorentz_oval import null_polygons, radial_tables
 
 
@@ -351,6 +350,8 @@ BAD_CONFIGS = {
     "commute-dimension-7": (["commute"], dict(COMMUTE, signature=[7, 0], axes=[8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0]),
                             "config.axes"),
     "commute-zero-samples": (["commute"], dict(COMMUTE, samples=0), "config.samples"),
+    # 873 TiB of rows: the allocation fails before any page is touched.
+    "bounces-beyond-memory": (["simulate"], simulate_doc(bounces=10**13), "config.bounces"),
     "axes-zero": (["simulate"], simulate_doc(signature=[1, 1], axes=[0.0, 1.0]),
                   "config.axes[0] must be a positive finite number"),
     "signature-dimension-1": (["commute"], dict(COMMUTE, signature=[0, 1], axes=[1.0]), "need p + q >= 2"),
@@ -834,20 +835,27 @@ def test_cli_import_loads_no_numpy_polynomial():
 
 
 def test_cli_import_builds_no_step_kernel(tmp_path):
-    # The step kernels are generated on first use, so importing costs nothing
-    # for them: it starts no compiler and writes no file to the kernel cache.
-    # A `cc` first on PATH records each start; building a kernel starts it.
+    # The step kernels and the CSV formatter are generated on first use, so
+    # importing costs nothing for them: it starts no compiler and writes no
+    # file to the cache, so it loads no library from there.  A `cc` first on
+    # PATH records each start; building a kernel or the formatter starts it.
     bin_dir, started, cache = tmp_path / "bin", tmp_path / "started", tmp_path / "cache"
     bin_dir.mkdir()
     (bin_dir / "cc").write_text(f"#!/bin/sh\necho cc >> '{started}'\nexit 1\n", encoding="utf-8")
     (bin_dir / "cc").chmod(0o755)
     env = {"XDG_CACHE_HOME": str(cache), "PATH": os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")])}
-    code = "import pebilliards.cli, pebilliards.billiard as b; print(b._kernels.cache_info().currsize)"
-    assert _fresh_interpreter(code, **env).strip() == "0"
+    code = (
+        "import pebilliards.cli, pebilliards.billiard as b, pebilliards.floattext as f;"
+        "print(b._kernels.cache_info().currsize, f._formatter.cache_info().currsize)"
+    )
+    assert _fresh_interpreter(code, **env).strip() == "0 0"
     assert not started.exists() and not cache.exists()
-    code = "import pebilliards.cli, pebilliards.billiard as b; print(b._kernels(3).native)"
-    assert _fresh_interpreter(code, **env).strip() == "None"
-    assert started.read_text() == "cc\n" and not [p for p in cache.rglob("*") if p.is_file()]
+    code = (
+        "import pebilliards.cli, pebilliards.billiard as b, pebilliards.floattext as f;"
+        "print(b._kernels(3).native, f._formatter())"
+    )
+    assert _fresh_interpreter(code, **env).strip() == "None None"
+    assert started.read_text() == "cc\ncc\n" and not [p for p in cache.rglob("*") if p.is_file()]
 
 
 def test_no_source_file_imports_scipy():
@@ -961,48 +969,55 @@ def readme_digests(work: Path) -> dict[str, dict[str, str]]:
 
 
 def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr(tmp_path, monkeypatch):
-    # With a margin wider than every cell's half gap the array pass decides no
-    # cell, so repr writes every cell, and the bytes stay the same.
+    # With a margin wider than every cell's half gap the C formatter decides
+    # no cell, so repr writes every cell, and the bytes stay the same.
     from pebilliards import floattext
 
-    shortest = floattext._shortest
-    decided = []
+    if floattext._formatter() is None:
+        pytest.skip("no C formatter: no C compiler on PATH or no writable cache")
+    decide = floattext._decide
+    left = []
 
     def counted(x):
-        sure, *rest = shortest(x)
-        decided.append(int(sure.sum()))
-        return (sure, *rest)
+        text, todo = decide(x)
+        left.append(len(todo) / x.size)
+        return text, todo
 
-    monkeypatch.setattr(floattext, "MARGIN", float("inf"))
-    monkeypatch.setattr(floattext, "_shortest", counted)
-    command, config, doc, out = README_EXAMPLES[0]
-    assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0
-    assert decided == [0]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(floattext, "MARGIN", 2.0**60)
+    monkeypatch.setattr(floattext, "_decide", counted)
+    floattext._formatter.cache_clear()
+    try:
+        command, config, doc, out = README_EXAMPLES[0]
+        assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0
+    finally:
+        floattext._formatter.cache_clear()
+    assert left == [1.0]
     if np.finfo(np.longdouble).nmant == 63:
         want = json.loads(README_DIGESTS.read_text())["simulate"]
         assert {p.name: sha256(p) for p in sorted((tmp_path / out).iterdir())} == want
 
 
 def test_readme_simulate_writes_the_committed_bytes_without_a_compiler(tmp_path, no_compiler):
-    # Where no native walk can be built the recorder steps through the Python
-    # walk, and writes the same bytes.
-    from pebilliards import billiard
+    # Where no library can be built the recorder steps through the Python
+    # walk and every cell is its repr, and the bytes stay the same.
+    from pebilliards import billiard, floattext
 
     command, config, doc, out = README_EXAMPLES[0]
     assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0
-    assert billiard._kernels(3).native is None
+    assert billiard._kernels(3).native is None and floattext._formatter() is None
     if np.finfo(np.longdouble).nmant == 63:
         want = json.loads(README_DIGESTS.read_text())["simulate"]
         assert {p.name: sha256(p) for p in sorted((tmp_path / out).iterdir())} == want
 
 
 def test_three_bounce_simulate_formats_every_cell_with_repr(tmp_path, monkeypatch):
-    # Below the array pass's cell threshold every cell is repr's text, joined
-    # by commas as before the pass existed.
+    # Below the C formatter's cell threshold every cell is repr's text, joined
+    # by commas, and the formatter is not even loaded.
     from pebilliards import billiard, floattext
 
-    def no_array_pass(x):
-        raise AssertionError("the array pass ran on a table below its threshold")
+    def no_formatter():
+        raise AssertionError("the C formatter was asked for on a table below its threshold")
 
     run_orbit = billiard.run_orbit
     seen = []
@@ -1011,7 +1026,7 @@ def test_three_bounce_simulate_formats_every_cell_with_repr(tmp_path, monkeypatc
         seen.append(run_orbit(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(floattext, "_shortest", no_array_pass)
+    monkeypatch.setattr(floattext, "_formatter", no_formatter)
     monkeypatch.setattr(billiard, "run_orbit", recorded)
     out = tmp_path / "out"
     doc = simulate_doc(bounces=3, record_tangency=True)
