@@ -46,7 +46,7 @@ from .errors import (
     ResonantAxes,
     RootIsolationFailure,
 )
-from .pecore import BOUNDARY_TOL, Ellipsoid, RayState, Signature, _dot
+from .pecore import BOUNDARY_TOL, Ellipsoid, RayState, Signature, VectorType, _dot, classify_vector
 
 #: Chords with |Ax.v| below this times |x||v| are refused as grazing.
 GRAZING_TOL = 1e-12
@@ -427,9 +427,13 @@ def run_orbit(
     up to n_bounces, so it never costs more than a clean run of that length.
     H, every F_k and, with `fam`, Q's coefficients are then evaluated for all
     rows at once, and the per-row core of confocal.tangency_parameters
-    solves each row.  A row is recorded only when its state, H and every F_k
-    are finite (else NonFinite) and its tangency parameters, if asked for,
-    are solved (else RootIsolationFailure).  A failed bounce or row k >= 1
+    solves each row.  Whether the line is light-like is decided once, by
+    classify_vector on the start's direction, and holds for every row:
+    reflection keeps the causal type, so a row whose <v,v> / |v|^2 has
+    drifted past LIGHTLIKE_TOL is still solved as the line it is.  A row
+    is recorded only when its state, H and every F_k are finite (else
+    NonFinite) and its tangency parameters, if asked for, are solved (else
+    RootIsolationFailure).  A failed bounce or row k >= 1
     ends the record before row k, with the reason and abort_bounce = k.  A
     failed row 0, resonant axes, or a start off the boundary or not pointing
     inward raise before the first bounce.
@@ -480,10 +484,10 @@ def run_orbit(
     tangs = None
     if fam is not None:
         tangs = []
-        qs = confocal.tangency_polynomial(fam, xs[:rows], vs[:rows])
-        for q, xk, vk in zip(qs.tolist(), xs[:rows].tolist(), vs[:rows].tolist()):
+        lightlike = classify_vector(r.v, sig) is VectorType.LIGHTLIKE
+        for q in confocal.tangency_polynomial(fam, xs[:rows], vs[:rows]).tolist():
             try:
-                tangs.append(confocal._tangency_set(fam, q, xk, vk))
+                tangs.append(confocal._tangency_set(fam, q, lightlike))
             except RootIsolationFailure as exc:
                 failure, rows = exc, len(tangs)
                 break

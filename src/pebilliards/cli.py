@@ -22,8 +22,10 @@ Exit codes:
        or DegenerateChord on a radial oval table)
     3  tolerance failure in a verification command (commute)
 
-The thresholds are the library's constants: billiard.BOUNDARY_TOL,
-GRAZING_TOL and NULL_NORMAL_TOL, verify.LAMBDA_DRIFT_TOL and BRACKET_TOL.
+The thresholds are the library's constants: pecore.BOUNDARY_TOL and
+LIGHTLIKE_TOL, billiard.GRAZING_TOL and NULL_NORMAL_TOL,
+confocal.POLE_FILTER_FACTOR and REAL_TOL, verify.LAMBDA_DRIFT_TOL and
+BRACKET_TOL.
 A command-line syntax error (an unknown command, mode or flag, a missing
 ``--config``) is a config error too and exits 1 before any config is read;
 ``--help`` exits 0.

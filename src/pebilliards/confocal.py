@@ -20,9 +20,11 @@ is a polynomial of degree <= d - 1 with top coefficient (prod_i e_i) <v,v>.
 The degree drops by one for light-like directions, which is the paper's
 one tangency parameter fewer.  The tangency parameters are the real roots
 of Q, each polished by one Newton step; roots within the pole tolerance of
-a pole are set aside, and every root is re-verified against |G|.  Q is
-evaluated for all rows of an orbit at once and solved row by row; no factor
-divides by e_i a_k^2 - e_k a_i^2, so resonant axes need no special case.
+a pole are set aside.  Whether a line is light-like is the verdict of
+pecore.classify_vector on its direction, taken once per orbit: reflection
+keeps a line's causal type.  Q is evaluated for all rows of an orbit at once
+and solved row by row; no factor divides by e_i a_k^2 - e_k a_i^2, so
+resonant axes need no special case.
 """
 
 from __future__ import annotations
@@ -34,13 +36,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PoleParameter, RootIsolationFailure
-from .pecore import LIGHTLIKE_TOL, Ellipsoid, Quadric, RayState, Signature
+from .pecore import Ellipsoid, Quadric, RayState, Signature, VectorType, classify_vector
 
 #: Roots closer than this times max(a_i^2) to a pole are discarded as spurious.
 POLE_FILTER_FACTOR = 1e-7
-
-#: Normalized |G| threshold for accepting a polished root as a tangency.
-VERIFY_TOL = 1e-9
 
 #: A root of Q counts as real when |imag| <= REAL_TOL * max(1, |real|).
 REAL_TOL = 1e-7
@@ -114,17 +113,6 @@ def member(fam: ConfocalFamily, lam: float) -> Quadric:
     if _near_pole(fam, lam):
         raise PoleParameter(f"lambda = {lam} is at (or within tolerance of) a family pole")
     return Quadric([a2k + ek * lam for a2k, ek in fam.factors])
-
-
-def _discriminant_terms(lin: list, x: list, v: list, lam: float) -> tuple[float, float]:
-    """The two competing terms (x.Bv)^2 and (v.Bv)(x.Bx - 1) of G at lam; G is their difference."""
-    xbv = vbv = xbx = 0.0
-    for (a2k, ek), xk, vk in zip(lin, x, v):
-        c = a2k + ek * lam
-        xbv += xk * vk / c
-        vbv += vk * vk / c
-        xbx += xk * xk / c
-    return xbv * xbv, vbv * (xbx - 1.0)
 
 
 def tangency_polynomial(fam: ConfocalFamily, xs, vs) -> np.ndarray:
@@ -216,23 +204,21 @@ class TangencySet:
 def tangency_parameters(fam: ConfocalFamily, r: RayState) -> TangencySet:
     """All real tangency parameters of the line of r: Q on its one row, solved as the recorder does."""
     q = tangency_polynomial(fam, r.x, r.v)
-    return _tangency_set(fam, q.tolist(), r.x.tolist(), r.v.tolist())
+    return _tangency_set(fam, q.tolist(), classify_vector(r.v, fam.sig) is VectorType.LIGHTLIKE)
 
 
-def _tangency_set(fam: ConfocalFamily, q: list[float], x: list[float], v: list[float]) -> TangencySet:
-    """The tangency parameters of the line (x, v) from the coefficients q of its Q.
+def _tangency_set(fam: ConfocalFamily, q: list[float], lightlike: bool) -> TangencySet:
+    """The tangency parameters of a line from the coefficients q of its Q.
 
-    For a light-like direction (|<v,v>| <= LIGHTLIKE_TOL |v|^2) Q's top
-    coefficient is dropped.  The roots (closed form up to degree 2, Q's
-    companion matrix above) get one Newton step on Q, kept where it lowers
-    |Q|.  Roots within the pole tolerance of a pole are reported in
-    `near_pole` only, and a root is kept only where |G| <= VERIFY_TOL times
-    the size of G's two terms.  A non-finite Q (from a non-finite state or
-    an overflow) raises RootIsolationFailure.
+    For a light-like line Q's top coefficient, (prod e) <v,v>, is dropped.
+    The roots (closed form up to degree 2, Q's companion matrix above) get
+    one Newton step on Q, kept where it lowers |Q|.  Roots within the pole
+    tolerance of a pole are reported in `near_pole` only.  A non-finite Q
+    (from a non-finite state or an overflow) raises RootIsolationFailure.
     """
     if not all(math.isfinite(c) for c in q):
         raise RootIsolationFailure(f"tangency polynomial not finite: {q}")
-    if abs(q[-1]) <= LIGHTLIKE_TOL * sum(c * c for c in v):  # |q[-1]| = |<v,v>|: light-like
+    if lightlike:
         q.pop()
     while q and q[-1] == 0.0:
         q.pop()
@@ -252,11 +238,5 @@ def _tangency_set(fam: ConfocalFamily, q: list[float], x: list[float], v: list[f
     kept: list[float] = []
     near_pole: list[float] = []
     for lam in lams:
-        if _near_pole(fam, lam):
-            near_pole.append(lam)
-            continue
-        first, second = _discriminant_terms(fam.factors, x, v, lam)
-        if abs(first - second) <= VERIFY_TOL * max(1.0, first, abs(second)):
-            kept.append(lam)
-
+        (near_pole if _near_pole(fam, lam) else kept).append(lam)
     return TangencySet(lambdas=tuple(kept), near_pole=tuple(near_pole))

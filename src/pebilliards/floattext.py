@@ -48,10 +48,11 @@ from . import native
 from .ddouble import _SPLITTER, _split
 
 #: Tables of fewer cells, such as short orbits, are written with ``repr`` and
-#: never load the C formatter: its first load in a process (about 0.6 ms)
-#: costs what ``repr`` takes for about 1 000 cells.  Once loaded it is faster
-#: on a table of any size.
-ARRAY_PASS_CELLS = 320
+#: never load the C formatter.  Its first load in a fresh process, after the
+#: bounce walk's (median 0.355 ms over 21 processes, warm cache, on a 2-core
+#: Xeon), is what ``repr`` saves on 650 cells (0.595 us a cell against the
+#: formatter's 0.050 us).  Once loaded it is faster on a table of any size.
+ARRAY_PASS_CELLS = 650
 
 #: The most digits dropped from 17 (5 at most: the decisions see S mod 10^6,
 #: which places the nearest multiple of 10^(j + 1) only up to j = 5); a cell

@@ -188,10 +188,14 @@ def classify_vector(v, sig: Signature) -> VectorType:
     """Classify a non-zero direction as spacelike, timelike, or lightlike.
 
     Lightlike means |<v,v>| <= LIGHTLIKE_TOL * |v|^2 in the auxiliary
-    Euclidean norm, so the decision is scale-invariant.  Both sums run left
-    to right (_dot), so the verdict does not depend on the CPU's BLAS.
+    Euclidean norm, so the decision is scale-invariant.  Both sums are taken
+    of v scaled by the power of two that brings max |v_i| into [0.5, 1),
+    which is exact, so the verdict is the same at every scale and neither
+    sum overflows or underflows to zero.  They run left to right (_dot), so
+    the verdict does not depend on the CPU's BLAS.
     """
     v = _check_dim(v, sig.dim, "v")
+    v = np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
     nrm2 = _dot(v, v)
     if nrm2 == 0.0:
         raise ZeroDirection("cannot classify the zero vector")

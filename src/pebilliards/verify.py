@@ -212,7 +212,10 @@ def drift_report(orbit: OrbitRecord) -> DriftReport:
     are sorted, which pairs each with its own value wherever the drift is
     below half the gap between parameters.  A mismatch is a change of their
     count along the orbit, which is reported as such rather than absorbed
-    into the numbers, or a drift above 10 times LAMBDA_DRIFT_TOL.
+    into the numbers, or a drift above 10 times LAMBDA_DRIFT_TOL.  A count
+    change names the first bounce whose count differs from bounce 0's and
+    says whether that row set a root aside near a pole (the root crossed the
+    pole filter) or set none aside (a root left or joined the real line).
     """
     if orbit.bounce_count < 1:
         raise ValueError("drift needs an orbit with at least two recorded states")
@@ -221,9 +224,16 @@ def drift_report(orbit: OrbitRecord) -> DriftReport:
 
     lam_drift = lam_worst = mismatch = None
     if orbit.tangency is not None:
-        counts = {ts.count for ts in orbit.tangency}
-        if len(counts) > 1:
-            mismatch = f"tangency parameter count varies along the orbit: {sorted(counts)}"
+        counts = [ts.count for ts in orbit.tangency]
+        first = next((k for k, n in enumerate(counts) if n != counts[0]), None)
+        if first is not None:
+            aside = len(orbit.tangency[first].near_pole)
+            cause = (f"{aside} root(s) set aside near a pole (a root crossed the pole filter)" if aside
+                     else "no root set aside near a pole (a root left or joined the real line)")
+            mismatch = (
+                f"tangency parameter count varies along the orbit: {sorted(set(counts))}; "
+                f"first at bounce {first}, {counts[first]} against {counts[0]} at bounce 0, with {cause}"
+            )
         else:
             lams = np.array([ts.lambdas for ts in orbit.tangency])  # (rows, count)
             dev = np.abs(lams - lams[0]) / np.maximum(np.abs(lams[0]), RELATIVE_FLOOR)

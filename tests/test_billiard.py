@@ -456,7 +456,7 @@ def test_run_orbit_rows_match_double_map():
 
 def test_run_orbit_tangency_failure_at_bounce_zero(monkeypatch):
     # A start whose own row cannot be recorded is refused like any other bad start.
-    def fail(fam, q, x, v):
+    def fail(fam, q, lightlike):
         raise RootIsolationFailure("no roots here")
 
     monkeypatch.setattr(confocal, "_tangency_set", fail)
@@ -464,6 +464,18 @@ def test_run_orbit_tangency_failure_at_bounce_zero(monkeypatch):
     ell = Ellipsoid((3.0, 2.0, 1.0))
     with pytest.raises(RootIsolationFailure, match="no roots here"):
         run_orbit(sample_null_ray(ell, sig, 8), 5, ell, sig, fam=ConfocalFamily(ell, sig))
+
+
+def test_run_orbit_solves_every_row_as_the_start_is_classified():
+    # The README simulate orbit: from bounce 57 954 on, some rows' <v,v> / |v|^2
+    # has drifted past LIGHTLIKE_TOL.  The line stays light-like, so every row
+    # keeps Q's degree-one part and has exactly one tangency parameter.
+    sig, ell = Signature(2, 1), Ellipsoid((3.0, 2.0, 1.0))
+    rec = run_orbit(sample_null_ray(ell, sig, 7), 58_000, ell, sig, fam=ConfocalFamily(ell, sig))
+    drifted = np.abs(np.sum(sig.e * rec.vs * rec.vs, axis=1)) > pecore.LIGHTLIKE_TOL * np.sum(rec.vs * rec.vs, axis=1)
+    assert rec.bounce_count == 58_000 and int(np.argmax(drifted)) == 57_954
+    assert {ts.count for ts in rec.tangency} == {1}
+    assert "count varies" not in (drift_report(rec).lambda_mismatch or "")
 
 
 def test_run_orbit_non_finite_row_ends_the_record(monkeypatch):

@@ -659,6 +659,26 @@ def test_simulate_exits_2_on_tangency_drift(tmp_path):
     assert "drift" in summary["tangency_mismatch"] and "bounce 3" in summary["tangency_mismatch"]
 
 
+@pytest.mark.parametrize("j", [-8, 8])
+def test_simulate_example_scales_exactly_with_its_axes(tmp_path, j):
+    # The README simulate example with its axes times 2^j.  No verdict of the
+    # run depends on the scale of the geometry, so it exits 0 like the
+    # unscaled run and each column is the unscaled one times its power of two:
+    # x by 2^j, H by 2^-j, lambda by 2^2j, v and F unchanged.
+    def run(scale):
+        doc = simulate_doc(axes=[scale * a for a in (3.0, 2.0, 1.0)], bounces=1000, record_tangency=True)
+        out = tmp_path / f"out{scale}"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        header, *rows = (out / "orbit.csv").read_text().splitlines()
+        return header, np.array([[float(c) for c in row.split(",")] for row in rows])
+
+    header, want = run(1.0)
+    scaled_header, got = run(2.0**j)
+    assert scaled_header == header == "index,x1,x2,x3,v1,v2,v3,H,F1,F2,F3,lam1"
+    powers = [0, j, j, j, 0, 0, 0, -j, 0, 0, 0, 2 * j]
+    assert np.array_equal(got, np.ldexp(want, powers))
+
+
 def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
     # orbit.csv is the record written cell by cell with repr(float(c)); tangency
     # columns follow bounce 0's count, padded with empty cells where a bounce
@@ -686,7 +706,10 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
 
     (rec,) = seen
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["tangency_mismatch"] == "tangency parameter count varies along the orbit: [1, 2, 3]"
+    assert summary["tangency_mismatch"] == (
+        "tangency parameter count varies along the orbit: [1, 2, 3]; first at bounce 1, 1 against 2 at bounce 0, "
+        "with no root set aside near a pole (a root left or joined the real line)"
+    )
     assert summary["drift"]["lambda_mismatch"] is True and summary["drift"]["lambda_drift"] is None
     lines = ["index,x1,x2,x3,v1,v2,v3,H,F1,F2,F3,lam1,lam2"]
     for k in range(rec.bounce_count + 1):
@@ -744,11 +767,11 @@ def test_mid_orbit_root_isolation_failure_exits_2_with_files(tmp_path, monkeypat
     solve = confocal._tangency_set
     calls = []
 
-    def failing_third(fam, q, x, v):
-        calls.append(x)
+    def failing_third(fam, q, lightlike):
+        calls.append(q)
         if len(calls) == 3:
             raise RootIsolationFailure("injected on the third call")
-        return solve(fam, q, x, v)
+        return solve(fam, q, lightlike)
 
     monkeypatch.setattr(confocal, "_tangency_set", failing_third)
     doc = simulate_doc(bounces=5, record_tangency=True)

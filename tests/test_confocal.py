@@ -25,9 +25,10 @@ def _poles(fam):
 
 
 def _discriminant(fam, r, lam):
-    """G(lam) for the line of r: the difference of the two terms the root check compares."""
-    first, second = confocal._discriminant_terms(fam.factors, r.x.tolist(), r.v.tolist(), lam)
-    return first - second
+    """G(lam) = (x.Bv)^2 - (v.Bv)(x.Bx - 1), B = diag(1 / c_i(lam)), for the line of r: a test oracle."""
+    b = 1.0 / fam.coefficients(lam)
+    xbv, vbv, xbx = np.sum(b * r.x * r.v), np.sum(b * r.v * r.v), np.sum(b * r.x * r.x)
+    return xbv * xbv - vbv * (xbx - 1.0)
 
 
 def cleared_polynomial(fam, r):
@@ -118,7 +119,7 @@ def test_discriminant_vertical_line_tangency(plane_euclid):
 
 
 def test_discriminant_pole_rejected(plane_euclid):
-    # A root at a pole is set aside before G is evaluated there.
+    # A root within the pole tolerance of a pole is set aside.
     assert confocal._near_pole(plane_euclid, -1.0)
     assert not confocal._near_pole(plane_euclid, -3.0)
 

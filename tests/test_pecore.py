@@ -115,6 +115,15 @@ def test_classify_scale_invariant(v, s):
     assert classify_vector(np.array(v), sig) is classify_vector(s * np.array(v), sig)
 
 
+@pytest.mark.parametrize("k", [-600, 600])
+def test_classify_vector_where_the_squares_leave_the_float_range(k):
+    # |v|^2 of these vectors times 2^k underflows to zero or overflows; the
+    # verdict is still the unscaled one.
+    sig = Signature(2, 1)
+    for v in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.8, 1.0]):
+        assert classify_vector(np.ldexp(v, k), sig) is classify_vector(v, sig)
+
+
 def test_quadric_rejects_zero_coefficients():
     with pytest.raises(ValueError):
         Quadric(np.array([1.0, 0.0]))

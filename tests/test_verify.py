@@ -89,8 +89,22 @@ def test_drift_report_flags_count_change():
         tangency=[TangencySet(lambdas=(0.5,)), TangencySet(lambdas=(0.5, 2.0))],
     )
     rep = drift_report(rec)
-    assert rep.lambda_mismatch == "tangency parameter count varies along the orbit: [1, 2]"
+    assert rep.lambda_mismatch == (
+        "tangency parameter count varies along the orbit: [1, 2]; first at bounce 1, 2 against 1 at bounce 0, "
+        "with no root set aside near a pole (a root left or joined the real line)"
+    )
     assert rep.lambda_drift is None and rep.to_dict()["lambda_mismatch"] is True
+
+
+def test_drift_report_names_a_root_set_aside_near_a_pole():
+    # The count changes first at bounce 2, whose row set one root aside at a pole.
+    tangency = [TangencySet(lambdas=(0.5, 2.0)), TangencySet(lambdas=(0.5, 2.0)),
+                TangencySet(lambdas=(0.5,), near_pole=(-1.0,)), TangencySet(lambdas=())]
+    rec = OrbitRecord(xs=np.zeros((4, 2)), vs=np.ones((4, 2)), h=np.ones(4), f=np.ones((4, 2)), tangency=tangency)
+    assert drift_report(rec).lambda_mismatch == (
+        "tangency parameter count varies along the orbit: [0, 1, 2]; first at bounce 2, 1 against 2 at bounce 0, "
+        "with 1 root(s) set aside near a pole (a root crossed the pole filter)"
+    )
 
 
 def test_drift_report_matches_lambdas_by_index():
