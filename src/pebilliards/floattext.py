@@ -2,8 +2,8 @@
 
 ``repr`` prints the shortest decimal that reads back as the float and, of
 those, the nearest.  `csv_rows` finds those digits for a whole table in one
-call of a C function on doubles (`_source`, built on first use and loaded
-through `native`).  For a normal float64 x with decimal exponent
+call of a C function on doubles (`_source`, built into the library of
+`native` on first use).  For a normal float64 x with decimal exponent
 E = floor(log10|x|) in [-11, 16] and k = 16 - E:
 
 * ``S = |x| 10^k`` is a pair ``hi + lo`` (Dekker's two-product with the
@@ -32,27 +32,17 @@ The text is laid out as ``repr`` does it: positional for -4 <= E < 16,
 ``d.ddde+XX`` otherwise.  The C function writes every row, its index and
 separators into one buffer, leaves out each cell it does not decide and
 returns those cells; `csv_rows` fills them with their ``repr``.  Where no
-library can be built or loaded, and on tables below `ARRAY_PASS_CELLS`,
-every cell is its ``repr``.  All arithmetic is on double and int64, built
-without contraction into fused multiply-adds or fast-math (`native._CC`),
-so the digits do not depend on the CPU.
+library can be built or loaded, every cell is its ``repr``.  All arithmetic
+is on double and int64, built without contraction into fused multiply-adds
+or fast-math (`native._CC`), so the digits do not depend on the CPU.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from . import native
 from .ddouble import _SPLITTER, _split
-
-#: Tables of fewer cells, such as short orbits, are written with ``repr`` and
-#: never load the C formatter.  Its first load in a fresh process, after the
-#: bounce walk's (median 0.355 ms over 21 processes, warm cache, on a 2-core
-#: Xeon), is what ``repr`` saves on 650 cells (0.595 us a cell against the
-#: formatter's 0.050 us).  Once loaded it is faster on a table of any size.
-ARRAY_PASS_CELLS = 650
 
 #: The most digits dropped from 17 (5 at most: the decisions see S mod 10^6,
 #: which places the nearest multiple of 10^(j + 1) only up to j = 5); a cell
@@ -248,20 +238,6 @@ int64_t csv_rows(const double *x, int64_t n, int64_t c, char *text, int64_t *tod
 """
 
 
-@functools.cache
-def _formatter():
-    """The C function csv_rows of `_source`, built on first use; None where no library builds or loads."""
-    lib = native.load("csvrows", _source())
-    if lib is None:
-        return None
-    import ctypes
-
-    write = lib.csv_rows
-    write.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
-    write.restype = ctypes.c_int64
-    return write
-
-
 def _decide(x: np.ndarray) -> tuple[memoryview, list[list[int]]]:
     """(text, todo): the C formatter's rows of the C-contiguous float64 table x, and the cells it left out.
 
@@ -271,7 +247,7 @@ def _decide(x: np.ndarray) -> tuple[memoryview, list[list[int]]]:
     n, c = x.shape
     text = np.empty(n * (len(str(n - 1)) + 1) + x.size * _CELL_BYTES + 16, np.uint8)  # 16: see cell()
     todo = np.empty((x.size + 1, 2), np.int64)
-    left = _formatter()(x.ctypes.data, n, c, text.ctypes.data, todo.ctypes.data)
+    left = native.library().csv_rows(x.ctypes.data, n, c, text.ctypes.data, todo.ctypes.data)
     return memoryview(text)[: todo[left, 1]], todo[:left].tolist()
 
 
@@ -279,7 +255,7 @@ def csv_rows(cells: np.ndarray) -> bytes:
     """Rows ``index,cell,...`` of a float table, LF-terminated; a NaN cell is empty."""
     n, c = cells.shape
     x = np.ascontiguousarray(cells, dtype=float)
-    if x.size >= ARRAY_PASS_CELLS and _formatter() is not None:
+    if native.library() is not None:
         text, todo = _decide(x)
         parts, start = [], 0
         for cell, at in todo:

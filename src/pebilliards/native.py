@@ -1,13 +1,15 @@
-"""Shared libraries built from generated C source, cached per user and loaded with ctypes.
+"""The one shared library of native code, built from C source, cached per user and loaded with ctypes.
 
-The native bounce walk (`billiard._native_walk`) and the CSV formatter
-(`floattext._formatter`) each emit their C source and take its library from
-`load`, which returns None where no library can be built or loaded; each
-caller then keeps its Python path.  Nothing is built or loaded at import.
+Its source is the bounce walk (`billiard._C_WALK`) followed by the CSV
+formatter (`floattext._source`).  `library` builds or loads it once per
+process, on first use, and returns None where it cannot be built or loaded;
+billiard and floattext then keep their Python paths.  Nothing is built or
+loaded at import.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import zlib
 
@@ -17,20 +19,27 @@ import zlib
 _CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
-def _library(name: str, source: str) -> str | None:
+def _library(source: str) -> str | None:
     """The path of the shared library that _CC builds from the C `source`; None where it cannot be built.
 
     The per-user cache, $XDG_CACHE_HOME/pebilliards or else
-    ~/.cache/pebilliards, holds it as <name>-<key>.so beside its source
-    <name>-<key>.c, keyed by the CRC-32 of the source and the command, and a
+    ~/.cache/pebilliards, holds it as native-<key>.so beside its source
+    native-<key>.c, keyed by the CRC-32 of the source and the command, and a
     cached library is taken only where the stored source equals `source`.
-    A build compiles in a temporary directory inside the cache (created
-    with mode 0700) and moves the library and then its source into place,
-    so no reader sees a partial file.
+    A relative $XDG_CACHE_HOME counts as unset, as the XDG base directory
+    specification asks; where ~ does not expand to an absolute path there
+    is no cache and nothing is built.  A build compiles in a temporary
+    directory inside the cache (created with mode 0700) and moves the
+    library and then its source into place, so no reader sees a partial file.
     """
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "pebilliards")
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.expanduser("~/.cache")
+        if not os.path.isabs(root):
+            return None
+    cache = os.path.join(root, "pebilliards")
     key = zlib.crc32("\0".join((source, *_CC)).encode())
-    base = os.path.join(cache, f"{name}-{key:08x}")
+    base = os.path.join(cache, f"native-{key:08x}")
     try:
         with open(base + ".c", encoding="utf-8") as f:
             if f.read() == source and os.path.exists(base + ".so"):
@@ -43,7 +52,7 @@ def _library(name: str, source: str) -> str | None:
     try:
         os.makedirs(cache, mode=0o700, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=cache) as tmp:
-            src, lib = os.path.join(tmp, f"{name}.c"), os.path.join(tmp, f"{name}.so")
+            src, lib = os.path.join(tmp, "native.c"), os.path.join(tmp, "native.so")
             with open(src, "w", encoding="utf-8") as f:
                 f.write(source)
             subprocess.run([*_CC, "-o", lib, src], check=True, capture_output=True, timeout=60)
@@ -54,14 +63,23 @@ def _library(name: str, source: str) -> str | None:
     return base + ".so"
 
 
-def load(name: str, source: str):
-    """The loaded library (a ctypes.CDLL) that _CC builds from `source`, cached as `name`; None where there is none."""
-    path = _library(name, source)
+@functools.cache
+def library():
+    """The loaded library (a ctypes.CDLL) with `walk` and `csv_rows` declared; None where there is none."""
+    from . import billiard, floattext
+
+    path = _library(billiard._C_WALK + floattext._source())
     if path is None:
         return None
     import ctypes
 
     try:
-        return ctypes.CDLL(path)
+        lib = ctypes.CDLL(path)
     except OSError:
         return None
+    pointer, long, int64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_int64
+    lib.walk.argtypes = (pointer, pointer, pointer, long, long)
+    lib.walk.restype = long
+    lib.csv_rows.argtypes = (pointer, int64, int64, pointer, pointer)
+    lib.csv_rows.restype = int64
+    return lib

@@ -1,3 +1,4 @@
+import json
 import shutil
 import stat
 import subprocess
@@ -45,19 +46,40 @@ def line_canonicalize(r: RayState) -> RayState:
     return RayState(r.x - float(r.x @ vhat) * vhat, vhat)
 
 
+def _dot_left_to_right(p: np.ndarray, q: np.ndarray):
+    """p.q summed left to right from +0: in long double for long-double arrays, else on Python floats."""
+    total = 0.0
+    for s, t in zip(p, q) if p.dtype == np.longdouble else zip(p.tolist(), q.tolist()):
+        total = total + s * t
+    return total
+
+
+def _array_chord(u: np.ndarray, w: np.ndarray, uw2: float) -> np.ndarray:
+    """The chord's exit point on the unit sphere in array arithmetic, a test oracle."""
+    y = u - (uw2 / _dot_left_to_right(w, w)) * w
+    return y + ((_dot_left_to_right(y, y) - 1.0) / uw2) * w
+
+
+def _array_reflect(u: np.ndarray, w: np.ndarray, E: np.ndarray, wu2: float) -> np.ndarray:
+    """The reflected direction at the sphere point u in array arithmetic, a test oracle."""
+    m = E * u
+    return w - (wu2 / _dot_left_to_right(u, m)) * m
+
+
 def _chord(r: RayState, ell: Ellipsoid) -> RayState:
-    """The chord's exit point from the boundary state r: the generated kernel on doubles, no refusals."""
+    """The chord's exit point from the boundary state r: the array oracle on doubles, no refusals."""
     a = np.sqrt(ell.a2)
     u, w = r.x / a, r.v / a
-    y = billiard._kernels(ell.dim).chord(u.tolist(), w.tolist(), 2.0 * pecore._dot(u, w))
-    return RayState(a * np.array(y), r.v)
+    with np.errstate(all="ignore"):  # an overflow or invalid operation rounds as on Python floats
+        return RayState(a * _array_chord(u, w, 2.0 * _dot_left_to_right(u, w)), r.v)
 
 
 def _reflect(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
-    """The reflected state at the boundary point of r: the generated kernel on doubles, no refusals."""
+    """The reflected state at the boundary point of r: the array oracle on doubles, no refusals."""
     a = np.sqrt(ell.a2)
-    w, _ = billiard._kernels(ell.dim).reflect((r.x / a).tolist(), (r.v / a).tolist(), (sig.e / ell.a2).tolist())
-    return RayState(r.x, a * np.array(w))
+    u, w = r.x / a, r.v / a
+    with np.errstate(all="ignore"):
+        return RayState(r.x, a * _array_reflect(u, w, sig.e / ell.a2, 2.0 * _dot_left_to_right(w, u)))
 
 
 def _step(r: RayState, ell: Ellipsoid, sig: Signature) -> RayState:
@@ -947,25 +969,6 @@ def test_run_orbit_equals_the_stepwise_oracle(case):
     _assert_same_outcome(start, n_bounces, ell, sig)
 
 
-def _dot_left_to_right(p: np.ndarray, q: np.ndarray) -> float:
-    total = 0.0
-    for s, t in zip(p.tolist(), q.tolist()):
-        total += s * t
-    return total
-
-
-def _array_chord(u: np.ndarray, w: np.ndarray, uw2: float) -> np.ndarray:
-    """The chord's exit point on the unit sphere in array arithmetic, a test oracle."""
-    y = u - (uw2 / _dot_left_to_right(w, w)) * w
-    return y + ((_dot_left_to_right(y, y) - 1.0) / uw2) * w
-
-
-def _array_reflect(u: np.ndarray, w: np.ndarray, E: np.ndarray, wu2: float) -> np.ndarray:
-    """The reflected direction at the sphere point u in array arithmetic, a test oracle."""
-    m = E * u
-    return w - (wu2 / _dot_left_to_right(u, m)) * m
-
-
 @st.composite
 def boundary_states(draw):
     """A geometry of dimension 2 to 6 and a boundary point with an inward direction."""
@@ -979,53 +982,63 @@ def boundary_states(draw):
     return ell, sig, RayState(x, v if ell.conormal(x) @ v < 0.0 else -v)
 
 
+def _same_values(got: np.ndarray, want: np.ndarray) -> bool:
+    """Whether two long-double arrays hold the same values and sign bits, NaNs at the same places."""
+    numbers = ~np.isnan(want)
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
 @given(boundary_states())
 @settings(max_examples=300, deadline=None)
-def test_generated_kernels_equal_the_array_kernel(case):
-    # The generated chord and reflection on Python floats compute, bit for
-    # bit, what the array arithmetic does with its dot products summed left
-    # to right, wherever the recorder would take that chord and reflect there.
+def test_one_walk_bounce_equals_the_array_oracle(case):
+    # One bounce of the walk on long double computes, bit for bit, the array
+    # oracle's chord and then its reflection at the chord's exit point, with
+    # every dot product summed left to right, wherever the recorder would
+    # take that chord and reflect there.
     ell, sig, r = case
-    a = np.sqrt(ell.a2)
-    u, w = r.x / a, r.v / a
-    assume(not billiard._refused_chords(r.x, r.v, _dot_left_to_right(u, w)))
-    assume(not billiard._null_normals(ell.conormal(r.x), sig.e))
-    x = _chord(r, ell).x
-    assert x.tobytes() == (a * _array_chord(u, w, 2.0 * _dot_left_to_right(u, w))).tobytes()
-    v = _reflect(r, ell, sig).v
-    want = a * _array_reflect(u, w, sig.e / ell.a2, 2.0 * _dot_left_to_right(w, u))
-    assert v.tobytes() == want.tobytes()
+    a2 = ell.a2.astype(np.longdouble)
+    a = np.sqrt(a2)
+    u, w, E = r.x / a, r.v / a, sig.e / a2
+    uw2 = 2.0 * _dot_left_to_right(u, w)
+    assume(not billiard._refused_chords(r.x, r.v, float(uw2) / 2.0))
+    y = _array_chord(u, w, uw2)
+    assume(not billiard._null_normals((y / a).astype(float), sig.e))
+    want = np.concatenate((y, _array_reflect(y, w, E, 2.0 * _dot_left_to_right(w, y))))
+    got = billiard._walk(np.concatenate((u, w)), uw2, E, 1)
+    assert got.dtype == np.longdouble and got.shape == (2, 2 * ell.dim)
+    assert _same_values(got[1], want)
 
 
-def test_run_orbit_reuses_the_kernels_of_its_dimension():
-    # One build per dimension serves the recorder's walk and the chord and
-    # reflection kernels alike.
-    sig, ell = Signature(2, 1), Ellipsoid((3.0, 2.0, 1.0))
-    start = sample_null_ray(ell, sig, 7)
-    billiard._kernels.cache_clear()
-    first = run_orbit(start, 20, ell, sig)
-    assert billiard._kernels.cache_info()[:2] == (0, 1)  # (hits, misses)
-    second = run_orbit(start, 20, ell, sig)
-    assert billiard._kernels.cache_info()[:2] == (1, 1)
-    assert first.xs.tobytes() == second.xs.tobytes() and first.vs.tobytes() == second.vs.tobytes()
-    _step(start, ell, sig)
-    assert billiard._kernels.cache_info()[:2] == (3, 1)
+def test_one_library_serves_every_dimension(tmp_path, monkeypatch):
+    # From a cold cache, orbits of dimension 2 to 6 and a 1000-bounce
+    # orbit.csv take their walk and their formatter from one library, which
+    # one compiler start builds.
+    from pebilliards.cli import main
 
+    if shutil.which(native._CC[0]) is None:
+        pytest.skip("no C compiler on PATH")
+    run, started = subprocess.run, []
 
-def test_run_orbit_steps_only_through_the_walk(monkeypatch):
-    # With the generated chord and reflection kernels replaced by functions
-    # that raise, the recorder still records the stepwise oracle's rows: its
-    # bounces are all taken inside the generated walk.
-    def refuse(*args):
-        raise AssertionError("run_orbit called a chord or reflection kernel")
+    def counted(args, **kwargs):
+        started.append(args[0])
+        return run(args, **kwargs)
 
-    real = billiard._kernels
-    monkeypatch.setattr(billiard, "_kernels", lambda dim: real(dim)._replace(chord=refuse, reflect=refuse))
-    for (p, q), axes in NULL_AXES.items():
-        sig, ell = Signature(p, q), Ellipsoid(axes)
-        _assert_same_outcome(sample_null_ray(ell, sig, 5), 200, ell, sig)
-    for ell, start, _, _ in LATE_ABORT_STARTS:
-        _assert_same_outcome(start, 50, ell, LORENTZ)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(subprocess, "run", counted)
+    native.library.cache_clear()
+    try:
+        for p, q in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
+            sig, ell = Signature(p, q), Ellipsoid(tuple(float(k) for k in range(p + q, 0, -1)))
+            assert run_orbit(sample_null_ray(ell, sig, 1), 20, ell, sig).bounce_count == 20
+        doc = {"signature": [2, 1], "axes": [3.0, 2.0, 1.0], "initial": {"sample_null": True}, "bounces": 1000, "seed": 7}
+        (tmp_path / "sim.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "out")]) == 0
+        assert native.library() is not None
+    finally:
+        native.library.cache_clear()
+    assert started == [native._CC[0]]
+    assert len(list((tmp_path / "cache" / "pebilliards").glob("*.so"))) == 1
+    assert len((tmp_path / "out" / "orbit.csv").read_bytes().splitlines()) == 1002  # the header and 1001 rows
 
 
 def test_run_orbit_without_a_compiler_records_the_same_rows(request):
@@ -1035,10 +1048,10 @@ def test_run_orbit_without_a_compiler_records_the_same_rows(request):
     for (p, q), axes in NULL_AXES.items():
         sig, ell = Signature(p, q), Ellipsoid(axes)
         cases.append((sample_null_ray(ell, sig, 5), 1000, ell, sig))
-    native = [run_orbit(*case) for case in cases]
+    built = [run_orbit(*case) for case in cases]
     request.getfixturevalue("no_compiler")
-    for case, want in zip(cases, native):
-        assert billiard._kernels(case[2].dim).native is None
+    assert native.library() is None
+    for case, want in zip(cases, built):
         got = run_orbit(*case)
         for mine, theirs in ((got.xs, want.xs), (got.vs, want.vs), (got.h, want.h), (got.f, want.f)):
             assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
@@ -1053,28 +1066,28 @@ def test_the_native_walk_is_built_once_and_then_loaded_from_the_cache(tmp_path, 
         raise AssertionError("a compiler was started")
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    billiard._kernels.cache_clear()
+    native.library.cache_clear()
     try:
-        assert billiard._kernels(3).native is not None
+        assert native.library() is not None
         cache = tmp_path / "pebilliards"
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
-        (source,) = cache.glob("walk3-*.c")
+        (source,) = cache.glob("native-*.c")
         assert sorted(p.name for p in cache.iterdir()) == [source.name, source.with_suffix(".so").name]
         # A warm cache loads the library and starts no compiler ...
         monkeypatch.setattr(subprocess, "run", refuse)
-        billiard._kernels.cache_clear()
-        assert billiard._kernels(3).native is not None
+        native.library.cache_clear()
+        assert native.library() is not None
         # ... unless its stored source differs, as under a collision of the key.
         source.write_text(source.read_text() + "\n", encoding="utf-8")
-        billiard._kernels.cache_clear()
+        native.library.cache_clear()
         with pytest.raises(AssertionError, match="a compiler was started"):
-            billiard._kernels(3)
+            native.library()
     finally:
-        billiard._kernels.cache_clear()
+        native.library.cache_clear()
 
 
 #: Whether the native walk is built here: a C compiler on PATH and a writable cache.
-NATIVE = billiard._kernels(2).native is not None
+NATIVE = native.library() is not None
 
 
 @st.composite
@@ -1108,16 +1121,13 @@ def walk_starts(draw):
 @given(walk_starts())
 @settings(max_examples=300, deadline=None)
 def test_the_native_walk_equals_the_python_walk(case):
-    # The C walk emitted from the same snippets returns the Python walk's rows
-    # in value and sign bit, and stops at the same row.  NaN rows compare by
-    # position: which of two NaN operands an x87 operation returns depends on
-    # the order of the operands, which the compiler may swap.
+    # The C walk returns the Python walk's rows in value and sign bit, and
+    # stops at the same row.  NaN rows compare by position: which of two NaN
+    # operands an x87 operation returns depends on the order of the
+    # operands, which the compiler may swap.
     start, uw2, E, n = case
-    kernels = billiard._kernels(len(E))
     with np.errstate(all="ignore"):
-        want = kernels.walk(start, uw2, E, n)
-        got = kernels.native(start, uw2, E, n)
+        want = billiard._walk(start, uw2, E, n)
+        got = billiard._native_walk(start, uw2, E, n)
     assert got.dtype == want.dtype == np.longdouble and got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
-    numbers = ~np.isnan(want)
-    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+    assert _same_values(got, want)

@@ -723,15 +723,14 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
 
 
 def test_orbit_rows_format_each_cell_as_its_repr():
-    # 0.0 and -0.0 compare equal but keep their own texts, below and above the
-    # array pass's threshold alike; a NaN cell is empty.
-    from pebilliards.floattext import ARRAY_PASS_CELLS, csv_rows
+    # 0.0 and -0.0 compare equal but keep their own texts, in a short table and
+    # a long one alike; a NaN cell is empty.
+    from pebilliards.floattext import csv_rows
 
     cells = np.array([[0.1, -0.0, -0.5, 0.0, 3.0], [0.0, 2.5, -0.5, -0.0, np.nan], [-0.0, 1e-300, -0.5, 0.0, 1 / 3]])
     rows = [b"0.1,-0.0,-0.5,0.0,3.0", b"0.0,2.5,-0.5,-0.0,", b"-0.0,1e-300,-0.5,0.0,0.3333333333333333"]
     assert csv_rows(cells) == b"".join(b"%d,%s\n" % (i, row) for i, row in enumerate(rows))
-    big = np.tile(cells, (ARRAY_PASS_CELLS // cells.size + 1, 1))
-    assert big.size >= ARRAY_PASS_CELLS
+    big = np.tile(cells, (100, 1))
     assert csv_rows(big) == b"".join(b"%d,%s\n" % (i, rows[i % 3]) for i in range(len(big)))
     assert csv_rows(cells[:0]) == b""
 
@@ -858,27 +857,58 @@ def test_cli_import_loads_no_numpy_polynomial():
 
 
 def test_cli_import_builds_no_step_kernel(tmp_path):
-    # The step kernels and the CSV formatter are generated on first use, so
-    # importing costs nothing for them: it starts no compiler and writes no
-    # file to the cache, so it loads no library from there.  A `cc` first on
-    # PATH records each start; building a kernel or the formatter starts it.
+    # The native library of the bounce walk and the CSV formatter is built on
+    # first use, so importing costs nothing for it: it starts no compiler and
+    # writes no file to the cache, so it loads no library from there.  A `cc`
+    # first on PATH records each start; building the library starts it once.
     bin_dir, started, cache = tmp_path / "bin", tmp_path / "started", tmp_path / "cache"
     bin_dir.mkdir()
     (bin_dir / "cc").write_text(f"#!/bin/sh\necho cc >> '{started}'\nexit 1\n", encoding="utf-8")
     (bin_dir / "cc").chmod(0o755)
     env = {"XDG_CACHE_HOME": str(cache), "PATH": os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")])}
     code = (
-        "import pebilliards.cli, pebilliards.billiard as b, pebilliards.floattext as f;"
-        "print(b._kernels.cache_info().currsize, f._formatter.cache_info().currsize)"
+        "import pebilliards.cli, pebilliards.native as n;"
+        "print(n.library.cache_info().currsize)"
     )
-    assert _fresh_interpreter(code, **env).strip() == "0 0"
+    assert _fresh_interpreter(code, **env).strip() == "0"
     assert not started.exists() and not cache.exists()
     code = (
-        "import pebilliards.cli, pebilliards.billiard as b, pebilliards.floattext as f;"
-        "print(b._kernels(3).native, f._formatter())"
+        "import pebilliards.cli, pebilliards.native as n;"
+        "print(n.library(), n.library())"
     )
     assert _fresh_interpreter(code, **env).strip() == "None None"
-    assert started.read_text() == "cc\ncc\n" and not [p for p in cache.rglob("*") if p.is_file()]
+    assert started.read_text() == "cc\n" and not [p for p in cache.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("home", ["absolute", "relative"])
+def test_a_relative_cache_home_counts_as_unset(tmp_path, monkeypatch, home):
+    # A relative XDG_CACHE_HOME counts as unset: simulate, run from another
+    # directory, builds the library under $HOME/.cache/pebilliards and writes
+    # no file to its working directory.  Where HOME is relative too there is
+    # no cache: nothing is built and simulate takes the Python paths.
+    from pebilliards import native
+
+    if home == "absolute" and shutil.which(native._CC[0]) is None:
+        pytest.skip("no C compiler on PATH")
+    work, home_dir = tmp_path / "work", tmp_path / "home"
+    work.mkdir()
+    home_dir.mkdir()
+    config = write_config(tmp_path, simulate_doc())
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("XDG_CACHE_HOME", "rel")
+    monkeypatch.setenv("HOME", str(home_dir) if home == "absolute" else "home")
+    native.library.cache_clear()
+    try:
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        built = native.library() is not None
+    finally:
+        native.library.cache_clear()
+    assert list(work.iterdir()) == []
+    libraries = [p.relative_to(home_dir) for p in home_dir.rglob("*.so")]
+    if home == "absolute":
+        assert built and [p.parent for p in libraries] == [Path(".cache", "pebilliards")]
+    else:
+        assert not built and libraries == []
 
 
 def test_no_source_file_imports_scipy():
@@ -994,9 +1024,9 @@ def readme_digests(work: Path) -> dict[str, dict[str, str]]:
 def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr(tmp_path, monkeypatch):
     # With a margin wider than every cell's half gap the C formatter decides
     # no cell, so repr writes every cell, and the bytes stay the same.
-    from pebilliards import floattext
+    from pebilliards import floattext, native
 
-    if floattext._formatter() is None:
+    if native.library() is None:
         pytest.skip("no C formatter: no C compiler on PATH or no writable cache")
     decide = floattext._decide
     left = []
@@ -1009,12 +1039,12 @@ def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(floattext, "MARGIN", 2.0**60)
     monkeypatch.setattr(floattext, "_decide", counted)
-    floattext._formatter.cache_clear()
+    native.library.cache_clear()
     try:
         command, config, doc, out = README_EXAMPLES[0]
         assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0
     finally:
-        floattext._formatter.cache_clear()
+        native.library.cache_clear()
     assert left == [1.0]
     if np.finfo(np.longdouble).nmant == 63:
         want = json.loads(README_DIGESTS.read_text())["simulate"]
@@ -1024,23 +1054,19 @@ def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr
 def test_readme_simulate_writes_the_committed_bytes_without_a_compiler(tmp_path, no_compiler):
     # Where no library can be built the recorder steps through the Python
     # walk and every cell is its repr, and the bytes stay the same.
-    from pebilliards import billiard, floattext
+    from pebilliards import native
 
     command, config, doc, out = README_EXAMPLES[0]
     assert main([*command, "--config", write_config(tmp_path, doc, config), "--out", str(tmp_path / out)]) == 0
-    assert billiard._kernels(3).native is None and floattext._formatter() is None
+    assert native.library() is None
     if np.finfo(np.longdouble).nmant == 63:
         want = json.loads(README_DIGESTS.read_text())["simulate"]
         assert {p.name: sha256(p) for p in sorted((tmp_path / out).iterdir())} == want
 
 
 def test_three_bounce_simulate_formats_every_cell_with_repr(tmp_path, monkeypatch):
-    # Below the C formatter's cell threshold every cell is repr's text, joined
-    # by commas, and the formatter is not even loaded.
-    from pebilliards import billiard, floattext
-
-    def no_formatter():
-        raise AssertionError("the C formatter was asked for on a table below its threshold")
+    # A short orbit's cells are repr's texts too, joined by commas.
+    from pebilliards import billiard
 
     run_orbit = billiard.run_orbit
     seen = []
@@ -1049,7 +1075,6 @@ def test_three_bounce_simulate_formats_every_cell_with_repr(tmp_path, monkeypatc
         seen.append(run_orbit(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(floattext, "_formatter", no_formatter)
     monkeypatch.setattr(billiard, "run_orbit", recorded)
     out = tmp_path / "out"
     doc = simulate_doc(bounces=3, record_tangency=True)
@@ -1060,7 +1085,6 @@ def test_three_bounce_simulate_formats_every_cell_with_repr(tmp_path, monkeypatc
     for k in range(4):
         cells = [*rec.xs[k], *rec.vs[k], rec.h[k], *rec.f[k], *rec.tangency[k].lambdas]
         lines.append(",".join([str(k)] + [repr(float(c)) for c in cells]))
-    assert 4 * (len(lines[0].split(",")) - 1) < floattext.ARRAY_PASS_CELLS
     assert (out / "orbit.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 

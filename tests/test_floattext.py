@@ -7,11 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pebilliards import floattext
+from pebilliards import floattext, native
 from pebilliards.floattext import csv_rows
 
 #: Whether the C formatter is built here: a C compiler on PATH and a writable cache.
-FORMATTER = floattext._formatter() is not None
+FORMATTER = native.library() is not None
 NO_FORMATTER = "no C formatter: no C compiler on PATH or no writable cache"
 needs_formatter = pytest.mark.skipif(not FORMATTER, reason=NO_FORMATTER)
 
@@ -21,7 +21,7 @@ def formatter(request):
     """csv_rows with the C formatter ("native"), and with no compiler ("repr"), where Python writes every cell."""
     if request.param == "repr":
         request.getfixturevalue("no_compiler")
-        assert floattext._formatter() is None
+        assert native.library() is None
     elif not FORMATTER:
         pytest.skip(NO_FORMATTER)
     return request.param
@@ -37,10 +37,9 @@ def repr_rows(cells) -> bytes:
     return "".join(",".join([str(i), *row]) + "\n" for i, row in enumerate(texts)).encode()
 
 
-def array_pass_table(values, columns=7):
-    """The values repeated into a table large enough for the C formatter."""
-    rows = -(-max(len(values), floattext.ARRAY_PASS_CELLS) // columns)
-    return np.resize(np.array(values, dtype=float), (rows, columns))
+def table(values, columns=7):
+    """The values in rows of `columns`, the last row filled up by repeating them."""
+    return np.resize(np.array(values, dtype=float), (-(-len(values) // columns), columns))
 
 
 def decided(cells) -> float:
@@ -93,7 +92,7 @@ def test_csv_rows_equal_repr(formatter, values):
     # The C formatter gives repr's bytes on every finite float64: it decides
     # a cell only where that is certain and leaves the rest to repr.  A NaN
     # cell is empty, in the rows of either path.
-    cells = array_pass_table(values)
+    cells = table(values)
     assert csv_rows(cells) == repr_rows(cells)
 
 
@@ -112,7 +111,7 @@ def test_csv_rows_equal_repr_on_random_tables(seed):
 
 
 def test_csv_rows_equal_repr_on_edge_values(formatter):
-    cells = array_pass_table([*EDGES, math.nan])
+    cells = table([*EDGES, math.nan])
     assert csv_rows(cells) == repr_rows(cells)
 
 
@@ -154,7 +153,7 @@ def test_cells_within_the_margin_of_a_tie_go_to_repr():
     first = (2**33 + 1) * pow(5**15, -1, step) % step
     start = first + -(-(10 * 2**49 - first) // step) * step
     ties = [n / 2**49 for n in range(start, 2**53, step) if n * 5**15 // step % 10**6 < 2**19]
-    cells = array_pass_table([10.001292713001599] + ties[::100])
+    cells = table([10.001292713001599] + ties[::100])
     assert 10.001292713001599 in ties and len(ties) > 100_000
     assert decided(cells) == 0.0
     assert csv_rows(cells) == repr_rows(cells)
