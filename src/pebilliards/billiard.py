@@ -9,11 +9,12 @@ normal vector is n_i = e_i nu_i and the reflection is
 
 The recorder (run_orbit) steps in u = x / a, w = v / a, where the ellipsoid
 is the unit sphere, with one walk of a chord and a reflection per bounce
-(_walk) on long-double arrays.  The same walk, written in C with the
-dimension as an argument (_C_WALK), is compiled with the system C compiler
-into the library of `native` and cached per user; the recorder takes that
-native walk where the library builds and loads, and the Python walk
-elsewhere.
+(_walk) on long-double arrays, and then evaluates and tests every row
+(_record).  The same pass, written in C with the dimension as an argument
+(_C_RECORD), steps, evaluates and tests each row in turn; it is compiled
+with the system C compiler into the library of `native` and cached per
+user.  The recorder takes that native pass where the library builds and
+loads, and the numpy pass elsewhere.
 
 Reflection preserves the squared pseudo-norm and flips the sign of Ax.v, so
 the quantity H(x, v) = Ax.v is invariant along orbits (negative for inward
@@ -85,8 +86,8 @@ def _walk(start: np.ndarray, uw2, E: np.ndarray, n: int) -> np.ndarray:
     (n + 1, 2 dim) array it allocates before the first bounce, so that a
     count whose rows do not fit in memory raises MemoryError at once.  Every
     dot product is numpy's long-double `dot`, which sums left to right from
-    +0, and `_C_WALK` performs the same operations in the same order, so
-    the two return the same rows, bit for bit.  Pure arithmetic: the caller
+    +0, and `_C_RECORD` performs the same operations in the same order, so
+    the two step the same rows, bit for bit.  Pure arithmetic: the caller
     decides whether a chord or a normal is allowed (_refused_chords,
     _null_normals).
     """
@@ -107,19 +108,83 @@ def _walk(start: np.ndarray, uw2, E: np.ndarray, n: int) -> np.ndarray:
     return rows[: k + 1]
 
 
-#: `_walk` in C on long double, for `dim` coordinates: each operation rounds
-#: to long double as numpy's does (native._CC contracts nothing), and each
-#: sum runs left to right from +0.  `row` holds n + 1 rows (u, w), row 0 the
-#: start; the walk writes rows 1 .. k and returns k, the bounces taken.
-_C_WALK = """\
-long walk(long double *row, const long double *E, const long double *start_uw2, long dim, long n)
+#: The recorder's pass over one orbit in C on long double (`_record` is the
+#: reference): `_walk`'s bounce, written with `dim` as an argument, and each
+#: row's evaluation and tests.  Each operation rounds to long double as
+#: numpy's does (native._CC contracts nothing).  Every sum runs left to
+#: right: H, |x|^2, |v|^2 and |n|^2 from their first term, the others from
+#: +0.  `row` holds n + 1 rows (u, w), row 0 the start; `xs`, `vs`, `f`
+#: (n + 1 rows of dim) and `h` take the rows rounded to double.  `consts`
+#: holds a, A, E, e (dim each), the P pair denominators, 2 u.w of the start,
+#: GRAZING_TOL and NULL_NORMAL_TOL; `work` has room for 3 dim + P entries.
+#: It stops at the first failing bounce, returns the rows kept and sets
+#: *kind to 0 (clean), 1 (NotInward), 2 (NullNormal) or 3 (NonFinite); the
+#: failing bounce is the rows kept.
+_C_RECORD = """\
+long record(long double *row, double *xs, double *vs, double *h, double *f, long *kind,
+            const long double *consts, long double *work, long dim, long n)
 {
-    long double uw2 = *start_uw2;
-    long k, i;
-    for (k = 0; k < n && uw2 < 0.0; k++, row += 2 * dim) {
+    const long double *a = consts, *A = a + dim, *E = A + dim, *e = E + dim, *den = e + dim;
+    const long double *arg = den + dim * (dim - 1) / 2;
+    long double uw2 = arg[0], *x = work, *v = x + dim, *Ax = v + dim, *q = Ax + dim;
+    long k, i, j, p;
+    for (k = 0;; k++, row += 2 * dim, xs += dim, vs += dim, f += dim) {
         const long double *u = row, *w = row + dim;
-        long double *y = row + 2 * dim, *w_next = y + dim; /* y, and then the new u */
-        long double ww = 0.0, yy = 0.0, wu = 0.0, um = 0.0;
+        int finite = 1;
+        for (i = 0; i < dim; i++) {
+            x[i] = a[i] * u[i];
+            v[i] = a[i] * w[i];
+            Ax[i] = A[i] * x[i];
+        }
+        long double H = Ax[0] * v[0], xx = x[0] * x[0], vv = v[0] * v[0], nn2 = Ax[0] * Ax[0];
+        long double nn = 0.0L + nn2 * e[0];
+        for (i = 1; i < dim; i++) {
+            long double sq = Ax[i] * Ax[i];
+            H += Ax[i] * v[i];
+            xx += x[i] * x[i];
+            vv += v[i] * v[i];
+            nn2 += sq;
+            nn += sq * e[i];
+        }
+        for (i = 0, p = 0; i < dim; i++)
+            for (j = i + 1; j < dim; j++, p++) {
+                long double m = x[i] * v[j] - x[j] * v[i];
+                q[p] = m * m / den[p];
+            }
+        for (j = 0; j < dim; j++) {
+            long double F = 0.0L;
+            for (i = 0; i < dim; i++) /* the pair {i, j} is numbered p as in _pair_plan */
+                if (i < j)
+                    F += q[i * dim - i * (i + 1) / 2 + j - i - 1];
+                else if (i > j)
+                    F -= q[j * dim - j * (j + 1) / 2 + i - j - 1];
+            F += v[j] * v[j] * e[j];
+            xs[j] = (double)x[j];
+            vs[j] = (double)v[j];
+            f[j] = (double)F;
+            finite = finite && __builtin_isfinite(xs[j]) && __builtin_isfinite(vs[j]) && __builtin_isfinite(f[j]);
+        }
+        h[k] = (double)H;
+        if (k > 0 && __builtin_fabsl(nn) <= arg[2] * nn2) {
+            *kind = 2;
+            return k;
+        }
+        if (!(finite && __builtin_isfinite(h[k]))) {
+            *kind = 3;
+            return k;
+        }
+        if (k == n) {
+            *kind = 0;
+            return k + 1;
+        }
+        if (!(__builtin_isfinite(H) && H < 0.0L) || __builtin_fabsl(H) < arg[1] * __builtin_sqrtl(xx * vv)
+            || !(uw2 < 0.0L)) {
+            *kind = 1;
+            return k + 1;
+        }
+        /* The bounce: the chord's far end y, re-projected, is the new u; then the reflection of w. */
+        long double *y = row + 2 * dim, *w_next = y + dim;
+        long double ww = 0.0L, yy = 0.0L, wu = 0.0L, um = 0.0L;
         for (i = 0; i < dim; i++)
             ww += w[i] * w[i];
         long double c = uw2 / ww;
@@ -127,36 +192,33 @@ long walk(long double *row, const long double *E, const long double *start_uw2, 
             y[i] = u[i] - c * w[i];
         for (i = 0; i < dim; i++)
             yy += y[i] * y[i];
-        long double g = (yy - 1.0) / uw2;
+        long double g = (yy - 1.0L) / uw2;
         for (i = 0; i < dim; i++)
             y[i] = y[i] + g * w[i];
         for (i = 0; i < dim; i++)
             wu += w[i] * y[i];
-        long double wu2 = 2.0 * wu;
+        long double wu2 = 2.0L * wu;
         for (i = 0; i < dim; i++)
             um += y[i] * (E[i] * y[i]);
-        long double h = wu2 / um;
+        long double s = wu2 / um;
         for (i = 0; i < dim; i++)
-            w_next[i] = w[i] - h * (E[i] * y[i]);
+            w_next[i] = w[i] - s * (E[i] * y[i]);
         uw2 = -wu2;
     }
-    return k;
 }
 """
 
 
-def _native_walk(start: np.ndarray, uw2, E: np.ndarray, n: int) -> np.ndarray:
-    """`_walk`'s rows from the C walk of native.library(), where that library loads.
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, left to right from the first term, at every length.
 
-    Every long double goes through an array, never through a ctypes scalar,
-    which would round it to double.
+    numpy's `sum` adds a row in that order only up to 7 terms, and pairs
+    them from 8 on.
     """
-    E = np.ascontiguousarray(E, dtype=np.longdouble)
-    uw2 = np.array([uw2], dtype=np.longdouble)
-    rows = np.zeros((n + 1, 2 * len(E)), dtype=np.longdouble)
-    rows[0] = start
-    taken = native.library().walk(rows.ctypes.data, E.ctypes.data, uw2.ctypes.data, len(E), n)
-    return rows[: taken + 1]
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total = total + terms[..., k]
+    return total
 
 
 def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarray:
@@ -164,9 +226,10 @@ def _refused_chords(xs: np.ndarray, vs: np.ndarray, axv: np.ndarray) -> np.ndarr
 
     `axv` holds Ax.v per row.  A chord is refused unless -inf < Ax.v < 0 and
     |Ax.v| >= GRAZING_TOL |x||v|: outward, grazing and non-finite chords (NaN
-    compares False with every bound) all fail it.
+    compares False with every bound) all fail it.  |x|^2 and |v|^2 are summed
+    left to right (_row_sums).
     """
-    scale = np.sqrt((xs * xs).sum(-1) * (vs * vs).sum(-1))
+    scale = np.sqrt(_row_sums(xs * xs) * _row_sums(vs * vs))
     return ~(np.isfinite(axv) & (axv < 0.0)) | (abs(axv) < GRAZING_TOL * scale)
 
 
@@ -175,11 +238,12 @@ def _null_normals(Axs: np.ndarray, e: np.ndarray) -> np.ndarray:
 
     |<n,n>| <= NULL_NORMAL_TOL |n|^2, with <n,n> = sum e_i Ax_i^2 and |n|^2 =
     sum Ax_i^2 (as e_i = +-1, each term equals Ax_i n_i and n_i^2 exactly).
-    <n,n> is summed left to right (_dot), so no verdict depends on the CPU's
-    BLAS kernel.  A NaN <n,n> passes it.
+    <n,n> is summed left to right from +0 (_dot) and |n|^2 from its first
+    term (_row_sums), so no verdict depends on the CPU's BLAS kernel or on
+    numpy's order.  A NaN <n,n> passes it.
     """
     sq = Axs * Axs
-    return abs(_dot(sq, e)) <= NULL_NORMAL_TOL * sq.sum(-1)
+    return abs(_dot(sq, e)) <= NULL_NORMAL_TOL * _row_sums(sq)
 
 
 def _not_inward(axv) -> NotInward:
@@ -253,12 +317,7 @@ def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signatu
     """Vectorized integrals for arrays of phase points, shape (N, dim) -> (N, dim).
 
     Extended-precision (longdouble) input is evaluated and returned in
-    longdouble; every other input in float64.  Each pair's term
-    q_p = M_p^2 / d_p is formed once; row k adds q_p and row i -q_p, which is
-    M_p^2 / -d_p exactly.  Every row adds its terms in column order, starting
-    from +0, and then e_k v_k^2: the order, and so the rounding and the sign
-    of a zero, of the sum over a whole row of the antisymmetric matrix
-    (x_i v_k - x_k v_i)^2 / (e_i a_k^2 - e_k a_i^2) with its zero diagonal.
+    longdouble; every other input in float64 (see _integrals).
     """
     d = _integral_denominators(ell, sig)
     xs, vs = np.asarray(xs), np.asarray(vs)
@@ -267,7 +326,20 @@ def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signatu
     vs = vs.astype(dtype, copy=False)
     if xs.ndim != 2 or xs.shape != vs.shape or xs.shape[1] != ell.dim:
         raise ValueError("phase arrays must both have shape (N, dim)")
-    plan = _pair_plan(ell.dim)
+    return _integrals(xs, vs, d, sig.e)
+
+
+def _integrals(xs: np.ndarray, vs: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Every F_k of the rows (xs, vs), with the pair denominators d and the signs e, in the rows' precision.
+
+    Each pair's term q_p = M_p^2 / d_p is formed once; row k adds q_p and row
+    i -q_p, which is M_p^2 / -d_p exactly.  Every row adds its terms in
+    column order, starting from +0, and then e_k v_k^2: the order, and so the
+    rounding and the sign of a zero, of the sum over a whole row of the
+    antisymmetric matrix (x_i v_k - x_k v_i)^2 / (e_i a_k^2 - e_k a_i^2)
+    with its zero diagonal.
+    """
+    plan = _pair_plan(xs.shape[1])
     q = _pair_differences(xs, vs)
     q *= q
     q /= d[:, None]
@@ -276,7 +348,7 @@ def integrals_batch(xs: np.ndarray, vs: np.ndarray, ell: Ellipsoid, sig: Signatu
     f = np.add.reduce(terms, axis=0, initial=0.0)
     # As e_k = +-1, e_k v_k^2 = (v_k^2) e_k exactly.
     ev2 = np.multiply(vs.T, vs.T, order="C")
-    ev2 *= sig.e[:, None]
+    ev2 *= e[:, None]
     f += ev2
     return f.T
 
@@ -321,6 +393,106 @@ class OrbitRecord:
         return self.abort_reason is not None
 
 
+class _Record(NamedTuple):
+    """One orbit's pass: its stepped rows, and its first failing bounce.
+
+    `steps` holds the long-double rows (u, w) stepped, and `xs`, `vs`, `h`
+    and `f` the same rows' x = a u, v = a w, H = Ax.v and every F_k rounded
+    to double.  The first `kept` rows are recorded.  Where `failure`
+    (NotInward, NullNormal or NonFinite) is not None, `kept` is its bounce,
+    and the rows stepped are those kept plus, where the failing row itself
+    was tested (NullNormal, NonFinite), that row.
+    """
+
+    steps: np.ndarray
+    xs: np.ndarray
+    vs: np.ndarray
+    h: np.ndarray
+    f: np.ndarray
+    kept: int
+    failure: type | None
+
+
+def _record(start: np.ndarray, uw2, a: np.ndarray, A: np.ndarray, E: np.ndarray, e: np.ndarray, d: np.ndarray, n: int):
+    """The recorder's pass over up to n bounces from the long-double row start = (u, w), in numpy.
+
+    `a`, A = 1 / a^2 and E = e / a^2 are long double, `e` the signs and `d`
+    the pair denominators.  The rows come from one call of _walk; each row's
+    x, v, H (its unrounded values are the chords' Ax.v) and F_k (_integrals)
+    are evaluated in long double and rounded to double, over all rows at
+    once, and then the tests decide.  Bounce k fails when the chord test
+    refuses row k - 1 (NotInward), the normal test row k (NullNormal) or row
+    k is not finite in double (NonFinite), tested in this order, and the
+    first failing bounce ends the record; row 0 takes only the last test.  The
+    walk stops only once u.w is not < 0, at a chord that is refused.
+    _C_RECORD makes the same pass, and stops at the failing bounce; both
+    return the same rows, bit for bit.
+    """
+    dim = len(a)
+    steps = _walk(start, uw2, E, n)
+    taken = len(steps) - 1
+    with np.errstate(all="ignore"):
+        xs, vs = a * steps[:, :dim], a * steps[:, dim:]
+        Axs = A * xs
+        h = _row_sums(Axs * vs)
+        chord = _refused_chords(xs[:taken], vs[:taken], h[:taken]).tolist() + [True]
+        normal = _null_normals(Axs[1:], e).tolist() + [True]
+        f = _integrals(xs, vs, d, e).astype(float)
+        h, xs, vs = h.astype(float), xs.astype(float), vs.astype(float)
+    finite = np.isfinite(np.concatenate((xs, vs, h[:, None], f), axis=1)).all(axis=1).tolist() + [False]
+    # Each list ends in a sentinel at bounce `taken` + 1, one past the last
+    # bounce stepped or the chord the walk stopped at.
+    ends = (chord.index(True) + 1, 0, NotInward), (normal.index(True) + 1, 1, NullNormal), (finite.index(False), 2, NonFinite)
+    kept, _, failure = min(ends)
+    if kept > n:
+        kept, failure = n + 1, None
+    stepped = kept + (failure in (NullNormal, NonFinite))
+    return _Record(steps[:stepped], xs[:stepped], vs[:stepped], h[:stepped], f[:stepped], kept, failure)
+
+
+#: The failures of _C_RECORD, by the kind it returns.
+_KINDS = (None, NotInward, NullNormal, NonFinite)
+
+
+def _native_record(start: np.ndarray, uw2, a: np.ndarray, A: np.ndarray, E: np.ndarray, e: np.ndarray, d: np.ndarray, n: int):
+    """`_record`'s result from the C record of native.library(), where that library loads.
+
+    Every long double goes through an array, never through a ctypes scalar,
+    which would round it to double.  All rows are allocated before the first
+    bounce, so a count whose rows do not fit in memory raises MemoryError at
+    once.
+    """
+    import ctypes
+
+    dim = len(a)
+    steps = np.zeros((n + 1, 2 * dim), dtype=np.longdouble)
+    steps[0] = start
+    xs, vs, f = np.empty((n + 1, dim)), np.empty((n + 1, dim)), np.empty((n + 1, dim))
+    h = np.empty(n + 1)
+    consts = np.concatenate((a, A, E, e, d, (uw2, GRAZING_TOL, NULL_NORMAL_TOL)), dtype=np.longdouble)
+    work = np.empty(3 * dim + len(d), dtype=np.longdouble)
+    kind = ctypes.c_long()
+    pointers = (steps.ctypes.data, xs.ctypes.data, vs.ctypes.data, h.ctypes.data, f.ctypes.data)
+    kept = native.library().record(*pointers, ctypes.byref(kind), consts.ctypes.data, work.ctypes.data, dim, n)
+    failure = _KINDS[kind.value]
+    stepped = kept + (failure in (NullNormal, NonFinite))
+    return _Record(steps[:stepped], xs[:stepped], vs[:stepped], h[:stepped], f[:stepped], kept, failure)
+
+
+def _failure(rec: _Record, a: np.ndarray, A: np.ndarray, ell: Ellipsoid, sig: Signature) -> Exception | None:
+    """The error of a pass's failing bounce, its message built from the pass's rows; None where none failed."""
+    b, dim = rec.kept, ell.dim
+    with np.errstate(all="ignore"):
+        if rec.failure is NotInward:  # the chord from row b - 1
+            x, v = a * rec.steps[b - 1, :dim], a * rec.steps[b - 1, dim:]
+            return _not_inward(_row_sums(A * x * v))
+        if rec.failure is NullNormal:
+            return _null_normal(ell.conormal(a * rec.steps[b, :dim]), sig.e)
+    if rec.failure is NonFinite:
+        return NonFinite(f"not finite at bounce {b}: H = {rec.h[b]}, F = {rec.f[b].tolist()}")
+    return None
+
+
 def run_orbit(
     r: RayState,
     n_bounces: int,
@@ -336,38 +508,34 @@ def run_orbit(
     where evaluating the quadratic integrals in plain double precision would
     drown the drift being measured in cancellation noise.
 
-    The bounces are stepped by one call of the walk (_walk), a chord and a
-    reflection per bounce on long-double arrays in (u, w) = (x / a, v / a)
-    on the unit sphere; each reflection's 2 w.u, negated, is the next
-    chord's 2 u.w = 2 Ax.v.  The walk is the C one of native.library()
-    where that library loads, else the Python one; both give the same rows,
-    bit for bit.  It returns the rows
-    (u, w) as one long-double array of shape (rows, 2 dim), from an array
-    of n_bounces + 1 rows allocated before the first bounce (a MemoryError
-    where they do not fit), and the rows are returned as x = a u, v = a w.
-    The walk decides nothing, and stops early only once u.w is not < 0
-    (NaN included), where no chord exists.  All decisions are made after
-    it, over the stepped rows, by two row-wise
-    predicates: bounce k fails when the chord test refuses row k - 1
-    (NotInward) or the normal test row k (NullNormal), the chord first.  A
-    run that fails on a grazing chord or on a finite, tiny <n,n> may step on
-    up to n_bounces, so it never costs more than a clean run of that length.
-    H, every F_k and, with `fam`, Q's coefficients are then evaluated for all
-    rows at once, and the per-row core of confocal.tangency_parameters
-    solves each row.  Whether the line is light-like is decided once, by
-    classify_vector on the start's direction, and holds for every row:
-    reflection keeps the causal type, so a row whose <v,v> / |v|^2 has
-    drifted past LIGHTLIKE_TOL is still solved as the line it is.  A row
-    is recorded only when its state, H and every F_k are finite (else
-    NonFinite) and its tangency parameters, if asked for, are solved (else
-    RootIsolationFailure).  A failed bounce or row k >= 1
-    ends the record before row k, with the reason and abort_bounce = k.  A
-    failed row 0, resonant axes, or a start off the boundary or not pointing
-    inward raise before the first bounce.
+    One pass steps, evaluates and decides: the C record of native.library()
+    where that library loads (_C_RECORD), else its numpy reference (_record);
+    both give the same rows and the same failure, bit for bit.  It steps a
+    chord and a reflection per bounce on long-double rows (u, w) = (x / a,
+    v / a) on the unit sphere; each reflection's 2 w.u, negated, is the next
+    chord's 2 u.w = 2 Ax.v.  All rows are allocated before the first bounce
+    (a MemoryError where they do not fit).  Each row's x = a u, v = a w,
+    H = Ax.v and every F_k are evaluated in long double and rounded to
+    double.  Bounce k fails when the chord test refuses row k - 1
+    (NotInward: outward, grazing or not finite), the normal test row k
+    (NullNormal) or row k is not finite in double (NonFinite), tested in this
+    order; the pass names the first failing bounce, and this function builds
+    its message from the pass's long-double rows.  The pair denominators of
+    the F_k are formed once per orbit.  With `fam`, Q's coefficients are then
+    evaluated for all kept rows at once, and the per-row core of
+    confocal.tangency_parameters solves each row.  Whether the line is
+    light-like is decided once, by classify_vector on the start's direction,
+    and holds for every row: reflection keeps the causal type, so a row
+    whose <v,v> / |v|^2 has drifted past LIGHTLIKE_TOL is still solved as
+    the line it is.  A row whose tangency parameters are not solved ends the
+    record (RootIsolationFailure).  A failed bounce or row k >= 1 ends the
+    record before row k, with the reason and abort_bounce = k.  A failed row
+    0, resonant axes, or a start off the boundary or not pointing inward
+    raise before the first bounce.
     """
     if n_bounces < 1:
         raise ValueError("bounce count must be >= 1")
-    _integral_denominators(ell, sig)
+    d = _integral_denominators(ell, sig)
     _require_on_boundary(r.x, ell)
     ax_v = _dot(ell.conormal(r.x), r.v)
     if not -np.inf < ax_v < 0.0:
@@ -379,35 +547,10 @@ def run_orbit(
     a2 = ell.a2.astype(np.longdouble)
     a, E, A = np.sqrt(a2), sig.e / a2, 1.0 / a2
     u, w = r.x / a, r.v / a
-    uw2 = 2.0 * u.dot(w)
-    walk = _walk if native.library() is None else _native_walk
-
-    with np.errstate(all="ignore"):
-        steps = walk(np.concatenate((u, w)), uw2, E, n_bounces)
-        rows = len(steps)
-        xs, vs = a * steps[:, : ell.dim], a * steps[:, ell.dim :]
-
-        # Bounce b + 1 takes the chord from row b and reflects at row b + 1.
-        # Each list ends in a sentinel at index `taken`, the first bounce not
-        # stepped: one past the last, or the chord the walk stopped at (u.w
-        # not < 0, so refused).  axvs are H's unrounded values.
-        Axs = A * xs
-        axvs = (Axs * vs).sum(1)
-        taken = rows - 1
-        chord = _refused_chords(xs[:taken], vs[:taken], axvs[:taken]).tolist() + [True]
-        normal = _null_normals(Axs[1:], sig.e).tolist() + [True]
-        b = min(chord.index(True), normal.index(True))
-        failure = None
-        if b < n_bounces:
-            failure = _not_inward(Axs[b].dot(vs[b])) if chord[b] else _null_normal(ell.conormal(xs[b + 1]), sig.e)
-            rows = b + 1
-        h = axvs[:rows].astype(float)
-        f = integrals_batch(xs[:rows], vs[:rows], ell, sig).astype(float)
-        xs, vs = xs[:rows].astype(float), vs[:rows].astype(float)
-    finite = np.isfinite(np.concatenate((xs, vs, h[:, None], f), axis=1)).all(axis=1)
-    if not finite.all():
-        rows = int(np.argmin(finite))
-        failure = NonFinite(f"not finite at bounce {rows}: H = {h[rows]}, F = {f[rows].tolist()}")
+    record = _record if native.library() is None else _native_record
+    rec = record(np.concatenate((u, w)), 2.0 * u.dot(w), a, A, E, sig.e, d, n_bounces)
+    rows, xs, vs, h, f = rec.kept, rec.xs, rec.vs, rec.h, rec.f
+    failure = _failure(rec, a, A, ell, sig)
     tangs = None
     if fam is not None:
         tangs = []

@@ -1,6 +1,7 @@
 """The one shared library of native code, built from C source, cached per user and loaded with ctypes.
 
-Its source is the bounce walk (`billiard._C_WALK`) followed by the CSV
+Its source is the recorder's pass over an orbit (`billiard._C_RECORD`: the
+bounce walk, each row's H and F_k, and the abort tests) followed by the CSV
 formatter (`floattext._source`).  `library` builds or loads it once per
 process, on first use, and returns None where it cannot be built or loaded;
 billiard and floattext then keep their Python paths.  Nothing is built or
@@ -15,8 +16,9 @@ import zlib
 
 #: The command that compiles a library; "-o <library> <source>" follow it.
 #: No contraction into fused multiply-adds and no fast-math: each operation
-#: of the source rounds as written.
-_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
+#: of the source rounds as written.  Without errno, a square root is the
+#: instruction alone and the library needs no libm.
+_CC = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 def _library(source: str) -> str | None:
@@ -65,10 +67,10 @@ def _library(source: str) -> str | None:
 
 @functools.cache
 def library():
-    """The loaded library (a ctypes.CDLL) with `walk` and `csv_rows` declared; None where there is none."""
+    """The loaded library (a ctypes.CDLL) with `record` and `csv_rows` declared; None where there is none."""
     from . import billiard, floattext
 
-    path = _library(billiard._C_WALK + floattext._source())
+    path = _library(billiard._C_RECORD + floattext._source())
     if path is None:
         return None
     import ctypes
@@ -78,8 +80,8 @@ def library():
     except OSError:
         return None
     pointer, long, int64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_int64
-    lib.walk.argtypes = (pointer, pointer, pointer, long, long)
-    lib.walk.restype = long
+    lib.record.argtypes = (pointer, pointer, pointer, pointer, pointer, ctypes.POINTER(long), pointer, pointer, long, long)
+    lib.record.restype = long
     lib.csv_rows.argtypes = (pointer, int64, int64, pointer, pointer)
     lib.csv_rows.restype = int64
     return lib

@@ -7,7 +7,7 @@ from pebilliards import native
 def no_compiler(tmp_path, monkeypatch):
     """The native library built afresh with no C compiler to be found and an empty cache.
 
-    The recorder takes the Python walk, and `floattext.csv_rows` writes every
+    The recorder takes its numpy pass, and `floattext.csv_rows` writes every
     cell with ``repr``.
     """
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))

@@ -500,23 +500,53 @@ def test_run_orbit_solves_every_row_as_the_start_is_classified():
     assert "count varies" not in (drift_report(rec).lambda_mismatch or "")
 
 
-def test_run_orbit_non_finite_row_ends_the_record(monkeypatch):
+def test_run_orbit_non_finite_row_ends_the_record(monkeypatch, no_compiler):
     # One abort rule for every reason: a row k >= 1 whose integrals are not
-    # finite ends the record before row k, as a failed step does.
-    batch = billiard.integrals_batch
+    # finite ends the record before row k, as a failed step does.  The stub
+    # reaches the numpy pass only, the one taken without a compiler.
+    integrals = billiard._integrals
 
-    def overflow_row_2(xs, vs, ell, sig):
-        f = batch(xs, vs, ell, sig)
+    def overflow_row_2(xs, vs, d, e):
+        f = integrals(xs, vs, d, e)
         f[2:, 0] = np.inf
         return f
 
-    monkeypatch.setattr(billiard, "integrals_batch", overflow_row_2)
+    monkeypatch.setattr(billiard, "_integrals", overflow_row_2)
     sig = Signature(2, 1)
     ell = Ellipsoid((3.0, 2.0, 1.0))
     rec = run_orbit(sample_null_ray(ell, sig, 8), 5, ell, sig, fam=ConfocalFamily(ell, sig))
     assert rec.abort_reason.startswith("NonFinite: not finite at bounce 2: ")
     assert rec.abort_bounce == 2 and rec.bounce_count == 1
     assert len(rec.tangency) == 2 and np.all(np.isfinite(rec.f))
+
+
+#: Both record passes: the C one, where the library builds here, and the numpy one.
+PASSES = ["native", "numpy"]
+
+
+def _take_pass(name: str, request) -> None:
+    """Make run_orbit take the named record pass."""
+    if name == "numpy":
+        request.getfixturevalue("no_compiler")
+        assert native.library() is None
+    elif native.library() is None:
+        pytest.skip("no native record: no C compiler on PATH or no writable cache")
+
+
+@pytest.mark.parametrize("name", PASSES)
+def test_integrals_that_overflow_double_after_bounce_1_end_the_record(name, request):
+    # A start near a null normal, scaled by 2^513: F_2 rounds to a double
+    # near -1.7e308 on rows 0 and 1, and past it to -inf on row 2, whose
+    # reflection is nearly null.  Scaling v by a power of two scales every
+    # F_k by its square, exactly, and decides nothing else.
+    _take_pass(name, request)
+    v = np.array((0.02842224131579679, 0.5467129866124469)) * 2.0**513
+    start = RayState((0.8909144261398751, -1.0983039129930554), v)
+    rec = run_orbit(start, 10, SQRT2_CIRCLE, LORENTZ)
+    assert rec.abort_reason == (
+        "NonFinite: not finite at bounce 2: H = -8.547363261109847e+153, F = [-4.156225956730004e+307, -inf]"
+    )
+    assert rec.abort_bounce == 2 and rec.bounce_count == 1 and np.all(np.isfinite(rec.f))
 
 
 def test_run_orbit_refuses_resonant_axes():
@@ -913,9 +943,10 @@ def test_the_null_normal_test_sums_left_to_right(monkeypatch):
     assert billiard._null_normals(NULL_ROW_16, Signature(8, 8).e)
 
 
-def test_a_bounce_failing_both_tests_fails_on_its_chord(monkeypatch):
+def test_a_bounce_failing_both_tests_fails_on_its_chord(monkeypatch, no_compiler):
     # The grazing start's first chord is refused; make every normal null as
-    # well.  The chord is tested first, as when stepping.
+    # well.  The chord is tested first, as when stepping.  The stub reaches
+    # the numpy pass only, the one taken without a compiler.
     landed = _step(RayState((0.0, 1.0), (1.0, -1.0)), ELLIPSE, LORENTZ)
     monkeypatch.setattr(billiard, "_null_normals", lambda Axs, e: np.ones(len(Axs), dtype=bool))
     rec = run_orbit(ABORT_STARTS[0][1], 5, ELLIPSE, LORENTZ)
@@ -925,15 +956,43 @@ def test_a_bounce_failing_both_tests_fails_on_its_chord(monkeypatch):
     assert rec.abort_reason.startswith("NullNormal: ") and rec.abort_bounce == 1
 
 
+@pytest.mark.parametrize("name", PASSES)
+def test_a_bounce_failing_both_tests_fails_on_its_chord_in_either_pass(name, monkeypatch, request):
+    # With NULL_NORMAL_TOL = 1 every normal is null, as |<n,n>| <= |n|^2;
+    # the grazing start's first bounce then fails both tests, and fails on
+    # its chord.  Both passes read the tolerances when called.
+    _take_pass(name, request)
+    monkeypatch.setattr(billiard, "NULL_NORMAL_TOL", 1.0)
+    rec = run_orbit(ABORT_STARTS[0][1], 5, ELLIPSE, LORENTZ)
+    assert rec.abort_reason == ABORT_TEXTS["NotInward"] and rec.abort_bounce == 1
+    rec = run_orbit(_step(RayState((0.0, 1.0), (1.0, -1.0)), ELLIPSE, LORENTZ), 5, ELLIPSE, LORENTZ)
+    assert rec.abort_reason.startswith("NullNormal: ") and rec.abort_bounce == 1
+
+
+@pytest.mark.parametrize("name", PASSES)
+def test_h_is_summed_left_to_right_in_dimension_8(name, request):
+    # From 8 terms on, numpy's sum adds a row in pairs; on row 0 of this
+    # orbit its H rounds to a double 2 ulps away from the left-to-right sum,
+    # which both passes record.
+    _take_pass(name, request)
+    sig, ell = Signature(4, 4), Ellipsoid(tuple(float(k) for k in range(8, 0, -1)))
+    start = sample_null_ray(ell, sig, 1791)
+    a2 = ell.a2.astype(np.longdouble)
+    a = np.sqrt(a2)
+    terms = 1.0 / a2 * (a * (start.x / a)) * (a * (start.v / a))
+    assert float(terms.sum()) == float.fromhex("-0x1.329c6d8c57c70p-15")
+    assert run_orbit(start, 1, ell, sig).h[0] == float.fromhex("-0x1.329c6d8c57c72p-15")
+
+
 #: Signatures of the equivalence property, with and without null directions,
 #: in every dimension from 2 to 6.
 ORBIT_SIGNATURES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 0), (3, 2), (4, 2)]
 
 
 @st.composite
-def orbit_starts(draw):
+def orbit_starts(draw, signatures=ORBIT_SIGNATURES):
     """A geometry, a start and a bounce count, some aimed at the null-normal set."""
-    p, q = draw(st.sampled_from(ORBIT_SIGNATURES))
+    p, q = draw(st.sampled_from(signatures))
     sig, d = Signature(p, q), p + q
     size = draw(st.sampled_from([1.0, 30.0]))
     ell = Ellipsoid(tuple(size * a for a in draw(st.lists(st.floats(0.5, 4.0), min_size=d, max_size=d, unique=True))))
@@ -1011,7 +1070,7 @@ def test_one_walk_bounce_equals_the_array_oracle(case):
 
 def test_one_library_serves_every_dimension(tmp_path, monkeypatch):
     # From a cold cache, orbits of dimension 2 to 6 and a 1000-bounce
-    # orbit.csv take their walk and their formatter from one library, which
+    # orbit.csv take their record pass and their formatter from one library, which
     # one compiler start builds.
     from pebilliards.cli import main
 
@@ -1042,8 +1101,8 @@ def test_one_library_serves_every_dimension(tmp_path, monkeypatch):
 
 
 def test_run_orbit_without_a_compiler_records_the_same_rows(request):
-    # The Python walk, the only one where no library can be built, records
-    # the native walk's rows and aborts, bit for bit.
+    # The numpy pass, the only one where no library can be built, records
+    # the C pass's rows and aborts, bit for bit.
     cases = [(start, 50, ell, LORENTZ) for ell, start, _, _ in LATE_ABORT_STARTS]
     for (p, q), axes in NULL_AXES.items():
         sig, ell = Signature(p, q), Ellipsoid(axes)
@@ -1086,21 +1145,24 @@ def test_the_native_walk_is_built_once_and_then_loaded_from_the_cache(tmp_path, 
         native.library.cache_clear()
 
 
-#: Whether the native walk is built here: a C compiler on PATH and a writable cache.
+#: Whether the native record is built here: a C compiler on PATH and a writable cache.
 NATIVE = native.library() is not None
 
 
+#: The signatures of orbit_starts and three more, in every dimension from 2 to 9.
+RECORD_SIGNATURES = [*ORBIT_SIGNATURES, (4, 3), (4, 4), (5, 4)]
+
+
 @st.composite
-def walk_starts(draw):
-    """Arguments of the walks: a start (u, w) on the unit sphere, 2 u.w, E = e / a^2 and a bounce count.
+def record_starts(draw):
+    """Arguments of the record passes: a start (u, w) on the unit sphere, 2 u.w, a geometry and a bounce count.
 
     From orbit_starts, so some orbits reach a normal that is null or nearly
-    so, after which the walks may stop early.  Some starts point outward
-    instead, where the walks stop at once, or hold a NaN: in one entry of u
-    or w, where they stop after one bounce, or in 2 u.w, where they stop at
-    once.
+    so.  Some starts point outward instead, where the walk stops at once, or
+    hold a NaN: in one entry of u or w, which makes row 0 not finite, or in
+    2 u.w, where the walk stops at once.
     """
-    ell, sig, r, n = draw(orbit_starts())
+    ell, sig, r, n = draw(orbit_starts(RECORD_SIGNATURES))
     a2 = ell.a2.astype(np.longdouble)
     a = np.sqrt(a2)
     u, w = r.x / a, r.v / a
@@ -1114,20 +1176,28 @@ def walk_starts(draw):
             uw2 = np.longdouble("nan")
         else:
             start[where] = np.nan
-    return start, uw2, sig.e / a2, n
+    return start, uw2, ell, sig, n
 
 
-@pytest.mark.skipif(not NATIVE, reason="no native walk: no C compiler on PATH or no writable cache")
-@given(walk_starts())
+@pytest.mark.skipif(not NATIVE, reason="no native record: no C compiler on PATH or no writable cache")
+@given(record_starts())
 @settings(max_examples=300, deadline=None)
-def test_the_native_walk_equals_the_python_walk(case):
-    # The C walk returns the Python walk's rows in value and sign bit, and
-    # stops at the same row.  NaN rows compare by position: which of two NaN
-    # operands an x87 operation returns depends on the order of the
-    # operands, which the compiler may swap.
-    start, uw2, E, n = case
-    with np.errstate(all="ignore"):
-        want = billiard._walk(start, uw2, E, n)
-        got = billiard._native_walk(start, uw2, E, n)
-    assert got.dtype == want.dtype == np.longdouble and got.shape == want.shape
-    assert _same_values(got, want)
+def test_the_native_record_equals_the_python_record(case):
+    # The C record returns the numpy pass's rows: the same bytes of every
+    # recorded xs, vs, h and f row, the same failure and bounce, and the
+    # same long-double rows (u, w) through the failing row, in value and
+    # sign bit.  NaN entries compare by position: which of two NaN operands
+    # an x87 operation returns depends on the order of the operands, which
+    # the compiler may swap.
+    start, uw2, ell, sig, n = case
+    a2 = ell.a2.astype(np.longdouble)
+    args = (start, uw2, np.sqrt(a2), 1.0 / a2, sig.e / a2, sig.e, billiard._integral_denominators(ell, sig), n)
+    want, got = billiard._record(*args), billiard._native_record(*args)
+    assert (got.kept, got.failure) == (want.kept, want.failure)
+    assert str(billiard._failure(got, *args[2:4], ell, sig)) == str(billiard._failure(want, *args[2:4], ell, sig))
+    kept = want.kept
+    for mine, theirs in zip(got[1:5], want[1:5]):
+        assert mine.shape == theirs.shape and mine[:kept].tobytes() == theirs[:kept].tobytes()
+        assert _same_values(mine, theirs)
+    assert got.steps.dtype == want.steps.dtype == np.longdouble and got.steps.shape == want.steps.shape
+    assert _same_values(got.steps, want.steps)

@@ -857,7 +857,7 @@ def test_cli_import_loads_no_numpy_polynomial():
 
 
 def test_cli_import_builds_no_step_kernel(tmp_path):
-    # The native library of the bounce walk and the CSV formatter is built on
+    # The native library of the record pass and the CSV formatter is built on
     # first use, so importing costs nothing for it: it starts no compiler and
     # writes no file to the cache, so it loads no library from there.  A `cc`
     # first on PATH records each start; building the library starts it once.
@@ -1052,8 +1052,8 @@ def test_readme_simulate_writes_the_committed_bytes_when_every_cell_goes_to_repr
 
 
 def test_readme_simulate_writes_the_committed_bytes_without_a_compiler(tmp_path, no_compiler):
-    # Where no library can be built the recorder steps through the Python
-    # walk and every cell is its repr, and the bytes stay the same.
+    # Where no library can be built the recorder takes its numpy pass and
+    # every cell is its repr, and the bytes stay the same.
     from pebilliards import native
 
     command, config, doc, out = README_EXAMPLES[0]
