@@ -45,7 +45,6 @@ from .errors import (
     NullNormal,
     OffBoundary,
     ResonantAxes,
-    RootIsolationFailure,
 )
 from .pecore import BOUNDARY_TOL, Ellipsoid, RayState, Signature, VectorType, _dot, classify_vector
 
@@ -113,20 +112,19 @@ def _walk(start: np.ndarray, uw2, E: np.ndarray, n: int) -> np.ndarray:
 #: row's evaluation and tests.  Each operation rounds to long double as
 #: numpy's does (native._CC contracts nothing).  Every sum runs left to
 #: right: H, |x|^2, |v|^2 and |n|^2 from their first term, the others from
-#: +0.  `row` holds n + 1 rows (u, w), row 0 the start; `xs`, `vs`, `f`
-#: (n + 1 rows of dim) and `h` take the rows rounded to double.  `consts`
-#: holds a, A, E, e (dim each), the P pair denominators, 2 u.w of the start,
-#: GRAZING_TOL and NULL_NORMAL_TOL; `work` has room for 3 dim + P entries.
+#: +0.  `row` holds n + 1 rows (u, w), row 0 the start, then a, A, E, e (dim
+#: each), the P pair denominators, 2 u.w of the start, GRAZING_TOL and
+#: NULL_NORMAL_TOL, then room for 3 dim + P entries of work.  `out` holds xs,
+#: vs, f (n + 1 rows of dim each) and h (n + 1): the rows rounded to double.
 #: It stops at the first failing bounce, returns the rows kept and sets
 #: *kind to 0 (clean), 1 (NotInward), 2 (NullNormal) or 3 (NonFinite); the
 #: failing bounce is the rows kept.
 _C_RECORD = """\
-long record(long double *row, double *xs, double *vs, double *h, double *f, long *kind,
-            const long double *consts, long double *work, long dim, long n)
+long record(long double *row, double *out, long *kind, long dim, long n)
 {
-    const long double *a = consts, *A = a + dim, *E = A + dim, *e = E + dim, *den = e + dim;
-    const long double *arg = den + dim * (dim - 1) / 2;
-    long double uw2 = arg[0], *x = work, *v = x + dim, *Ax = v + dim, *q = Ax + dim;
+    long double *a = row + (n + 1) * 2 * dim, *A = a + dim, *E = A + dim, *e = E + dim, *den = e + dim;
+    long double *arg = den + dim * (dim - 1) / 2, uw2 = arg[0], *x = arg + 3, *v = x + dim, *Ax = v + dim, *q = Ax + dim;
+    double *xs = out, *vs = xs + (n + 1) * dim, *f = vs + (n + 1) * dim, *h = f + (n + 1) * dim;
     long k, i, j, p;
     for (k = 0;; k++, row += 2 * dim, xs += dim, vs += dim, f += dim) {
         const long double *u = row, *w = row + dim;
@@ -365,17 +363,21 @@ def pseudo_norm_defect(vs: np.ndarray, fs: np.ndarray, sig: Signature) -> np.nda
 class OrbitRecord:
     """Phase points and per-bounce invariant values of a billiard orbit.
 
-    Row k of `xs`, `vs`, `h`, `f` and (with one TangencySet per row)
-    `tangency` is the post-reflection state after bounce k; row 0 is the
-    initial state.  Every value is finite.  An abort ends the record before
-    the failed row, whose index is `abort_bounce`.
+    Row k of `xs`, `vs`, `h`, `f`, `lambdas` and `near_pole` is the
+    post-reflection state after bounce k; row 0 is the initial state.  Row k
+    of `lambdas` holds the tangency parameters of that state's line and of
+    `near_pole` the roots set aside near a pole, each sorted and padded with
+    NaN to one width; both are None without tangency.  NaN marks a missing
+    parameter, and every other value is finite.  An abort ends the record
+    before the failed row, whose index is `abort_bounce`.
     """
 
     xs: np.ndarray
     vs: np.ndarray
     h: np.ndarray
     f: np.ndarray
-    tangency: list["confocal.TangencySet"] | None
+    lambdas: np.ndarray | None
+    near_pole: np.ndarray | None
     abort_reason: str | None = None
     abort_bounce: int | None = None
 
@@ -457,23 +459,24 @@ _KINDS = (None, NotInward, NullNormal, NonFinite)
 def _native_record(start: np.ndarray, uw2, a: np.ndarray, A: np.ndarray, E: np.ndarray, e: np.ndarray, d: np.ndarray, n: int):
     """`_record`'s result from the C record of native.library(), where that library loads.
 
-    Every long double goes through an array, never through a ctypes scalar,
-    which would round it to double.  All rows are allocated before the first
-    bounce, so a count whose rows do not fit in memory raises MemoryError at
-    once.
+    Every long double goes through one long-double buffer (rows, constants,
+    work) and every double through one double buffer, never through a ctypes
+    scalar, which would round a long double to double.  All rows are
+    allocated before the first bounce, so a count whose rows do not fit in
+    memory raises MemoryError at once.
     """
     import ctypes
 
-    dim = len(a)
-    steps = np.zeros((n + 1, 2 * dim), dtype=np.longdouble)
-    steps[0] = start
-    xs, vs, f = np.empty((n + 1, dim)), np.empty((n + 1, dim)), np.empty((n + 1, dim))
-    h = np.empty(n + 1)
-    consts = np.concatenate((a, A, E, e, d, (uw2, GRAZING_TOL, NULL_NORMAL_TOL)), dtype=np.longdouble)
-    work = np.empty(3 * dim + len(d), dtype=np.longdouble)
+    dim, size = len(a), (n + 1) * 2 * len(a)
+    wide = np.zeros(size + 7 * dim + 2 * len(d) + 3, dtype=np.longdouble)
+    wide[: 2 * dim] = start
+    np.concatenate((a, A, E, e, d, (uw2, GRAZING_TOL, NULL_NORMAL_TOL)), out=wide[size : size + 4 * dim + len(d) + 3])
+    out = np.empty((3 * dim + 1) * (n + 1))
+    steps = wide[:size].reshape(n + 1, 2 * dim)
+    xs, vs, f = out[: 3 * dim * (n + 1)].reshape(3, n + 1, dim)
+    h = out[3 * dim * (n + 1) :]
     kind = ctypes.c_long()
-    pointers = (steps.ctypes.data, xs.ctypes.data, vs.ctypes.data, h.ctypes.data, f.ctypes.data)
-    kept = native.library().record(*pointers, ctypes.byref(kind), consts.ctypes.data, work.ctypes.data, dim, n)
+    kept = native.library().record(wide.ctypes.data, out.ctypes.data, ctypes.byref(kind), dim, n)
     failure = _KINDS[kind.value]
     stepped = kept + (failure in (NullNormal, NonFinite))
     return _Record(steps[:stepped], xs[:stepped], vs[:stepped], h[:stepped], f[:stepped], kept, failure)
@@ -521,17 +524,16 @@ def run_orbit(
     (NullNormal) or row k is not finite in double (NonFinite), tested in this
     order; the pass names the first failing bounce, and this function builds
     its message from the pass's long-double rows.  The pair denominators of
-    the F_k are formed once per orbit.  With `fam`, Q's coefficients are then
-    evaluated for all kept rows at once, and the per-row core of
-    confocal.tangency_parameters solves each row.  Whether the line is
-    light-like is decided once, by classify_vector on the start's direction,
-    and holds for every row: reflection keeps the causal type, so a row
-    whose <v,v> / |v|^2 has drifted past LIGHTLIKE_TOL is still solved as
-    the line it is.  A row whose tangency parameters are not solved ends the
-    record (RootIsolationFailure).  A failed bounce or row k >= 1 ends the
-    record before row k, with the reason and abort_bounce = k.  A failed row
-    0, resonant axes, or a start off the boundary or not pointing inward
-    raise before the first bounce.
+    the F_k are formed once per orbit.  With `fam`, Q is then evaluated and
+    solved for all kept rows in one array pass (confocal._solve).  Whether
+    the line is light-like is decided once, by classify_vector on the
+    start's direction, and holds for every row: reflection keeps the causal
+    type, so a row whose <v,v> / |v|^2 has drifted past LIGHTLIKE_TOL is
+    still solved as the line it is.  The first row whose tangency parameters
+    are not solved ends the record (RootIsolationFailure).  A failed bounce
+    or row k >= 1 ends the record before row k, with the reason and
+    abort_bounce = k.  A failed row 0, resonant axes, or a start off the
+    boundary or not pointing inward raise before the first bounce.
     """
     if n_bounces < 1:
         raise ValueError("bounce count must be >= 1")
@@ -551,22 +553,19 @@ def run_orbit(
     rec = record(np.concatenate((u, w)), 2.0 * u.dot(w), a, A, E, sig.e, d, n_bounces)
     rows, xs, vs, h, f = rec.kept, rec.xs, rec.vs, rec.h, rec.f
     failure = _failure(rec, a, A, ell, sig)
-    tangs = None
+    lambdas = near_pole = None
     if fam is not None:
-        tangs = []
+        q = confocal.tangency_polynomial(fam, xs[:rows], vs[:rows])
         lightlike = classify_vector(r.v, sig) is VectorType.LIGHTLIKE
-        for q in confocal.tangency_polynomial(fam, xs[:rows], vs[:rows]).tolist():
-            try:
-                tangs.append(confocal._tangency_set(fam, q, lightlike))
-            except RootIsolationFailure as exc:
-                failure, rows = exc, len(tangs)
-                break
+        lambdas, near_pole, error = confocal._solve(fam, q, lightlike)
+        if error is not None:
+            failure, rows = error, len(lambdas)
 
     if failure is not None and rows == 0:
         raise failure
     reason = None if failure is None else f"{type(failure).__name__}: {failure}"
     bounce = None if failure is None else rows
-    return OrbitRecord(xs[:rows], vs[:rows], h[:rows], f[:rows], tangs, reason, bounce)
+    return OrbitRecord(xs[:rows], vs[:rows], h[:rows], f[:rows], lambdas, near_pole, reason, bounce)
 
 
 def _norm(a: np.ndarray) -> float:

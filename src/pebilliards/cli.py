@@ -315,7 +315,8 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     mismatch = report.lambda_mismatch if report is not None else None
 
     dim = ell.dim
-    lam_count = record.tangency[0].count if record.tangency else 0
+    lambdas = np.empty((len(record.xs), 0)) if record.lambdas is None else record.lambdas
+    lam_count = int(np.count_nonzero(~np.isnan(lambdas[0])))
     header = (
         ["index"]
         + [f"x{i + 1}" for i in range(dim)]
@@ -324,13 +325,8 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         + [f"F{i + 1}" for i in range(dim)]
         + [f"lam{i + 1}" for i in range(lam_count)]
     )
-    # A row with fewer tangency parameters than row 0 ends in blank cells:
-    # NaN, which csv_rows leaves empty (a recorded row is finite).
-    cells = np.column_stack([record.xs, record.vs, record.h, record.f, np.full((len(record.xs), lam_count), np.nan)])
-    first = cells.shape[1] - lam_count
-    for idx, ts in enumerate(record.tangency if lam_count else ()):
-        lams = ts.lambdas[:lam_count]
-        cells[idx, first : first + len(lams)] = lams
+    # A row with fewer tangency parameters than row 0 ends in NaN, which csv_rows leaves empty.
+    cells = np.column_stack([record.xs, record.vs, record.h, record.f, lambdas[:, :lam_count]])
     try:
         rows = floattext.csv_rows(cells)
     except MemoryError:

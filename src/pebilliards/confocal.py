@@ -22,14 +22,13 @@ one tangency parameter fewer.  The tangency parameters are the real roots
 of Q, each polished by one Newton step; roots within the pole tolerance of
 a pole are set aside.  Whether a line is light-like is the verdict of
 pecore.classify_vector on its direction, taken once per orbit: reflection
-keeps a line's causal type.  Q is evaluated for all rows of an orbit at once
-and solved row by row; no factor divides by e_i a_k^2 - e_k a_i^2, so
-resonant axes need no special case.
+keeps a line's causal type.  Q is evaluated and solved for all rows of an
+orbit in one array pass (_solve); no factor divides by e_i a_k^2 - e_k a_i^2,
+so resonant axes need no special case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,9 +96,9 @@ class ConfocalFamily:
         return np.array(pairs).T, np.array([c + [0.0] * (self.dim - len(c)) for c in prods])
 
 
-def _near_pole(fam: ConfocalFamily, lam: float) -> bool:
-    """Whether lam is within the pole tolerance of a pole: |lam - pole_k| = |c_k(lam)| exactly."""
-    return min(abs(a2k + ek * lam) for a2k, ek in fam.factors) <= fam.pole_tolerance
+def _near_pole(fam: ConfocalFamily, lam):
+    """Where lam (a float or an array) is within the pole tolerance of a pole: |lam - pole_k| = |c_k(lam)| exactly."""
+    return np.logical_or.reduce([np.abs(lam + ek * a2k) <= fam.pole_tolerance for a2k, ek in fam.factors])
 
 
 def member(fam: ConfocalFamily, lam: float) -> Quadric:
@@ -118,65 +117,21 @@ def member(fam: ConfocalFamily, lam: float) -> Quadric:
 def tangency_polynomial(fam: ConfocalFamily, xs, vs) -> np.ndarray:
     """Ascending coefficients of Q (length d on the last axis) for each row of xs, vs.
 
-    The monomials v_i^2 and -(x_i v_j - x_j v_i)^2 of all rows are formed at
-    once and accumulated over the pairs in one fixed order with elementwise
-    operations, so a row's coefficients do not depend on the rows evaluated
-    with it.  Overflow gives non-finite coefficients, not an exception.
+    The monomials v_i^2 and -(x_i v_j - x_j v_i)^2 of all rows, times their
+    products of c_k, form one (pairs, d, rows) array, reduced over its
+    outermost axis: term after term in pair order from +0, so a row's
+    coefficients do not depend on the rows evaluated with it.  Overflow gives
+    non-finite coefficients, not an exception.
     """
-    xs = np.asarray(xs, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    xs, vs = np.asarray(xs, dtype=float), np.asarray(vs, dtype=float)
     if xs.shape != vs.shape or xs.shape[-1:] != (fam.dim,):
         raise ValueError(f"phase arrays {xs.shape} and {vs.shape} do not match family dimension {fam.dim}")
     (i, j), prods = fam._q_terms
-    q = np.zeros(xs.shape)
+    xt, vt = xs.reshape(-1, fam.dim).T, vs.reshape(-1, fam.dim).T
     with np.errstate(over="ignore", invalid="ignore"):
-        w = xs[..., i] * vs[..., j] - xs[..., j] * vs[..., i]
-        mono = np.where(i == j, vs[..., i] * vs[..., j], -(w * w))
-        for p, prod in enumerate(prods):
-            q += mono[..., p, None] * prod
-    return q
-
-
-def _is_real(re: float, im: float) -> bool:
-    return abs(im) <= REAL_TOL * max(1.0, abs(re))
-
-
-def _real_roots(q: list[float]) -> list[float]:
-    """Real roots of the polynomial with ascending coefficients q, top one non-zero.
-
-    Closed form up to degree 2, companion-matrix eigenvalues above.
-    """
-    if len(q) == 2:
-        return [-q[0] / q[1]]
-    if len(q) == 3:
-        c, b, a = q
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            re = -b / (2.0 * a)
-            return [re, re] if _is_real(re, math.sqrt(-disc) / (2.0 * a)) else []
-        s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        return [s / a, c / s] if s != 0.0 else [0.0, 0.0]
-    # numpy's polyroots, without importing numpy.polynomial: ones on the
-    # subdiagonal, last column -q[:-1] / q[-1], eigenvalues sorted.
-    n = len(q) - 1
-    companion = np.zeros((n, n))
-    companion.reshape(-1)[n :: n + 1] = 1.0
-    companion[:, -1] -= np.array(q[:-1]) / q[-1]
-    try:
-        roots = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:
-        raise RootIsolationFailure(f"companion eigenvalues failed: {exc}") from exc
-    roots.sort()
-    return [z.real for z in roots.tolist() if _is_real(z.real, z.imag)]
-
-
-def _horner(q: list[float], lam: float) -> tuple[float, float]:
-    """Value and derivative at lam of the polynomial with ascending coefficients q."""
-    val = der = 0.0
-    for c in reversed(q):
-        der = der * lam + val
-        val = val * lam + c
-    return val, der
+        w = xt[i] * vt[j] - xt[j] * vt[i]
+        mono = np.where((i == j)[:, None], vt[i] * vt[j], -(w * w))
+        return np.add.reduce(mono[:, None] * prods[:, :, None], axis=0, initial=0.0).T.reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -202,41 +157,88 @@ class TangencySet:
 
 
 def tangency_parameters(fam: ConfocalFamily, r: RayState) -> TangencySet:
-    """All real tangency parameters of the line of r: Q on its one row, solved as the recorder does."""
-    q = tangency_polynomial(fam, r.x, r.v)
-    return _tangency_set(fam, q.tolist(), classify_vector(r.v, fam.sig) is VectorType.LIGHTLIKE)
+    """All real tangency parameters of the line of r: Q on its one row, solved as the recorder solves its rows.
 
-
-def _tangency_set(fam: ConfocalFamily, q: list[float], lightlike: bool) -> TangencySet:
-    """The tangency parameters of a line from the coefficients q of its Q.
-
-    For a light-like line Q's top coefficient, (prod e) <v,v>, is dropped.
-    The roots (closed form up to degree 2, Q's companion matrix above) get
-    one Newton step on Q, kept where it lowers |Q|.  Roots within the pole
-    tolerance of a pole are reported in `near_pole` only.  A non-finite Q
-    (from a non-finite state or an overflow) raises RootIsolationFailure.
+    Raises RootIsolationFailure where that row cannot be solved.
     """
-    if not all(math.isfinite(c) for c in q):
-        raise RootIsolationFailure(f"tangency polynomial not finite: {q}")
-    if lightlike:
-        q.pop()
-    while q and q[-1] == 0.0:
-        q.pop()
-    if len(q) < 2:
-        return TangencySet(lambdas=())
+    q = tangency_polynomial(fam, r.x, r.v)[None]
+    lambdas, near_pole, error = _solve(fam, q, classify_vector(r.v, fam.sig) is VectorType.LIGHTLIKE)
+    if error is not None:
+        raise error
+    return TangencySet(*(tuple(row[~np.isnan(row)].tolist()) for row in (lambdas[0], near_pole[0])))
 
-    lams = []
-    for lam in _real_roots(q):
-        val, der = _horner(q, lam)
-        if der != 0.0:
-            step = lam - val / der
-            if abs(_horner(q, step)[0]) <= abs(val):
-                lam = step
-        lams.append(lam)
-    lams.sort()
 
-    kept: list[float] = []
-    near_pole: list[float] = []
-    for lam in lams:
-        (near_pole if _near_pole(fam, lam) else kept).append(lam)
-    return TangencySet(lambdas=tuple(kept), near_pole=tuple(near_pole))
+def _solve(fam: ConfocalFamily, q: np.ndarray, lightlike: bool):
+    """The tangency parameters of the lines whose Q has the coefficients q, one row (of length d) per line.
+
+    A light-like line drops Q's top coefficient, (prod e) <v,v>, so each row
+    has `width` = d - 1 - lightlike roots at most; a row whose top
+    coefficients are exactly zero is solved at its lower degree (_roots).
+    Each root gets one Newton step, by Horner's rule from 0, kept where |Q|
+    does not grow; roots near a pole are set aside.  Every step is
+    elementwise or per matrix (on q.T), so a row gets what it gets alone.
+
+    Returns the kept and the set-aside roots of the rows before the first
+    that cannot be solved, (solved, width) each, sorted and padded with NaN,
+    and that row's RootIsolationFailure (Q not finite, or its companion
+    matrix refused), or None.
+    """
+    rows, width = len(q), q.shape[1] - 1 - lightlike
+    solved = rows if np.isfinite(q).all() else int(np.argmin(np.isfinite(q).all(axis=1)))
+    error = None if solved == rows else RootIsolationFailure(f"tangency polynomial not finite: {q[solved].tolist()}")
+    q, roots = q.T, np.full((width, rows), np.nan)
+    pending = np.arange(rows) < solved  # the rows of degree below n
+    with np.errstate(all="ignore"):
+        for n in range(width, 0, -1):
+            at = pending & (q[n] != 0.0)
+            pending &= ~at
+            if not at.any():
+                continue
+            qn = q[: n + 1].compress(at, axis=1)
+            z, refused, exc = _roots(qn)
+            if exc is not None and np.flatnonzero(at)[refused] < solved:
+                solved, error = int(np.flatnonzero(at)[refused]), RootIsolationFailure(f"companion eigenvalues failed: {exc}")
+            val = der = at_step = 0.0
+            for c in qn[::-1]:
+                der, val = der * z + val, val * z + c
+            step = z - val / der
+            for c in qn[::-1]:
+                at_step = at_step * step + c
+            roots[:n, at] = np.where((der != 0.0) & (np.abs(at_step) <= np.abs(val)), step, z)
+        near = _near_pole(fam, roots)
+    lambdas, near_pole = (np.sort(np.where(side, roots, np.nan), axis=0, kind="stable").T[:solved] for side in (~near, near))
+    return lambdas, near_pole, error
+
+
+def _roots(q: np.ndarray):
+    """The real roots of the polynomials q[:, m] (ascending coefficients, all of degree n >= 1, top one non-zero).
+
+    Root k of polynomial m is entry [k, m], NaN where |imag| > REAL_TOL *
+    max(1, |real|); a complex pair that is real is a double root.  Degrees 1
+    and 2 take the closed form; above, as numpy's polyroots, one stacked
+    np.linalg.eigvals of the companion matrices solves each as alone, and
+    the roots are sorted.  Also returns the first matrix LAPACK refuses and
+    its LinAlgError (the first not finite, else the first of the stack), or
+    (polynomials, None).
+    """
+    n, k = len(q) - 1, q.shape[1]
+    if n == 1:
+        return -q[:1] / q[1:], k, None
+    if n == 2:
+        c, b, a = q
+        disc = b * b - 4.0 * a * c
+        re = -b / (2.0 * a)
+        double = np.abs(np.sqrt(-disc) / (2.0 * a)) <= REAL_TOL * np.fmax(1.0, np.abs(re))
+        s = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+        return np.where(disc < 0.0, np.where(double, re, np.nan), np.where(s != 0.0, (s / a, c / s), 0.0)), k, None
+    companion = np.zeros((k, n, n))
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    companion[:, :, -1] -= (q[:-1] / q[-1]).T
+    try:
+        z = np.sort(np.linalg.eigvals(companion), axis=1)
+    except np.linalg.LinAlgError as exc:
+        refused = int(np.argmin(np.isfinite(companion).all(axis=(1, 2))))
+        roots = np.full((n, k), np.nan)
+        roots[:, :refused], first, first_exc = _roots(q[:, :refused])
+        return (roots, first, first_exc) if first_exc else (roots, refused, exc)
+    return np.where(np.abs(z.imag) <= REAL_TOL * np.fmax(1.0, np.abs(z.real)), z.real, np.nan).T, k, None

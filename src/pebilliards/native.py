@@ -80,7 +80,7 @@ def library():
     except OSError:
         return None
     pointer, long, int64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_int64
-    lib.record.argtypes = (pointer, pointer, pointer, pointer, pointer, ctypes.POINTER(long), pointer, pointer, long, long)
+    lib.record.argtypes = (pointer, pointer, ctypes.POINTER(long), long, long)
     lib.record.restype = long
     lib.csv_rows.argtypes = (pointer, int64, int64, pointer, pointer)
     lib.csv_rows.restype = int64

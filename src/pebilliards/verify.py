@@ -208,14 +208,15 @@ def _series_drift(values: np.ndarray, floor: float) -> tuple[float, int]:
 def drift_report(orbit: OrbitRecord) -> DriftReport:
     """Worst drift of H, every F_k, and the tangency parameters over an orbit.
 
-    Tangency parameters are matched against bounce 0 by index: both lists
-    are sorted, which pairs each with its own value wherever the drift is
-    below half the gap between parameters.  A mismatch is a change of their
-    count along the orbit, which is reported as such rather than absorbed
-    into the numbers, or a drift above 10 times LAMBDA_DRIFT_TOL.  A count
-    change names the first bounce whose count differs from bounce 0's and
-    says whether that row set a root aside near a pole (the root crossed the
-    pole filter) or set none aside (a root left or joined the real line).
+    Tangency parameters are matched against bounce 0 by index: every row of
+    the orbit's NaN-padded `lambdas` is sorted, which pairs each with its
+    own value wherever the drift is below half the gap between parameters.
+    A mismatch is a change of their count along the orbit, which is reported
+    as such rather than absorbed into the numbers, or a drift above 10 times
+    LAMBDA_DRIFT_TOL.  A count change names the first bounce whose count
+    differs from bounce 0's and says whether that row set a root aside near
+    a pole (the root crossed the pole filter) or set none aside (a root left
+    or joined the real line).
     """
     if orbit.bounce_count < 1:
         raise ValueError("drift needs an orbit with at least two recorded states")
@@ -223,19 +224,19 @@ def drift_report(orbit: OrbitRecord) -> DriftReport:
     f_drifts, f_worsts = zip(*(_series_drift(fk, RELATIVE_FLOOR) for fk in orbit.f.T))
 
     lam_drift = lam_worst = mismatch = None
-    if orbit.tangency is not None:
-        counts = [ts.count for ts in orbit.tangency]
-        first = next((k for k, n in enumerate(counts) if n != counts[0]), None)
-        if first is not None:
-            aside = len(orbit.tangency[first].near_pole)
+    if orbit.lambdas is not None:
+        counts = np.count_nonzero(~np.isnan(orbit.lambdas), axis=1)
+        first = int(np.argmax(counts != counts[0]))
+        if first:
+            aside = int(np.count_nonzero(~np.isnan(orbit.near_pole[first])))
             cause = (f"{aside} root(s) set aside near a pole (a root crossed the pole filter)" if aside
                      else "no root set aside near a pole (a root left or joined the real line)")
             mismatch = (
-                f"tangency parameter count varies along the orbit: {sorted(set(counts))}; "
+                f"tangency parameter count varies along the orbit: {np.unique(counts).tolist()}; "
                 f"first at bounce {first}, {counts[first]} against {counts[0]} at bounce 0, with {cause}"
             )
         else:
-            lams = np.array([ts.lambdas for ts in orbit.tangency])  # (rows, count)
+            lams = orbit.lambdas[:, : counts[0]]
             dev = np.abs(lams - lams[0]) / np.maximum(np.abs(lams[0]), RELATIVE_FLOOR)
             per_bounce = np.max(dev, axis=1, initial=0.0)
             lam_drift, lam_worst = float(per_bounce.max()), int(per_bounce.argmax())  # first worst bounce

@@ -370,9 +370,8 @@ def test_run_orbit_records_tangency():
     ell = Ellipsoid((3.0, 2.0, 1.0))
     fam = ConfocalFamily(ell, sig)
     rec = run_orbit(sample_null_ray(ell, sig, 8), 20, ell, sig, fam=fam)
-    assert rec.tangency is not None and len(rec.tangency) == 21
-    counts = {ts.count for ts in rec.tangency}
-    assert counts == {1}
+    assert rec.lambdas.shape == rec.near_pole.shape == (21, 1)
+    assert not np.isnan(rec.lambdas).any() and np.isnan(rec.near_pole).all()
 
 
 def test_sample_null_ray_contract():
@@ -476,16 +475,14 @@ def test_run_orbit_rows_match_double_map():
     assert np.allclose(rec.h, np.sum(ell.shape_diag * rec.xs * rec.vs, axis=1), rtol=1e-12, atol=1e-12)
 
 
-def test_run_orbit_tangency_failure_at_bounce_zero(monkeypatch):
-    # A start whose own row cannot be recorded is refused like any other bad start.
-    def fail(fam, q, lightlike):
-        raise RootIsolationFailure("no roots here")
-
-    monkeypatch.setattr(confocal, "_tangency_set", fail)
-    sig = Signature(2, 1)
-    ell = Ellipsoid((3.0, 2.0, 1.0))
-    with pytest.raises(RootIsolationFailure, match="no roots here"):
-        run_orbit(sample_null_ray(ell, sig, 8), 5, ell, sig, fam=ConfocalFamily(ell, sig))
+def test_run_orbit_tangency_failure_at_bounce_zero():
+    # A start whose own row cannot be recorded is refused like any other bad
+    # start: at speed 1e154 every F_k is finite, but Q's coefficients, which
+    # carry a_i^2 v^2, are not.
+    start = RayState((0.0, 1.0), (1e154, -1e154))
+    assert np.isfinite(run_orbit(start, 3, ELLIPSE, LORENTZ).f).all()
+    with pytest.raises(RootIsolationFailure, match=r"^tangency polynomial not finite: \[-?inf, "):
+        run_orbit(start, 3, ELLIPSE, LORENTZ, fam=ConfocalFamily(ELLIPSE, LORENTZ))
 
 
 def test_run_orbit_solves_every_row_as_the_start_is_classified():
@@ -496,7 +493,7 @@ def test_run_orbit_solves_every_row_as_the_start_is_classified():
     rec = run_orbit(sample_null_ray(ell, sig, 7), 58_000, ell, sig, fam=ConfocalFamily(ell, sig))
     drifted = np.abs(np.sum(sig.e * rec.vs * rec.vs, axis=1)) > pecore.LIGHTLIKE_TOL * np.sum(rec.vs * rec.vs, axis=1)
     assert rec.bounce_count == 58_000 and int(np.argmax(drifted)) == 57_954
-    assert {ts.count for ts in rec.tangency} == {1}
+    assert rec.lambdas.shape == (58_001, 1) and not np.isnan(rec.lambdas).any()
     assert "count varies" not in (drift_report(rec).lambda_mismatch or "")
 
 
@@ -517,7 +514,7 @@ def test_run_orbit_non_finite_row_ends_the_record(monkeypatch, no_compiler):
     rec = run_orbit(sample_null_ray(ell, sig, 8), 5, ell, sig, fam=ConfocalFamily(ell, sig))
     assert rec.abort_reason.startswith("NonFinite: not finite at bounce 2: ")
     assert rec.abort_bounce == 2 and rec.bounce_count == 1
-    assert len(rec.tangency) == 2 and np.all(np.isfinite(rec.f))
+    assert len(rec.lambdas) == len(rec.near_pole) == 2 and np.all(np.isfinite(rec.f))
 
 
 #: Both record passes: the C one, where the library builds here, and the numpy one.
@@ -571,27 +568,6 @@ SIGNATURE_AXES = {
 }
 
 
-@pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
-def test_recorded_tangency_equals_single_state_solve(p, q):
-    # The recorder solves all rows after the loop; each row's TangencySet is
-    # exactly what the single-state API gives on that row.
-    sig = Signature(p, q)
-    ell = Ellipsoid(SIGNATURE_AXES[(p, q)])
-    fam = ConfocalFamily(ell, sig)
-    rng = np.random.default_rng(10 * p + q)
-    s = rng.standard_normal(sig.dim)
-    x = np.array(ell.a) * s / np.linalg.norm(s)
-    v = rng.standard_normal(sig.dim)
-    starts = [RayState(x, v if ell.conormal(x) @ v < 0.0 else -v)]
-    if q >= 1:
-        starts.append(sample_null_ray(ell, sig, p + q))
-    for start in starts:
-        rec = run_orbit(start, 30, ell, sig, fam=fam)
-        assert len(rec.tangency) == len(rec.xs) > 1
-        for ts, state in zip(rec.tangency, rec.states):
-            assert ts == confocal.tangency_parameters(fam, state)
-
-
 def test_run_orbit_builds_no_per_bounce_raystates(monkeypatch):
     # The recorder keeps its states in arrays: without tangency a long run
     # constructs no RayState per bounce.
@@ -612,7 +588,7 @@ def test_run_orbit_builds_no_per_bounce_raystates(monkeypatch):
     # Tangency is solved from the rows after the loop, so it builds none either.
     built.clear()
     rec = run_orbit(start, 1000, ell, sig, fam=ConfocalFamily(ell, sig))
-    assert rec.abort_reason is None and len(rec.tangency) == 1001
+    assert rec.abort_reason is None and len(rec.lambdas) == 1001
     assert len(built) <= 2
 
 
@@ -773,17 +749,25 @@ def test_moser_gradients_equal_the_wedge_form(pq, rows, data):
 NULL_AXES = {(2, 1): (3.0, 2.0, 1.0), (2, 2): (4.0, 3.0, 2.0, 1.0), (3, 1): (4.0, 3.0, 2.0, 1.0), (1, 1): (2.0, 1.0)}
 
 
+#: The survey orbits, by signature and seed, whose H or F_k drift above 1e-9
+#: in 1000 bounces: the long-double record loses digits to cancellation once
+#: |v| reaches 1e5-1e6.
+KNOWN_DRIFT = {(2, 1): {90, 118}, (2, 2): {48, 56, 65, 74}, (3, 1): {69, 106}, (1, 1): set()}
+
+
 @pytest.mark.parametrize("p, q", NULL_AXES)
 def test_null_orbits_conserve_every_integral(p, q):
-    # A reduced conservation survey: 40 sampled light-like orbits of 1000
-    # bounces per signature keep H and every F_k within 1e-9.
+    # The conservation survey: 150 sampled light-like orbits of 1000 bounces
+    # per signature keep H and every F_k within 1e-9, except the orbits of
+    # KNOWN_DRIFT, each of which must still drift above it.
     sig, ell = Signature(p, q), Ellipsoid(NULL_AXES[p, q])
     drifts = {}
-    for seed in range(40):
+    for seed in range(150):
         report = drift_report(run_orbit(sample_null_ray(ell, sig, seed), 1000, ell, sig))
         assert report.aborted is None
         drifts[seed] = max(report.h_drift, *report.f_drift)
-    assert max(drifts.values()) <= 1e-9, {seed: d for seed, d in drifts.items() if d > 1e-9}
+    above = {seed: d for seed, d in drifts.items() if d > 1e-9}
+    assert set(above) == KNOWN_DRIFT[p, q], above
 
 
 def _stepwise_record(r: RayState, n_bounces: int, ell: Ellipsoid, sig: Signature):
@@ -1026,6 +1010,55 @@ def test_run_orbit_equals_the_stepwise_oracle(case):
     # deciding them at every bounce.
     ell, sig, start, n_bounces = case
     _assert_same_outcome(start, n_bounces, ell, sig)
+
+
+@st.composite
+def tangency_starts(draw, p, q):
+    """An orbit_starts case of signature (p, q), or a sample_null_ray start on its SIGNATURE_AXES."""
+    if q == 0 or draw(st.booleans()):
+        return draw(orbit_starts([(p, q)]))
+    sig, ell = Signature(p, q), Ellipsoid(SIGNATURE_AXES[p, q])
+    return ell, sig, sample_null_ray(ell, sig, draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 40))
+
+
+def _padded(values: tuple, width: int) -> bytes:
+    """The bytes of a row of `width` floats: `values`, then NaN."""
+    return np.array(values + (np.nan,) * (width - len(values))).tobytes()
+
+
+@pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_recorded_tangency_equals_single_state_solve(p, q, data):
+    # The recorder solves all rows of an orbit in one array pass; each row's
+    # parameters and the roots it set aside are, bit for bit, what the solver
+    # gives on that row alone, and so what the single-state API gives on
+    # every row classified as the start is (a row whose <v,v> / |v|^2 has
+    # drifted past LIGHTLIKE_TOL is still solved as the line it is).  A
+    # start whose own row cannot be solved fails there with the same message;
+    # a start refused for another reason has no rows.
+    ell, sig, start, n_bounces = data.draw(tangency_starts(p, q))
+    fam = ConfocalFamily(ell, sig)
+    try:
+        rec = run_orbit(start, n_bounces, ell, sig, fam=fam)
+    except RootIsolationFailure as exc:
+        with pytest.raises(RootIsolationFailure) as single:
+            confocal.tangency_parameters(fam, start)
+        assert str(single.value) == str(exc)
+        return
+    except PEBilliardsError:
+        return
+    lightlike = classify_vector(start.v, sig) is VectorType.LIGHTLIKE
+    width = rec.lambdas.shape[1]
+    assert rec.lambdas.shape == rec.near_pole.shape == (len(rec.xs), width)
+    for k, state in enumerate(rec.states):
+        lambdas, near_pole, error = confocal._solve(fam, confocal.tangency_polynomial(fam, state.x, state.v)[None], lightlike)
+        assert error is None and len(lambdas) == 1
+        assert rec.lambdas[k].tobytes() == lambdas[0].tobytes() and rec.near_pole[k].tobytes() == near_pole[0].tobytes()
+        if (classify_vector(state.v, sig) is VectorType.LIGHTLIKE) == lightlike:
+            alone = confocal.tangency_parameters(fam, state)
+            assert rec.lambdas[k].tobytes() == _padded(alone.lambdas, width)
+            assert rec.near_pole[k].tobytes() == _padded(alone.near_pole, width)
 
 
 @st.composite

@@ -683,20 +683,22 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
     # orbit.csv is the record written cell by cell with repr(float(c)); tangency
     # columns follow bounce 0's count, padded with empty cells where a bounce
     # has fewer parameters and cut where it has more.
+    from dataclasses import replace
+
     from pebilliards import billiard
-    from pebilliards.confocal import TangencySet
 
     run_orbit = billiard.run_orbit
     seen = []
 
     def recorded(*args, **kwargs):
         rec = run_orbit(*args, **kwargs)
-        lams = rec.tangency[0].lambdas
-        assert len(lams) == 2
-        rec.tangency[1] = TangencySet(lambdas=lams[:1])
-        rec.tangency[2] = TangencySet(lambdas=lams + (7.5,))
-        seen.append(rec)
-        return rec
+        lams = rec.lambdas
+        assert lams.shape == (5, 2) and not np.isnan(lams).any()
+        lams = np.column_stack([lams, np.full(5, np.nan)])
+        lams[1, 1] = np.nan
+        lams[2, 2] = 7.5
+        seen.append(replace(rec, lambdas=lams, near_pole=np.full(lams.shape, np.nan)))
+        return seen[-1]
 
     monkeypatch.setattr(billiard, "run_orbit", recorded)
     doc = simulate_doc(bounces=4, record_tangency=True,
@@ -714,7 +716,7 @@ def test_orbit_csv_cells_match_record(tmp_path, monkeypatch):
     lines = ["index,x1,x2,x3,v1,v2,v3,H,F1,F2,F3,lam1,lam2"]
     for k in range(rec.bounce_count + 1):
         cells = [*rec.xs[k], *rec.vs[k], rec.h[k], *rec.f[k]]
-        lams = list(rec.tangency[k].lambdas[:2])
+        lams = [lam for lam in rec.lambdas[k, :2] if not np.isnan(lam)]
         row = [str(k)] + [repr(float(c)) for c in cells + lams] + [""] * (2 - len(lams))
         lines.append(",".join(row))
     expected = ("\n".join(lines) + "\n").encode()
@@ -757,27 +759,21 @@ def test_thousand_bounce_orbit_csv_is_the_per_cell_repr_of_its_record(tmp_path, 
     assert (out / "orbit.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_mid_orbit_root_isolation_failure_exits_2_with_files(tmp_path, monkeypatch):
-    # The README simulate config: the third row's tangency solve (bounce 2)
-    # fails, so the record ends before it: rows 0-1, each with its parameters.
-    from pebilliards import confocal
-    from pebilliards.errors import RootIsolationFailure
+def test_mid_orbit_root_isolation_failure_exits_2_with_files(tmp_path):
+    # The README simulate start with v times 2^507: every F_k stays finite,
+    # but Q's coefficients, which carry a_i^2 v^2, overflow on the third row
+    # (bounce 2) as the speed grows, so the record ends before it: rows 0-1,
+    # each with its parameters.
+    from pebilliards.billiard import sample_null_ray
+    from pebilliards.pecore import Ellipsoid, Signature
 
-    solve = confocal._tangency_set
-    calls = []
-
-    def failing_third(fam, q, lightlike):
-        calls.append(q)
-        if len(calls) == 3:
-            raise RootIsolationFailure("injected on the third call")
-        return solve(fam, q, lightlike)
-
-    monkeypatch.setattr(confocal, "_tangency_set", failing_third)
-    doc = simulate_doc(bounces=5, record_tangency=True)
+    start = sample_null_ray(Ellipsoid((3.0, 2.0, 1.0)), Signature(2, 1), 7)
+    doc = simulate_doc(bounces=5, record_tangency=True,
+                       initial={"x": start.x.tolist(), "v": np.ldexp(start.v, 507).tolist()})
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["aborted"] == "RootIsolationFailure: injected on the third call"
+    assert summary["aborted"].startswith("RootIsolationFailure: tangency polynomial not finite: [inf, ")
     assert summary["abort_bounce"] == 2 and summary["bounces_completed"] == 1
     lines = (out / "orbit.csv").read_text().splitlines()
     assert lines[0].endswith(",lam1") and len(lines) == 3
@@ -1080,10 +1076,10 @@ def test_three_bounce_simulate_formats_every_cell_with_repr(tmp_path, monkeypatc
     doc = simulate_doc(bounces=3, record_tangency=True)
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     (rec,) = seen
-    assert [ts.count for ts in rec.tangency] == [1] * 4  # a light-like orbit has one parameter
+    assert rec.lambdas.shape == (4, 1) and not np.isnan(rec.lambdas).any()  # a light-like orbit has one parameter
     lines = ["index,x1,x2,x3,v1,v2,v3,H,F1,F2,F3,lam1"]
     for k in range(4):
-        cells = [*rec.xs[k], *rec.vs[k], rec.h[k], *rec.f[k], *rec.tangency[k].lambdas]
+        cells = [*rec.xs[k], *rec.vs[k], rec.h[k], *rec.f[k], *rec.lambdas[k]]
         lines.append(",".join([str(k)] + [repr(float(c)) for c in cells]))
     assert (out / "orbit.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -334,24 +336,122 @@ def test_cleared_polynomial_factors_through_q(p, q):
 
 @pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
 def test_q_row_does_not_depend_on_its_batch(p, q):
-    # Q is accumulated with elementwise operations in a fixed order, so a
-    # row alone and the same row inside a batch of 1000 agree bit for bit.
+    # Q is accumulated pair by pair from +0, so a row alone, the same row
+    # inside a batch of 1000 and a loop over the pairs agree bit for bit.
     sig = Signature(p, q)
     fam = ConfocalFamily(Ellipsoid(SIGNATURE_AXES[(p, q)]), sig)
     xs, vs = np.random.default_rng(17).standard_normal((2, 1000, sig.dim)) * 3.0
     batch = tangency_polynomial(fam, xs, vs)
     assert batch.shape == (1000, sig.dim)
     for k in range(1000):
-        assert np.array_equal(tangency_polynomial(fam, xs[k], vs[k]), batch[k])
+        assert tangency_polynomial(fam, xs[k], vs[k]).tobytes() == batch[k].tobytes()
+    (i, j), prods = fam._q_terms
+    w = xs[:, i] * vs[:, j] - xs[:, j] * vs[:, i]
+    mono = np.where(i == j, vs[:, i] * vs[:, j], -(w * w))
+    want = np.zeros(xs.shape)
+    for pair, prod in enumerate(prods):
+        want += mono[:, pair, None] * prod
+    assert batch.tobytes() == want.tobytes()
+
+
+#: Ascending coefficients of polynomials of one degree from 3 to 6, with a top coefficient far from 0.
+SAME_DEGREE = st.integers(4, 7).flatmap(
+    lambda n: st.lists(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).filter(lambda q: abs(q[-1]) >= 1e-3),
+                       min_size=1, max_size=4)
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=7).filter(lambda q: abs(q[-1]) >= 1e-3))
-def test_real_roots_equal_polyroots_bit_for_bit(q):
-    # Degrees 3 to 6 take the companion matrix's eigenvalues, as polyroots does.
-    roots = poly.polyroots(q).tolist()
-    want = [z.real for z in roots if confocal._is_real(z.real, z.imag)]
-    assert np.array(confocal._real_roots(q)).tobytes() == np.array(want).tobytes()
+@given(SAME_DEGREE)
+def test_real_roots_equal_polyroots_bit_for_bit(qs):
+    # Degrees 3 to 6 take the companion matrices' eigenvalues, as polyroots
+    # does; one stacked call solves each matrix as it solves it alone.
+    roots, refused, error = confocal._roots(np.array(qs).T)
+    assert (refused, error) == (len(qs), None)
+    for q, got in zip(qs, roots.T):
+        want = [z.real for z in poly.polyroots(q).tolist() if abs(z.imag) <= confocal.REAL_TOL * max(1.0, abs(z.real))]
+        assert got[~np.isnan(got)].tobytes() == np.array(want).tobytes()
+
+
+def test_a_companion_matrix_that_is_not_finite_stops_the_rows_at_its_own():
+    # Row 1's Q is finite, but -q[:-1] / q[-1] overflows, which LAPACK refuses
+    # with numpy's message; only row 0 is solved.
+    fam = ConfocalFamily(Ellipsoid((4.0, 3.0, 2.0, 1.0)), Signature(3, 1))
+    q = np.array([[-210.0, 107.0, -18.0, 1.0], [1e300, 0.0, 0.0, 1e-10], [-210.0, 107.0, -18.0, 1.0]])
+    lambdas, near_pole, error = confocal._solve(fam, q, lightlike=False)
+    with pytest.raises(np.linalg.LinAlgError) as numpy_error:
+        np.linalg.eigvals(np.array([[0.0, np.inf], [1.0, 0.0]]))
+    assert str(error) == f"companion eigenvalues failed: {numpy_error.value}"
+    assert lambdas.shape == near_pole.shape == (1, 3) and np.isnan(near_pole).all()
+    assert np.allclose(lambdas[0], [5.0, 6.0, 7.0], rtol=1e-12)
+
+
+def _scalar_solve(fam, q: list, lightlike: bool) -> tuple[tuple, tuple]:
+    """The kept and set-aside tangency parameters of one Q, root by root on Python floats, a test oracle.
+
+    The arithmetic of confocal._solve written out for one row, as the
+    recorder solved each row before it solved them as arrays: closed forms
+    up to degree 2, polyroots (the same companion matrix) above, one Newton
+    step kept where |Q| does not grow, and the pole filter.
+    """
+    if lightlike:
+        q.pop()
+    while q and q[-1] == 0.0:
+        q.pop()
+    if len(q) < 2:
+        return (), ()
+    if len(q) == 2:
+        roots = [-q[0] / q[1]]
+    elif len(q) == 3:
+        c, b, a = q
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            re = -b / (2.0 * a)
+            roots = [re, re] if abs(math.sqrt(-disc) / (2.0 * a)) <= confocal.REAL_TOL * max(1.0, abs(re)) else []
+        else:
+            s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = [s / a, c / s] if s != 0.0 else [0.0, 0.0]
+    else:
+        roots = [z.real for z in poly.polyroots(q).tolist() if abs(z.imag) <= confocal.REAL_TOL * max(1.0, abs(z.real))]
+
+    def horner(lam):
+        val = der = 0.0
+        for c in reversed(q):
+            der, val = der * lam + val, val * lam + c
+        return val, der
+
+    lams = []
+    for lam in roots:
+        val, der = horner(lam)
+        if der != 0.0 and abs(horner(lam - val / der)[0]) <= abs(val):
+            lam = lam - val / der
+        lams.append(lam)
+    near = [min(abs(a2k + ek * lam) for a2k, ek in fam.factors) <= fam.pole_tolerance for lam in sorted(lams)]
+    return tuple(lam for lam, n in zip(sorted(lams), near) if not n), tuple(lam for lam, n in zip(sorted(lams), near) if n)
+
+
+@pytest.mark.parametrize("p,q", list(SIGNATURE_AXES))
+def test_array_solve_equals_the_root_by_root_solve(p, q):
+    # _solve on a stack of rows gives each row, byte for byte, what the root
+    # by root solve gives it: rows of Q from random lines, random polynomials
+    # of every degree up to d - 1, and one with a root at a pole.
+    sig = Signature(p, q)
+    fam = ConfocalFamily(Ellipsoid(SIGNATURE_AXES[(p, q)]), sig)
+    rng = np.random.default_rng(41)
+    states = _random_states(sig, rng, count=400)
+    coeffs = rng.standard_normal((200, sig.dim)) * 10.0 ** rng.integers(-3, 4, (200, 1))
+    coeffs[::7, -1] = 0.0
+    coeffs[::11, 1:] = 0.0
+    at_pole = poly.polyfromroots([-sig.e[0] * fam.ellipsoid.a2[0], 0.37, 1.9, -2.3, 5.1][: sig.dim - 1])
+    rows = np.vstack([tangency_polynomial(fam, [r.x for r in states], [r.v for r in states]), coeffs, at_pole])
+    for lightlike in (False, True):
+        lambdas, near_pole, error = confocal._solve(fam, rows, lightlike)
+        assert error is None and lambdas.shape == (len(rows), sig.dim - 1 - lightlike)
+        for k, row in enumerate(rows.tolist()):
+            kept, aside = _scalar_solve(fam, row, lightlike)
+            assert lambdas[k][: len(kept)].tobytes() == np.array(kept).tobytes() and np.isnan(lambdas[k][len(kept) :]).all()
+            assert near_pole[k][: len(aside)].tobytes() == np.array(aside).tobytes() and np.isnan(near_pole[k][len(aside) :]).all()
+    assert not np.isnan(confocal._solve(fam, rows[-1:], False)[1]).all()
 
 
 def _oracle_roots(fam, r):
@@ -402,5 +502,6 @@ def test_no_spurious_pole_roots_near_null_normals(sig, axes, x, v):
     ell = Ellipsoid(axes)
     orbit = run_orbit(RayState(x, v), 3, ell, sig, fam=ConfocalFamily(ell, sig))
     assert orbit.abort_reason is None
-    assert len({ts.count for ts in orbit.tangency}) == 1
-    assert all(ts.near_pole == () for ts in orbit.tangency)
+    counts = np.count_nonzero(~np.isnan(orbit.lambdas), axis=1)
+    assert len(set(counts.tolist())) == 1
+    assert np.isnan(orbit.near_pole).all()

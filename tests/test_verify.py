@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pebilliards.billiard import OrbitRecord, integrals_batch, run_orbit, sample_null_ray
-from pebilliards.confocal import ConfocalFamily, TangencySet
+from pebilliards.confocal import ConfocalFamily
 from pebilliards.pecore import Ellipsoid, RayState, Signature
 from pebilliards.verify import (
     commutation_sweep,
@@ -13,6 +13,7 @@ from pebilliards.verify import (
 
 SIG = Signature(2, 1)
 ELL = Ellipsoid((3.0, 2.0, 1.0))
+NAN = np.nan
 
 
 def test_bracket_antisymmetry_and_canonical_pair():
@@ -86,7 +87,8 @@ def test_drift_report_flags_count_change():
         vs=np.array([[1.0, -1.0], [5.0, 5.0]]),
         h=np.array([-1.0, -1.0]),
         f=np.array([[0.8, -0.8], [0.8, -0.8]]),
-        tangency=[TangencySet(lambdas=(0.5,)), TangencySet(lambdas=(0.5, 2.0))],
+        lambdas=np.array([[0.5, NAN], [0.5, 2.0]]),
+        near_pole=np.full((2, 2), NAN),
     )
     rep = drift_report(rec)
     assert rep.lambda_mismatch == (
@@ -98,9 +100,10 @@ def test_drift_report_flags_count_change():
 
 def test_drift_report_names_a_root_set_aside_near_a_pole():
     # The count changes first at bounce 2, whose row set one root aside at a pole.
-    tangency = [TangencySet(lambdas=(0.5, 2.0)), TangencySet(lambdas=(0.5, 2.0)),
-                TangencySet(lambdas=(0.5,), near_pole=(-1.0,)), TangencySet(lambdas=())]
-    rec = OrbitRecord(xs=np.zeros((4, 2)), vs=np.ones((4, 2)), h=np.ones(4), f=np.ones((4, 2)), tangency=tangency)
+    lambdas = np.array([[0.5, 2.0], [0.5, 2.0], [0.5, NAN], [NAN, NAN]])
+    near_pole = np.array([[NAN, NAN], [NAN, NAN], [-1.0, NAN], [NAN, NAN]])
+    rec = OrbitRecord(xs=np.zeros((4, 2)), vs=np.ones((4, 2)), h=np.ones(4), f=np.ones((4, 2)),
+                      lambdas=lambdas, near_pole=near_pole)
     assert drift_report(rec).lambda_mismatch == (
         "tangency parameter count varies along the orbit: [0, 1, 2]; first at bounce 2, 1 against 2 at bounce 0, "
         "with 1 root(s) set aside near a pole (a root crossed the pole filter)"
@@ -109,10 +112,10 @@ def test_drift_report_names_a_root_set_aside_near_a_pole():
 
 def test_drift_report_matches_lambdas_by_index():
     # Sorted parameters pair up by index; a tie in the worst drift goes to the first bounce.
-    lams = [(1.0, 4.0), (1.5, 4.0), (1.0, 4.5), (1.5, 4.0)]
+    lams = np.array([(1.0, 4.0), (1.5, 4.0), (1.0, 4.5), (1.5, 4.0)])
     rec = OrbitRecord(
         xs=np.zeros((4, 2)), vs=np.ones((4, 2)), h=np.ones(4), f=np.ones((4, 2)),
-        tangency=[TangencySet(lambdas=lam) for lam in lams],
+        lambdas=lams, near_pole=np.full((4, 2), NAN),
     )
     rep = drift_report(rec)
     assert rep.lambda_drift == 0.5 and rep.lambda_worst_bounce == 1
