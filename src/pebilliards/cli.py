@@ -249,17 +249,20 @@ def load_config(path) -> dict:
     return doc
 
 
-def _write_json(path: Path, obj) -> None:
-    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+def _json(obj) -> bytes:
+    return _lines([json.dumps(obj, indent=2, sort_keys=True)])
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    _write_bytes(path, ("\n".join(lines) + "\n").encode())
+def _lines(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode()
 
 
-def _write_bytes(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+def _write(out_dir: Path, files: dict[str, list]) -> None:
+    """Writes each file of `files` (name: bytes-like parts, written in turn) into out_dir, made once with its parents."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, parts in files.items():
+        with open(out_dir / name, "wb") as fh:
+            fh.writelines(parts)
 
 
 def _geometry(cfg: dict) -> tuple[Ellipsoid, Signature]:
@@ -331,7 +334,6 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         rows = floattext.csv_rows(cells)
     except MemoryError:
         _fail(beyond_memory)
-    _write_bytes(out_dir / "orbit.csv", (",".join(header) + "\n").encode() + rows)
     summary = {
         "bounces_requested": cfg["bounces"],
         "bounces_completed": record.bounce_count,
@@ -342,7 +344,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         "h_initial": float(record.h[0]),
         "seed": cfg["seed"],
     }
-    _write_json(out_dir / "summary.json", summary)
+    _write(out_dir, {"orbit.csv": [_lines([",".join(header)]), *rows], "summary.json": [_json(summary)]})
     return EXIT_DEGENERATE if record.aborted or mismatch else EXIT_OK
 
 
@@ -359,7 +361,7 @@ def cmd_commute(cfg: dict, out_dir: Path, wrong_metric: bool) -> int:
         _fail(f"ResonantAxes: {exc}")
 
     worst = max(r.max_normalized for r in reports)
-    _write_json(out_dir / "brackets.json", [r.to_dict() for r in reports])
+    _write(out_dir, {"brackets.json": [_json([r.to_dict() for r in reports])]})
     return EXIT_OK if worst <= verify.BRACKET_TOL else EXIT_TOLERANCE
 
 
@@ -394,26 +396,24 @@ def cmd_oval(cfg: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
                     theta = lorentz_oval.oval_map(curve, theta)
                 except DegenerateChord as exc:
                     lines.append(f"# aborted: DegenerateChord: {exc}")
-                    _write_lines(out_dir / "oval_orbit.csv", lines)
+                    _write(out_dir, {"oval_orbit.csv": [_lines(lines)]})
                     return EXIT_DEGENERATE
-        _write_lines(out_dir / "oval_orbit.csv", lines)
+        _write(out_dir, {"oval_orbit.csv": [_lines(lines)]})
         return EXIT_OK
 
     if mode == "periodic":
         curve = spec["table"]
         poly = lorentz_oval.find_periodic_orbit(curve, spec["half_period"], spec["seed_param"])
         v_formula = lorentz_oval.acceleration_factor(poly)
-        _write_json(
-            out_dir / "polygon.json",
-            {
-                "points": [[float(c) for c in p] for p in poly.points],
-                "slopes": list(poly.slopes),
-                "acceleration_factor": v_formula,
-                "acceleration_factor_abs": abs(v_formula),
-                "simulated_factor": lorentz_oval.simulate_speed(curve, poly),
-                "return_derivative_abs": abs(lorentz_oval.return_map_derivative(curve, poly)),
-            },
-        )
+        polygon = {
+            "points": [[float(c) for c in p] for p in poly.points],
+            "slopes": list(poly.slopes),
+            "acceleration_factor": v_formula,
+            "acceleration_factor_abs": abs(v_formula),
+            "simulated_factor": lorentz_oval.simulate_speed(curve, poly),
+            "return_derivative_abs": abs(lorentz_oval.return_map_derivative(curve, poly)),
+        }
+        _write(out_dir, {"polygon.json": [_json(polygon)]})
         return EXIT_OK
 
     # synth
@@ -436,18 +436,15 @@ def cmd_oval(cfg: dict, mode: str, out_dir: Path, config_dir: Path) -> int:
     v_formula = lorentz_oval.acceleration_factor(rebuilt)
     v_sim = lorentz_oval.simulate_speed(curve, rebuilt)
     speed, closure = lorentz_oval.simulate_periods(curve, rebuilt, spec["periods"])
-    _write_json(out_dir / "table.json", _table_to_doc(curve))
-    _write_json(
-        out_dir / "synth_report.json",
-        {
-            "target_factor": lorentz_oval.acceleration_factor(poly),
-            "formula_factor": v_formula,
-            "simulated_factor": v_sim,
-            "periods": spec["periods"],
-            "speed_after_periods": speed,
-            "closure_defect": closure,
-        },
-    )
+    report = {
+        "target_factor": lorentz_oval.acceleration_factor(poly),
+        "formula_factor": v_formula,
+        "simulated_factor": v_sim,
+        "periods": spec["periods"],
+        "speed_after_periods": speed,
+        "closure_defect": closure,
+    }
+    _write(out_dir, {"table.json": [_json(_table_to_doc(curve))], "synth_report.json": [_json(report)]})
     return EXIT_OK
 
 
@@ -496,7 +493,7 @@ def cmd_family_plot(cfg: dict, out_dir: Path) -> int:
                     lines.append(f"{idx},{_fmt(lam)},ok,{branch},{_fmt(x)},{_fmt(y)}")
         else:
             lines.append(f"{idx},{_fmt(lam)},empty,,,")
-    _write_lines(out_dir / "family.csv", lines)
+    _write(out_dir, {"family.csv": [_lines(lines)]})
     return EXIT_OK
 
 

@@ -44,9 +44,9 @@ POLE_FILTER_FACTOR = 1e-7
 REAL_TOL = 1e-7
 
 
-def _linear_product(factors) -> list[float]:
-    """Ascending coefficients of the product of the linear factors a + b lam, given as (a, b)."""
-    out = [1.0]
+def _linear_product(factors, poly=(1.0,)) -> list[float]:
+    """Ascending coefficients of poly (ascending coefficients) times the linear factors a + b lam, given as (a, b), in turn."""
+    out = list(poly)
     for a, b in factors:
         out = [a * hi + b * lo for lo, hi in zip([0.0] + out, out + [0.0])]
     return out
@@ -90,10 +90,25 @@ class ConfocalFamily:
     @cached_property
     def _q_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """The pairs i <= j as a (2 x pairs) index array, and the (pairs x d) matrix whose row
-        (i, j) holds the ascending coefficients of prod_{k not in {i, j}} c_k, zero-padded."""
-        pairs = [(i, j) for i in range(self.dim) for j in range(i, self.dim)]
-        prods = [_linear_product([f for k, f in enumerate(self.factors) if k not in p]) for p in pairs]
-        return np.array(pairs).T, np.array([c + [0.0] * (self.dim - len(c)) for c in prods])
+        (i, j) holds the ascending coefficients of prod_{k not in {i, j}} c_k, zero-padded.
+
+        Each product takes its factors in ascending k from 1, as
+        `_linear_product` of them does, and shares its leading factors with
+        the pairs before it: it continues the product of the factors before
+        i, then before j but i."""
+        d, fac = self.dim, self.factors
+        pairs, prods = [], []
+        head = [1.0]  # the product of the factors before i
+        for i in range(d):
+            mid = head  # the product of the factors before j, but i
+            for j in range(i, d):
+                if j > i + 1:
+                    mid = _linear_product([fac[j - 1]], mid)
+                c = _linear_product(fac[j + 1 :], mid)
+                pairs.append((i, j))
+                prods.append(c + [0.0] * (d - len(c)))
+            head = _linear_product([fac[i]], head)
+        return np.array(pairs).T, np.array(prods)
 
 
 def _near_pole(fam: ConfocalFamily, lam):

@@ -28,13 +28,30 @@ non-finite values, binade edges (where the gaps differ), exponents outside
 [-11, 16], cells whose 16 - SHORTER digits read back, and positional texts
 with zeros past the last digit.
 
+No decision divides.  The digits are found in ``u = S mod 10^6`` (below
+10^6), and its quotient by 10^j is taken as u times the double nearest
+10^-j: two roundings, so within 10^-j u 2^-52 < 10^-j 2^-32 of u / 10^j.
+Such a product rounds to the other integer than the quotient only where u
+lies within 2^-32 of the midpoint of two multiples of 10^j.  The guess of
+j is then only a worse guess.  The decisions take the multiple of 10^j
+that the product gives only where it lies within 10^j / 2 - MARGIN of u
+(the difference is exact there, by Sterbenz's lemma), which makes it the
+nearest one however the product rounded, and they place the multiples of
+10^(j + 1) around it by its last digit, an integer, with no quotient.  So
+a wrongly rounded product can only fail a decision and send the cell to
+``repr``; it never picks another text.
+
 The text is laid out as ``repr`` does it: positional for -4 <= E < 16,
 ``d.ddde+XX`` otherwise.  The C function writes every row, its index and
-separators into one buffer, leaves out each cell it does not decide and
-returns those cells; `csv_rows` fills them with their ``repr``.  Where no
-library can be built or loaded, every cell is its ``repr``.  All arithmetic
-is on double and int64, built without contraction into fused multiply-adds
-or fast-math (`native._CC`), so the digits do not depend on the CPU.
+separators into one buffer.  A cell with the bits of the cell above it
+gets a copy of that text: an orbit's H and F_k are conserved, and repeat
+in most rows.  A cell whose cell above went to ``repr`` is decided again.
+The function leaves out each cell it does not decide and returns those
+cells; `csv_rows` returns the buffer cut at them and their ``repr``, as
+parts to be written in turn.  Where no library can be built or loaded,
+every cell is its ``repr``.  All arithmetic is on double and int64, built
+without contraction into fused multiply-adds or fast-math (`native._CC`),
+so the digits do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -80,6 +97,7 @@ static const double POW10[28] = {{{_doubles(_POW10)}}};
 static const double POW10_HI[28] = {{{_doubles(split[0])}}};
 static const double POW10_LO[28] = {{{_doubles(split[1])}}};
 static const double POW10_REST[28] = {{{_doubles(rest)}}};
+static const double INVERSE10[SHORTER + 1] = {{{_doubles(float(f"1e-{j}") for j in range(SHORTER + 1))}}};
 static const double DECADE[29] = {{{_doubles(float(f"1e{e}") for e in range(-11, 18))}}};
 static const char PAIRS[] = "{pairs}";
 
@@ -142,25 +160,28 @@ static int cell(double x, char *s)
     /* j, the digits dropped (a guess; the decisions below check it): H < 12,
        so at most one multiple of 100 lies within H of S; where one does j is 2
        plus its trailing zeros, else 1 where a multiple of 10 does. */
-    double m = nearest(u / 100);
+    double m = nearest(u * INVERSE10[2]);
     int j;
     if (magnitude(u - 100 * m) < half) {{
         int64_t n = (int64_t)m;
         j = 2 + (n % 10 == 0) + (n % 100 == 0) + (n % 1000 == 0) + (n % 10000 == 0);
     }} else
-        j = magnitude(u - 10 * nearest(u / 10)) < half;
+        j = magnitude(u - 10 * nearest(u * INVERSE10[1])) < half;
     if (j > SHORTER)
         return -1;
 
     /* The decisions that pick the text, each with the margin to spare: the
-       nearest multiple of 10^j lies within H of S, and nearer than its other
-       neighbour; the nearest multiple of 10^(j+1) does not. */
+       multiple of 10^j that the product gives lies within H of S, and nearer
+       than its other neighbour, which makes it the nearest; neither multiple
+       of 10^(j+1) around it, placed by its last digit, does. */
     double p = POW10[j];
-    double near = p * nearest(u / p);
+    double n = nearest(u * INVERSE10[j]);
+    double near = p * n;
     double gap = magnitude(u - near);
-    if (!(gap < half - MARGIN) || !(p / 2 - gap > MARGIN))
+    if (!(gap < half - MARGIN) || !(0.5 * p - gap > MARGIN))
         return -1;
-    if (!(magnitude(u - 10 * p * nearest(u / (10 * p))) > half + MARGIN))
+    double low = near - p * (double)((int64_t)n % 10); /* the multiple of 10^(j+1) at or below near */
+    if (!(u - low > half + MARGIN && low + 10 * p - u > half + MARGIN))
         return -1;
     if (near >= 1e6)
         return -1; /* a carry into D's digits above 10^6 */
@@ -200,13 +221,16 @@ static int cell(double x, char *s)
 }}
 
 /* Rows "index,cell,...\\n" of the n x c table x into text, a NaN cell empty.
+   A cell with the bits of the one above it gets a copy of that cell's text.
    A cell left to repr is left out: its index and the offset where its text
    goes are stored in todo, in order, then the pair (n c, length of text).
-   Returns the number of cells left out. */
+   todo has room for c more pairs past those: per column, the offset and
+   length of the text last decided there, the length -1 where the cell
+   above went to repr.  Returns the number of cells left out. */
 int64_t csv_rows(const double *x, int64_t n, int64_t c, char *text, int64_t *todo)
 {{
     char *t = text;
-    int64_t left = 0;
+    int64_t left = 0, *above = todo + 2 * (n * c + 1);
     for (int64_t row = 0; row < n; row++) {{
         char index[20];
         int width = 0;
@@ -216,11 +240,19 @@ int64_t csv_rows(const double *x, int64_t n, int64_t c, char *text, int64_t *tod
         while ((r /= 10) > 0);
         while (width > 0)
             *t++ = index[--width];
-        for (int64_t i = row * c; i < (row + 1) * c; i++) {{
+        for (int64_t column = 0; column < c; column++) {{
+            int64_t i = row * c + column, *last = above + 2 * column;
             *t++ = ',';
             if (x[i] != x[i])
                 continue;
+            if (row > 0 && memcmp(x + i, x + i - c, 8) == 0 && last[1] >= 0) {{
+                memcpy(t, text + last[0], last[1]);
+                t += last[1];
+                continue;
+            }}
             int length = cell(x[i], t);
+            last[0] = t - text;
+            last[1] = length;
             if (length >= 0)
                 t += length;
             else {{
@@ -246,13 +278,17 @@ def _decide(x: np.ndarray) -> tuple[memoryview, list[list[int]]]:
     """
     n, c = x.shape
     text = np.empty(n * (len(str(n - 1)) + 1) + x.size * _CELL_BYTES + 16, np.uint8)  # 16: see cell()
-    todo = np.empty((x.size + 1, 2), np.int64)
+    todo = np.empty((x.size + 1 + c, 2), np.int64)
     left = native.library().csv_rows(x.ctypes.data, n, c, text.ctypes.data, todo.ctypes.data)
     return memoryview(text)[: todo[left, 1]], todo[:left].tolist()
 
 
-def csv_rows(cells: np.ndarray) -> bytes:
-    """Rows ``index,cell,...`` of a float table, LF-terminated; a NaN cell is empty."""
+def csv_rows(cells: np.ndarray) -> list[bytes | memoryview]:
+    """Rows ``index,cell,...`` of a float table, LF-terminated, as bytes-like parts in order; a NaN cell is empty.
+
+    The parts are the C formatter's buffer, cut where it left a cell out,
+    and those cells' ``repr``; a writer writes them in turn, unjoined.
+    """
     n, c = cells.shape
     x = np.ascontiguousarray(cells, dtype=float)
     if native.library() is not None:
@@ -261,9 +297,9 @@ def csv_rows(cells: np.ndarray) -> bytes:
         for cell, at in todo:
             parts += [text[start:at], repr(float(x.flat[cell])).encode()]
             start = at
-        return b"".join([*parts, text[start:]])
+        return [*parts, text[start:]]
 
     texts = list(map(repr, x.reshape(-1).tolist()))
     for i in np.flatnonzero(np.isnan(x)).tolist():
         texts[i] = ""
-    return "".join([f"{row}\n" for row in map(",".join, zip(map(str, range(n)), *[iter(texts)] * c))]).encode()
+    return ["".join([f"{row}\n" for row in map(",".join, zip(map(str, range(n)), *[iter(texts)] * c))]).encode()]

@@ -354,6 +354,23 @@ def test_q_row_does_not_depend_on_its_batch(p, q):
     assert batch.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_q_terms_equal_one_linear_product_per_pair(dim):
+    # _q_terms shares the leading factors of the pairs' products; each row
+    # must still be, bit for bit, _linear_product of its factors from 1,
+    # overflow included (axes near 1e150 give infinite and NaN coefficients).
+    rng = np.random.default_rng(dim)
+    for q in range(dim + 1):
+        for axes in [rng.uniform(0.1, 10.0, dim), rng.uniform(0.1, 10.0, dim) * 1e150 ** (np.arange(dim) % 2)]:
+            fam = ConfocalFamily(Ellipsoid(tuple(axes)), Signature(dim - q, q))
+            (i, j), prods = fam._q_terms
+            pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+            assert list(zip(i.tolist(), j.tolist())) == pairs
+            for pair, row in zip(pairs, prods):
+                want = confocal._linear_product([f for k, f in enumerate(fam.factors) if k not in pair])
+                assert row.tobytes() == np.array(want + [0.0] * (dim - len(want))).tobytes()
+
+
 #: Ascending coefficients of polynomials of one degree from 3 to 6, with a top coefficient far from 0.
 SAME_DEGREE = st.integers(4, 7).flatmap(
     lambda n: st.lists(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).filter(lambda q: abs(q[-1]) >= 1e-3),

@@ -4,11 +4,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pebilliards import floattext, native
-from pebilliards.floattext import csv_rows
 
 #: Whether the C formatter is built here: a C compiler on PATH and a writable cache.
 FORMATTER = native.library() is not None
@@ -29,6 +28,11 @@ def formatter(request):
 
 #: The fixture sets the formatter up once for all of a test's examples.
 FIXTURE_ONCE = [HealthCheck.function_scoped_fixture]
+
+
+def csv_rows(cells) -> bytes:
+    """floattext.csv_rows's parts, joined."""
+    return b"".join(floattext.csv_rows(cells))
 
 
 def repr_rows(cells) -> bytes:
@@ -96,6 +100,40 @@ def test_csv_rows_equal_repr(formatter, values):
     assert csv_rows(cells) == repr_rows(cells)
 
 
+#: The tie of test_cells_within_the_margin_of_a_tie_go_to_repr: S lies 2^-34
+#: past a half-integer, so the C formatter leaves it to repr.
+TIE = 10.001292713001599
+
+#: Values a column repeats in runs: orbit-scale values and bit patterns,
+#: zeros of both signs, NaN, and cells the C formatter leaves to repr (powers
+#: of two and a tie).
+RUN_VALUES = st.one_of(
+    ORBIT_SCALE, BIT_PATTERNS.filter(math.isfinite), st.sampled_from([0.0, -0.0, math.nan, 0.5, 1024.0, TIE])
+)
+
+
+@st.composite
+def runs_of_repeated_cells(draw):
+    """A table of up to 24 rows and 80 columns, each column made of runs of one value."""
+    rows, columns = draw(st.integers(1, 24)), draw(st.integers(1, 80))
+    runs = st.lists(st.tuples(RUN_VALUES, st.integers(1, 8)), min_size=1, max_size=6)
+    cells = np.empty((rows, columns))
+    for column in range(columns):
+        cells[:, column] = np.resize([value for value, length in draw(runs) for _ in range(length)], rows)
+    return cells
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=FIXTURE_ONCE)
+@given(runs_of_repeated_cells())
+@example(np.tile(np.array([[0.0, -0.0] * 3, [1.5, 1.5, math.nan, 1.5, 1.5, 1.5], [1024.0] * 6, [TIE] * 6]).T, 18))
+def test_csv_rows_equal_repr_on_runs_of_repeated_cells(formatter, cells):
+    # The C formatter copies the text of a cell with the bits of the one above
+    # it.  So 0.0 and -0.0 are not copies of each other, a NaN inside a run is
+    # empty, a repeated cell that goes to repr is decided again each time,
+    # and a table has columns beyond any fixed count (72 in the example).
+    assert csv_rows(cells) == repr_rows(cells)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_csv_rows_equal_repr_on_random_tables(seed):
@@ -153,8 +191,8 @@ def test_cells_within_the_margin_of_a_tie_go_to_repr():
     first = (2**33 + 1) * pow(5**15, -1, step) % step
     start = first + -(-(10 * 2**49 - first) // step) * step
     ties = [n / 2**49 for n in range(start, 2**53, step) if n * 5**15 // step % 10**6 < 2**19]
-    cells = table([10.001292713001599] + ties[::100])
-    assert 10.001292713001599 in ties and len(ties) > 100_000
+    cells = table([TIE] + ties[::100])
+    assert TIE in ties and len(ties) > 100_000
     assert decided(cells) == 0.0
     assert csv_rows(cells) == repr_rows(cells)
 
