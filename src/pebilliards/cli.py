@@ -344,7 +344,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         "h_initial": float(record.h[0]),
         "seed": cfg["seed"],
     }
-    _write(out_dir, {"orbit.csv": [_lines([",".join(header)]), *rows], "summary.json": [_json(summary)]})
+    _write(out_dir, {"orbit.csv": [_lines([",".join(header)]), rows], "summary.json": [_json(summary)]})
     return EXIT_DEGENERATE if record.aborted or mismatch else EXIT_OK
 
 
